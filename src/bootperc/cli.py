@@ -23,9 +23,9 @@ from .engine import (
     run_process,
     write_trace_csv,
 )
-from .graph import largest_component, sample_gnp
+from .graph import largest_component, sample_gnp, sample_gnp_with
 from .montecarlo import ExperimentConfig, SeedSizeSpec
-from .rng import STREAM_RUN, STREAM_STAGES, make_generator
+from .rng import STREAM_GRAPH, STREAM_RUN, STREAM_STAGES, make_generator
 from .thresholds import DegenerateRegime, NoConvergence, ProcessParams
 
 EXIT_OK = 0
@@ -85,7 +85,6 @@ _CONFIG_COERCE = {
     "format": str,
     "threshold": float,
     "alpha": float,
-    "alpha_multiplier": float,
     "m": int,
     "eps": float,
     "a_list": str,
@@ -168,7 +167,7 @@ def _cmd_run(args) -> int:
     if args.mode == "implicit":
         source = ImplicitSource(params, rng=make_generator(args.seed, 0, STREAM_RUN))
     else:
-        g = sample_gnp(params.n, params.p, args.seed)
+        g = sample_gnp_with(params.n, params.p, make_generator(args.seed, 0, STREAM_GRAPH))
         source = ExplicitSource(g, p=params.p)
     trace = run_process(source, SeedSpec.prefix(args.a), params.r, opts)
     payload = {
@@ -393,21 +392,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_overlay(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Pre-scan for --config and inject file values as defaults.
+def _apply_config_overlay(argv: list[str]) -> list[str]:
+    """Pre-scan for --config and append file values as flags.
 
     Values from the file apply only where the command line did not set the
-    flag, which is exactly argparse default semantics: we re-parse with
-    updated defaults.
+    flag, as ``--key value`` or ``--key=value``.
     """
-    if "--config" not in argv:
+    path = None
+    for k, tok in enumerate(argv):
+        if tok == "--config":
+            if k + 1 >= len(argv):
+                raise ValueError("--config needs a path")
+            path = argv[k + 1]
+        elif tok.startswith("--config="):
+            path = tok.split("=", 1)[1]
+    if path is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ValueError("--config needs a path")
-    overlay = _load_config_file(argv[idx + 1])
+    overlay = _load_config_file(path)
+    present = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
     extra: list[str] = []
-    present = set(argv)
     for key, raw in overlay.items():
         coerce = _CONFIG_COERCE.get(key)
         if coerce is None:
@@ -424,11 +427,13 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_overlay(parser, argv)
+        argv = _apply_config_overlay(argv)
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        if args.format == "csv" and args.func is not _cmd_sweep:
+            raise ValueError(f"--format csv is only supported by sweep, not {args.command}")
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

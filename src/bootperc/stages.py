@@ -18,9 +18,11 @@ All of these are measurements; the matching predictions recompute from
 (params, alpha) via :func:`bootperc.thresholds.stage_predictions` and are
 reported side by side, never asserted on a single run.
 
-In implicit mode the pipeline samples only pairs the engine run never
-revealed (pairs among not-yet-examined vertices), so every draw is
-distributionally faithful to the same underlying G(n,p).
+In implicit mode the pipeline reads the t1 checkpoint that the engine's
+infection-time walk draws (examined order, infected set, every counter,
+with the law of the examine-one-vertex process) and then samples only
+pairs the process never reveals (pairs among not-yet-examined vertices),
+so every draw is distributionally faithful to the same underlying G(n,p).
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import thresholds
-from .engine import Checkpoint, EdgeSource, ExplicitSource, ImplicitSource, PercolationTrace
-from .graph import count_neighbors_in, from_edges, largest_component, sample_gnp_with
+from .engine import Checkpoint, EdgeSource, ExplicitSource, PercolationTrace
+from .graph import count_neighbors_in, largest_component, sample_gnp_with
 from .thresholds import ProcessParams, StagePredictions
 
 
@@ -151,23 +153,9 @@ def giant_in_qualified(source: EdgeSource, bhat: np.ndarray) -> np.ndarray:
     if isinstance(source, ExplicitSource):
         summary = largest_component(source.graph, members.tolist(), include_members=True)
         return np.array(sorted(summary.largest_members), dtype=np.int64)
-    if source.audit:
-        sub = _audited_subgraph(source, members)
-    else:
-        sub = sample_gnp_with(k, source.params.p, source.rng)
+    sub = sample_gnp_with(k, source.params.p, source.rng)
     summary = largest_component(sub, include_members=True)
     return members[np.array(sorted(summary.largest_members), dtype=np.int64) - 1]
-
-
-def _audited_subgraph(source: ImplicitSource, members: np.ndarray):
-    k = len(members)
-    ids = members.tolist()
-    idx = {v: j for j, v in enumerate(ids)}
-    edges = []
-    for i in range(k):
-        hits = source._draw_pairs(ids[i], ids[i + 1 :])
-        edges.extend((i + 1, idx[v] + 1) for v in hits)
-    return from_edges(k, edges)
 
 
 @dataclass(frozen=True)
@@ -247,7 +235,7 @@ def _expand_once(
     if isinstance(source, ExplicitSource):
         counts = count_neighbors_in(source.graph, targets.tolist())[pool]
     else:
-        counts = source.count_into(pool.tolist(), targets.tolist())
+        counts = source.count_into(pool, targets)
     return pool[counts >= r]
 
 

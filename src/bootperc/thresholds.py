@@ -15,6 +15,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class DegenerateRegime(Exception):
     """A scanned step has infection probability 1, so the critical-value
@@ -96,33 +98,32 @@ class BoundInputs:
             raise ValueError(f"var_sum must be >= 0, got {self.var_sum}")
 
 
-def _binom_lower_sum(t: int, p: float, r: int) -> float:
-    """sum_{j<r} C(t,j) p^j (1-p)^(t-j), each term in log space.
+def log_binom_lower(t, p: float, k: int) -> np.ndarray:
+    """log P[Bin(t, p) < k] for an array of step counts t >= 0, 0 < p < 1.
 
-    This is 1 - P[Bin(t,p) >= r]; keeping the un-subtracted sum around
-    avoids a 1-(1-s) round trip where callers need 1 - pi_hat itself.
-    Requires t >= 0 and 0 < p < 1 unless handled by the caller.
+    Evaluated as t log1p(-p) + log(sum_{j<k} C(t,j) (p/q)^j), the sum
+    accumulated in log space.  The tail pi = -expm1(log S) is then not
+    limited by the 1e-16 absolute rounding of 1 - S (for k = 2 its
+    relative error stays near 1e-8 down to pi = 1e-14), and ratios of
+    survivals come out as differences.  Exactly 0 for t < k.
     """
-    if p == 0.0:
-        return 1.0
-    if p == 1.0:
-        return 1.0 if t == 0 else 0.0
-    log_p = math.log(p)
-    log_q = math.log1p(-p)
-    lg_t = math.lgamma(t + 1)
-    terms = []
-    for j in range(min(r, t + 1)):
-        lt = lg_t - math.lgamma(j + 1) - math.lgamma(t - j + 1) + j * log_p + (t - j) * log_q
-        terms.append(math.exp(lt))
-    return math.fsum(terms)
+    t = np.asarray(t, dtype=np.float64)
+    log_x = math.log(p) - math.log1p(-p)
+    acc = term = np.zeros(t.shape)
+    for j in range(1, k):
+        # log C(t,j) x^j from the j-1 term; the max only touches t < k,
+        # whose result is replaced below
+        term = term + np.log(np.maximum(t - (j - 1), 1.0)) + (log_x - math.log(j))
+        acc = np.logaddexp(acc, term)
+    return np.where(t < k, 0.0, t * math.log1p(-p) + acc)
 
 
 def binom_tail_geq(t: int, p: float, r: int) -> float:
     """P[Bin(t,p) >= r]: the chance that t examined vertices infect a
     fresh vertex with threshold r.
 
-    Exactly 0 when t < r; clamped to [0,1].  Terms are evaluated in log
-    space so large t with small p does not underflow.
+    Exactly 0 when t < r; clamped to [0,1].  Computed from
+    :func:`log_binom_lower`, so large t with small p does not underflow.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -130,10 +131,11 @@ def binom_tail_geq(t: int, p: float, r: int) -> float:
         raise ValueError(f"r must be >= 1, got {r}")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0,1], got {p}")
-    if t < r:
+    if t < r or p == 0.0:
         return 0.0
-    s = _binom_lower_sum(t, p, r)
-    return min(1.0, max(0.0, 1.0 - s))
+    if p == 1.0:
+        return 1.0
+    return min(1.0, max(0.0, -math.expm1(float(log_binom_lower(t, p, r)))))
 
 
 def delta(params: ProcessParams) -> float:
@@ -157,39 +159,37 @@ def t_zero_int(params: ProcessParams) -> int:
     return math.ceil(t_zero(params))
 
 
-def _deficit(params: ProcessParams, t: int) -> tuple[float, float]:
-    """(n*pi_hat(t) - t) / (1 - pi_hat(t)) and the survival 1 - pi_hat(t).
-
-    The numerator is assembled as (n - t) - n*s with s the lower-tail sum,
-    avoiding the cancellation of forming pi_hat first.
-    """
-    s = _binom_lower_sum(t, params.p, params.r)
-    if s <= 0.0:
-        raise DegenerateRegime(
-            f"pi_hat({t}) = 1 at p={params.p}; critical-value scan undefined"
-        )
-    return ((params.n - t) - params.n * s) / s, s
+# steps per numpy chunk of the critical scan
+_SCAN_CHUNK = 1 << 20
 
 
 def critical_pair(params: ProcessParams) -> CriticalValues:
-    """Scan integer steps t in [r, ceil(t0)] for the tightest trajectory
-    deficit.
+    """Scan integer steps t in [r, min(ceil(t0), n)] for the tightest
+    trajectory deficit.
 
-    The scan minimises (n pi_hat(t) - t)/(1 - pi_hat(t)); the critical
-    seed count a_c is minus that minimum and t_c is the smallest step
-    attaining it.  Also fills the first-order asymptotic references
+    The process has at most n steps, so the scan stops at n even when t0
+    lies beyond it; ``t0_int`` still reports ceil(t0).  The scan
+    minimises (n pi_hat(t) - t)/(1 - pi_hat(t)) in numpy chunks; the
+    critical seed count a_c is minus that minimum and t_c is the smallest
+    step attaining it.  Also fills the first-order asymptotic references
     tc_asym = ((r-1)!/(np^r))^(1/(r-1)) and ac_asym = (1 - 1/r) tc_asym.
     """
+    n, p, r = params.n, params.p, params.r
     d = delta(params)
     t0 = t_zero(params)
-    t0i = max(math.ceil(t0), params.r)
-    best_t = params.r
-    best_val = math.inf
-    best_s = 1.0
-    for t in range(params.r, t0i + 1):
-        val, s = _deficit(params, t)
-        if val < best_val:
-            best_val, best_t, best_s = val, t, s
+    t0i = max(math.ceil(t0), r)
+    best_t, best_val, best_log_s = r, math.inf, 0.0
+    for lo in range(r, min(t0i, n) + 1, _SCAN_CHUNK):
+        t = np.arange(lo, min(lo + _SCAN_CHUNK, t0i + 1, n + 1), dtype=np.float64)
+        log_s = log_binom_lower(t, p, r)
+        s = np.exp(log_s)
+        if np.any(s <= 0.0):
+            bad = int(t[np.argmax(s <= 0.0)])
+            raise DegenerateRegime(f"pi_hat({bad}) = 1 at p={p}; critical-value scan undefined")
+        val = (n * -np.expm1(log_s) - t) / s
+        i = int(np.argmin(val))
+        if val[i] < best_val:
+            best_val, best_t, best_log_s = float(val[i]), int(t[i]), float(log_s[i])
     ac = -best_val
     if ac <= 0.0:
         warnings.warn(
@@ -197,7 +197,7 @@ def critical_pair(params: ProcessParams) -> CriticalValues:
             "lie outside the analysed regime",
             stacklevel=2,
         )
-    tc_asym = (math.factorial(params.r - 1) / params.npr) ** (1.0 / (params.r - 1))
+    tc_asym = (math.factorial(r - 1) / params.npr) ** (1.0 / (r - 1))
     return CriticalValues(
         delta=d,
         t0=t0,
@@ -205,8 +205,8 @@ def critical_pair(params: ProcessParams) -> CriticalValues:
         tc=best_t,
         ac=ac,
         tc_asym=tc_asym,
-        ac_asym=(1.0 - 1.0 / params.r) * tc_asym,
-        pi_hat_tc=1.0 - best_s,
+        ac_asym=(1.0 - 1.0 / r) * tc_asym,
+        pi_hat_tc=-math.expm1(best_log_s),
     )
 
 

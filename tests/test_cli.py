@@ -125,6 +125,48 @@ class TestRunCommand:
         validate(payload, "run.schema.json")
 
 
+    def test_explicit_graph_is_trial_zero_of_an_experiment(self, capsys):
+        # one stream layout: run --seed s samples the graph trial 0 of an
+        # experiment with master seed s samples
+        from bootperc.montecarlo import ExperimentConfig, SeedSizeSpec, run_experiment
+
+        code, payload = main_json(
+            capsys,
+            "run", "--mode", "explicit", "--n", "2000", "--p", "0.003", "--r", "2",
+            "--a", "40", "--seed", "5",
+        )
+        summary = run_experiment(
+            ExperimentConfig(
+                params=thresholds.ProcessParams(n=2000, p=0.003, r=2),
+                seed_size=SeedSizeSpec(a=40),
+                trials=1,
+                master_seed=5,
+                mode="explicit",
+            )
+        )
+        assert code == 0
+        assert payload["final_size"] == summary.outcomes[0].final_size == 1974
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thresholds", "--n", "1000", "--p", "0.01", "--r", "2"],
+        ["run", "--n", "500", "--p", "0.005", "--r", "2", "--a", "3"],
+        ["stages", "--n", "20000", "--p", "0.001", "--r", "2", "--a", "80"],
+        ["giant", "--m", "1000", "--eps", "0.2"],
+        ["bounds", "--chernoff", "lower", "--mean", "50", "--lam", "10"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_format_rejected(capsys, argv):
+    # only sweep writes CSV; the others must not print JSON for it
+    assert cli.main([*argv, "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--format csv" in captured.err
+
+
 class TestGiantCommand:
     def test_schema_and_prediction(self, capsys):
         code, payload = main_json(capsys, "giant", "--m", "20000", "--eps", "0.2", "--seed", "3")
@@ -224,6 +266,18 @@ class TestConfigOverlay:
         assert code == 0
         assert payload["n"] == 1000000
         assert payload["p"] == 0.0001
+
+    def test_equals_form_wins_over_file(self, capsys, tmp_path):
+        cfg = tmp_path / "f"
+        cfg.write_text("n=10\n")
+        code, payload = main_json(
+            capsys, "thresholds", "--n=2000", "--p", "0.003", "--r", "2", "--config", str(cfg)
+        )
+        assert code == 0
+        assert payload["n"] == 2000
+        code, payload = main_json(capsys, "thresholds", "--p", "0.003", "--r", "2", f"--config={cfg}")
+        assert code == 0
+        assert payload["n"] == 10
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"

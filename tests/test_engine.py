@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,15 @@ from bootperc.engine import (
     run_process,
     write_trace_csv,
 )
-from bootperc.graph import from_edges, sample_gnp
+from bootperc.graph import from_edges, sample_gnp, sample_gnp_with
 from bootperc.rng import make_generator
-from bootperc.thresholds import ProcessParams, binom_tail_geq
+from bootperc.thresholds import (
+    DegenerateRegime,
+    ProcessParams,
+    binom_tail_geq,
+    critical_pair,
+    stage_predictions,
+)
 
 
 class TestRunDirect:
@@ -115,14 +122,6 @@ class TestRunProcess:
         assert np.array_equal(t1.final_infected, t2.final_infected)
         assert t1.T == t2.T
 
-    def test_single_revelation_audit(self):
-        params = ProcessParams(n=120, p=0.05, r=2)
-        src = ImplicitSource(params, seed=9, audit=True)
-        trace = run_process(src, SeedSpec.prefix(10), 2)
-        # audit mode raises on any double reveal; also check the budget
-        assert trace.bernoulli_draws == len(src.revealed)
-        assert trace.bernoulli_draws <= params.n * (params.n - 1) // 2
-
     def test_max_steps_censoring(self):
         params = ProcessParams(n=2000, p=2e-3, r=2)
         src = ImplicitSource(params, rng=make_generator(5, 1, 0))
@@ -151,7 +150,10 @@ class TestRunProcess:
         assert chk.counters[4] == 0
 
     def test_expected_trajectory(self):
-        # mean |A(t)| over trials tracks a + (n-a) pi_hat(t) within 4 SE
+        # mean |A(t)| over trials tracks a + (n-a) pi_hat(t) within 4 SE.
+        # |A(t)| - a is Bin(n - a, pi(t)), so the SE is the model's; the
+        # sample SE is 0 whenever no trial has an infection by t (at t = 2,
+        # pi = 1e-6 and that happens with probability about 0.21)
         params = ProcessParams(n=4000, p=1e-3, r=2)
         a, trials, cap = 40, 400, 60
         stack = []
@@ -162,10 +164,10 @@ class TestRunProcess:
         tmin = min(len(s) for s in stack) - 1
         mat = np.stack([s[: tmin + 1] for s in stack]).astype(float)
         mean = mat.mean(axis=0)
-        se = mat.std(axis=0, ddof=1) / math.sqrt(trials)
         for t in range(tmin + 1):
-            predicted = a + (params.n - a) * binom_tail_geq(t, params.p, 2)
-            assert abs(mean[t] - predicted) <= 4 * max(se[t], 1e-9)
+            pi = binom_tail_geq(t, params.p, 2)
+            se = math.sqrt((params.n - a) * pi * (1.0 - pi) / trials)
+            assert abs(mean[t] - (a + (params.n - a) * pi)) <= 4 * se
 
 
 class TestMartingale:
@@ -204,6 +206,37 @@ class TestMartingale:
         for t in range(1, tmin + 1):
             assert abs(mean[t]) <= 4 * max(se[t], 1e-12)
 
+    def test_matches_loop(self):
+        # the per-step loop the vectorised series replaced is the reference
+        def loop_series(trace, params):
+            values = []
+            for t, size in enumerate(trace.infected_sizes.tolist()):
+                tt = t if trace.T is None else min(t, trace.T)
+                pi = binom_tail_geq(tt, params.p, trace.r)
+                if pi >= 1.0:
+                    raise DegenerateRegime(f"pi_hat({tt}) = 1")
+                values.append((size - trace.a - (trace.n - trace.a) * pi) / (1.0 - pi))
+            return np.array(values)
+
+        cases = [
+            (ProcessParams(n=3000, p=2e-3, r=2), 40, None),
+            (ProcessParams(n=3000, p=1e-2, r=3), 20, 15),
+            (ProcessParams(n=50, p=0.999999999, r=2), 5, None),
+        ]
+        for params, a, cap in cases:
+            trace = run_process(
+                ImplicitSource(params, seed=12), SeedSpec.prefix(a), params.r,
+                TraceOptions(max_steps=cap),
+            )
+            try:
+                want = loop_series(trace, params)
+            except DegenerateRegime:
+                with pytest.raises(DegenerateRegime):
+                    martingale_series(trace, params)
+                continue
+            got = martingale_series(trace, params).values
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
+
     def test_csv_export(self, tmp_path):
         params = ProcessParams(n=100, p=0.02, r=2)
         trace = run_process(ImplicitSource(params, seed=8), SeedSpec.prefix(5), 2)
@@ -229,3 +262,145 @@ class TestSeedSpec:
             SeedSpec.prefix(11).resolve(10)
         with pytest.raises(ValueError):
             SeedSpec.of([0, 2]).resolve(10)
+
+
+def two_sample_z(xs, ys) -> float:
+    """Welch z statistic for the difference of two sample means."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    se = math.sqrt(xs.var(ddof=1) / len(xs) + ys.var(ddof=1) / len(ys))
+    diff = xs.mean() - ys.mean()
+    return 0.0 if se == 0.0 and diff == 0.0 else diff / se
+
+
+# |z| bound of the walk-vs-explicit comparisons below: with about twenty
+# statistics compared, a correct engine exceeds it with probability < 1e-3
+Z_WALK = 4.5
+
+
+class TestImplicitWalk:
+    """The infection-time walk against the explicit process on sampled
+    G(n,p) graphs: the same law, compared by two-sample z statistics."""
+
+    def test_two_sample_against_explicit(self):
+        params = ProcessParams(n=3000, p=2.2e-3, r=2)
+        crit = critical_pair(params)
+        half = round(math.sqrt(crit.ac))
+        a_values = (round(crit.ac) - half, round(crit.ac) + half)  # 34, 46
+        t1 = stage_predictions(params, 4.0 * math.ceil(math.sqrt(crit.ac))).t1
+        runs = 400
+
+        def stats(trace):
+            sizes = trace.infected_sizes
+            at_t1 = int(sizes[t1]) if len(sizes) > t1 else trace.final_size
+            almost = trace.classification == CLASS_ALMOST
+            return trace.T, trace.final_size, at_t1, almost
+
+        walk = {a: [] for a in a_values}
+        graph = {a: [] for a in a_values}
+        for trial in range(runs):
+            g = sample_gnp_with(params.n, params.p, make_generator(61, trial, 2))
+            for a in a_values:
+                src = ImplicitSource(params, rng=make_generator(62, trial, a))
+                walk[a].append(stats(run_process(src, SeedSpec.prefix(a), 2)))
+                graph[a].append(stats(run_process(ExplicitSource(g), SeedSpec.prefix(a), 2)))
+        almost = {}
+        for a in a_values:
+            w, e = np.array(walk[a], dtype=float), np.array(graph[a], dtype=float)
+            for col, name in enumerate(("T", "final size", "|A(t1)|", "P(almost)")):
+                z = two_sample_z(w[:, col], e[:, col])
+                assert abs(z) <= Z_WALK, f"a={a}: {name} z = {z:+.2f}"
+            almost[a] = (w[:, 3].mean(), e[:, 3].mean())
+        # the two points straddle the transition on both engines
+        assert almost[a_values[0]][0] < 0.3 and almost[a_values[0]][1] < 0.3
+        assert almost[a_values[1]][0] > 0.4 and almost[a_values[1]][1] > 0.4
+
+    def test_checkpoint_counters(self):
+        # r = 3, so uninfected vertices spread over counters 0, 1, 2 and
+        # the walk regroups its pools at the first checkpoint
+        params = ProcessParams(n=3000, p=0.012, r=3)
+        a, checks = 21, (10, 22)
+        opts = TraceOptions(checkpoints=checks, max_steps=checks[-1])
+        bins = params.r + 2  # counter values 0..r-1, r, and above r
+
+        def histograms(trace):
+            # per checkpoint: counters of unexamined, then of examined vertices
+            out = []
+            for c in checks:
+                chk = trace.counters_at[c]
+                unexamined = np.ones(params.n + 1, dtype=bool)
+                unexamined[0] = False
+                unexamined[chk.examined] = False
+                for values in (chk.counters[unexamined], chk.counters[chk.examined]):
+                    out.append(np.bincount(np.minimum(values, bins - 1), minlength=bins))
+            return np.concatenate(out)
+
+        walk, graph = [], []
+        for trial in range(200):
+            src = ImplicitSource(params, rng=make_generator(71, trial, 0))
+            tr = run_process(src, SeedSpec.prefix(a), 3, opts)
+            if checks[-1] in tr.counters_at:
+                first, second = (tr.counters_at[c] for c in checks)
+                for chk in (first, second):
+                    uninfected = np.ones(params.n + 1, dtype=bool)
+                    uninfected[0] = False
+                    uninfected[chk.infected] = False
+                    assert chk.counters[uninfected].max() < params.r
+                    assert set(chk.examined.tolist()) <= set(chk.infected.tolist())
+                assert list(second.examined[: checks[0]]) == list(first.examined)
+                unexamined = np.ones(params.n + 1, dtype=bool)
+                unexamined[0] = False
+                unexamined[second.examined] = False
+                assert np.all(second.counters[unexamined] >= first.counters[unexamined])
+                frozen = first.examined
+                assert np.array_equal(second.counters[frozen], first.counters[frozen])
+                walk.append(histograms(tr))
+            g = sample_gnp_with(params.n, params.p, make_generator(72, trial, 2))
+            tr = run_process(ExplicitSource(g), SeedSpec.prefix(a), 3, opts)
+            if checks[-1] in tr.counters_at:
+                graph.append(histograms(tr))
+        assert len(walk) > 100 and len(graph) > 100
+        walk, graph = np.array(walk), np.array(graph)
+        for col in range(walk.shape[1]):
+            z = two_sample_z(walk[:, col], graph[:, col])
+            assert abs(z) <= Z_WALK, f"histogram column {col}: z = {z:+.2f}"
+
+    def test_members_map_onto_complement(self):
+        # block draws depend on a alone, so a non-prefix seed set gives the
+        # prefix run's trajectory exactly, with its own ids
+        params = ProcessParams(n=2000, p=3e-3, r=2)
+        members = list(range(7, 2000, 50))  # 40 seeds, none in the prefix
+        opts = TraceOptions(checkpoints=(20,))
+        for trial in range(5):
+            pre = run_process(
+                ImplicitSource(params, rng=make_generator(81, trial, 0)),
+                SeedSpec.prefix(len(members)), 2, opts,
+            )
+            mem = run_process(
+                ImplicitSource(params, rng=make_generator(81, trial, 0)),
+                SeedSpec.of(members), 2, opts,
+            )
+            assert np.array_equal(pre.infected_sizes, mem.infected_sizes)
+            assert pre.T == mem.T
+            final = mem.final_infected
+            assert len(final) == mem.final_size == len(set(final.tolist()))
+            assert set(members) <= set(final.tolist())
+            assert 1 <= final[0] and final[-1] <= params.n
+            if 20 in mem.counters_at:
+                assert set(members) <= set(mem.counters_at[20].infected.tolist())
+
+    def test_billion_vertices_in_the_window(self):
+        params = ProcessParams(n=10**9, p=1e-7, r=2)
+        crit = critical_pair(params)
+        src = ImplicitSource(params, seed=3)
+        tracemalloc.start()
+        try:
+            trace = run_process(
+                src, SeedSpec.prefix(round(crit.ac)), 2, TraceOptions(max_steps=crit.t0_int)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        steps = crit.t0_int if trace.T is None else trace.T
+        assert len(trace.infected_sizes) == steps + 1
+        assert trace.bernoulli_draws == steps * params.n - steps * (steps + 1) // 2

@@ -33,9 +33,9 @@ T1 = stage_predictions(PARAMS, ALPHA).t1
 A_SUPER = round(CRIT.ac) + int(ALPHA)
 
 
-def capped_run(trial, audit=False, params=PARAMS, a=A_SUPER, alpha=ALPHA):
+def capped_run(trial, params=PARAMS, a=A_SUPER, alpha=ALPHA):
     t1 = stage_predictions(params, alpha).t1
-    src = ImplicitSource(params, rng=make_generator(101, trial, 0), audit=audit)
+    src = ImplicitSource(params, rng=make_generator(101, trial, 0))
     trace = run_process(
         src,
         SeedSpec.prefix(a),
@@ -315,20 +315,6 @@ class TestBridgeExpand:
         rep = run_stage_pipeline(src, trace, params, alpha=30.0)
         assert not rep.early_ok
         assert rep.size_Bhat == 0 and rep.size_D == 0
-
-    def test_no_re_reveal_with_shared_ledger(self):
-        # audit mode: engine + full stage pipeline share one revelation
-        # ledger; any pair drawn twice raises
-        params = ProcessParams(n=400, p=8e-3, r=2)
-        crit = thresholds.critical_pair(params)
-        alpha = float(4 * math.ceil(math.sqrt(max(crit.ac, 1.0))))
-        t1 = stage_predictions(params, alpha).t1
-        a = min(params.n, round(crit.ac) + int(alpha))
-        src = ImplicitSource(params, seed=250, audit=True)
-        trace = run_process(
-            src, SeedSpec.prefix(a), 2, TraceOptions(checkpoints=(t1,), max_steps=t1)
-        )
-        run_stage_pipeline(src, trace, params, alpha)  # raises on double reveal
 
     def test_truncation_flag(self):
         # force |B| below the designated subset target by shrinking B

@@ -1,10 +1,14 @@
 import math
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from bootperc.thresholds import (
     BoundInputs,
+    DegenerateRegime,
     NoConvergence,
     ProcessParams,
     binom_tail_geq,
@@ -204,6 +208,71 @@ class TestCriticalPair:
         with pytest.warns(UserWarning):
             crit = critical_pair(params)
         assert crit.ac <= 0.0
+
+
+def loop_scan(params):
+    """The scalar scan that the vectorised one replaced, capped at n like
+    it: each lower-tail sum from log-gamma terms, one step at a time."""
+    n, p, r = params.n, params.p, params.r
+    log_p, log_q = math.log(p), math.log1p(-p)
+    best_t, best_val = r, math.inf
+    for t in range(r, min(max(math.ceil(t_zero(params)), r), n) + 1):
+        lg = math.lgamma(t + 1)
+        s = math.fsum(
+            math.exp(lg - math.lgamma(j + 1) - math.lgamma(t - j + 1) + j * log_p + (t - j) * log_q)
+            for j in range(min(r, t + 1))
+        )
+        if s <= 0.0:
+            raise DegenerateRegime(f"pi_hat({t}) = 1")
+        val = ((n - t) - n * s) / s
+        if val < best_val:
+            best_t, best_val = t, val
+    return best_t, -best_val
+
+
+# every (n, p, r) whose scan range is at most 2e4 steps; above n = 1e6 the
+# loop's own log-gamma rounding (about 1e-16 n lgamma(t)) passes 1e-9 of a_c
+SCAN_GRID = [
+    (n, p, r)
+    for n in (100, 1000, 10**4, 10**5, 10**6)
+    for p in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5)
+    for r in (2, 3, 4)
+    if min(max(math.ceil(t_zero(ProcessParams(n, p, r))), r), n) <= 20_000
+]
+
+
+class TestVectorisedScan:
+    def test_matches_loop_scan(self):
+        assert len(SCAN_GRID) > 60
+        for n, p, r in SCAN_GRID:
+            params = ProcessParams(n, p, r)
+            try:
+                want = loop_scan(params)
+            except DegenerateRegime:
+                with pytest.raises(DegenerateRegime):
+                    critical_pair(params)
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                crit = critical_pair(params)
+            assert crit.tc == want[0], (n, p, r)
+            assert crit.ac == pytest.approx(want[1], rel=1e-9), (n, p, r)
+
+    def test_scan_stops_at_n(self):
+        # t0 ~ 6.6e12 lies far beyond the n steps the process can take
+        params = ProcessParams(n=10**6, p=1e-9, r=2)
+        crit = critical_pair(params)
+        assert crit.t0_int == math.ceil(t_zero(params))
+        assert crit.tc == params.n
+
+    def test_cli_returns_out_of_regime(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bootperc.cli", "thresholds", "--n", "1000000", "--p", "1e-9", "--r", "2"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestRhoFixedPoint:
