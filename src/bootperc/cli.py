@@ -15,17 +15,9 @@ import os
 import sys
 
 from . import montecarlo, stages, thresholds
-from .engine import (
-    ExplicitSource,
-    ImplicitSource,
-    SeedSpec,
-    TraceOptions,
-    run_process,
-    write_trace_csv,
-)
-from .graph import largest_component, sample_gnp, sample_gnp_with
+from .engine import SeedSpec, TraceOptions, run_process, write_trace_csv
+from .graph import largest_component, sample_gnp
 from .montecarlo import ExperimentConfig, SeedSizeSpec
-from .rng import STREAM_GRAPH, STREAM_RUN, STREAM_STAGES, make_generator
 from .thresholds import DegenerateRegime, NoConvergence, ProcessParams
 
 EXIT_OK = 0
@@ -162,13 +154,11 @@ def _cmd_run(args) -> int:
                 f"stage diagnostics need alpha > 0 (a={args.a} is not above the "
                 "critical seed count; pass --alpha explicitly)"
             )
-        checkpoints = (thresholds.stage_predictions(params, alpha).t1,)
+        if args.mode == "explicit":
+            checkpoints = (thresholds.stage_predictions(params, alpha).t1,)
     opts = TraceOptions(checkpoints=checkpoints, percolation_threshold=args.threshold)
-    if args.mode == "implicit":
-        source = ImplicitSource(params, rng=make_generator(args.seed, 0, STREAM_RUN))
-    else:
-        g = sample_gnp_with(params.n, params.p, make_generator(args.seed, 0, STREAM_GRAPH))
-        source = ExplicitSource(g, p=params.p)
+    # the run is trial 0 of an experiment with master seed --seed
+    source, stage_source = montecarlo.trial_sources(params, args.mode, args.seed, 0)
     trace = run_process(source, SeedSpec.prefix(args.a), params.r, opts)
     payload = {
         "n": params.n,
@@ -186,10 +176,6 @@ def _cmd_run(args) -> int:
         write_trace_csv(trace, params, args.trace_out)
         payload["trace_csv"] = args.trace_out
     if args.stages:
-        if args.mode == "implicit":
-            stage_source = ImplicitSource(params, rng=make_generator(args.seed, 0, STREAM_STAGES))
-        else:
-            stage_source = source
         report = stages.run_stage_pipeline(stage_source, trace, params, alpha)
         payload["stages"] = report.to_dict()
     _emit(payload, args)

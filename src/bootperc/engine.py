@@ -16,9 +16,11 @@ Two interchangeable forms of the same process:
   all: an uninfected vertex meets one fresh Bernoulli(p) pair per step,
   so infection steps are i.i.d. r-th success times (the reduction of
   Janson, Luczak, Turova and Vallier), and the engine walks them in
-  blocks, drawing per-vertex state only at checkpoints.  A capped or
-  subcritical implicit run does no O(n) work, which is what lets n reach
-  10^9 in the critical window.
+  blocks.  An implicit run keeps counts only, no per-vertex state: it
+  takes no checkpoints, its seeds are the prefix {1..a}, and it reports
+  the final size but not the final set.  A capped or subcritical implicit
+  run does no O(n) work, which is what lets n reach 10^9 in the critical
+  window.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .graph import ExplicitGraph
 from .rng import make_generator
-from .thresholds import DegenerateRegime, ProcessParams, log_binom_lower
+from .thresholds import DegenerateRegime, ProcessParams, binom_tail_geq, log_binom_lower
 
 CLASS_STOPPED = "Stopped"
 CLASS_ALMOST = "AlmostPercolated"
@@ -69,7 +71,8 @@ class SeedSpec:
 class TraceOptions:
     """Instrumentation knobs for :func:`run_process`.
 
-    checkpoints: steps at which to snapshot counters and set membership.
+    checkpoints: steps at which to snapshot counters and set membership;
+        explicit runs only (an implicit run holds no per-vertex state).
     max_steps: hard cap on examined steps; a capped run is "Censored".
     size_horizon: record |A(t)| only for t <= horizon (the run itself
         continues); None records the whole trajectory.
@@ -101,7 +104,7 @@ class PercolationTrace:
     infected_sizes: np.ndarray  # |A(t)| for t = 0..min(T, horizon)
     T: int | None  # None when max_steps hit before the process stopped
     final_size: int
-    final_infected: np.ndarray  # sorted infected ids when the run ended
+    final_infected: np.ndarray | None  # sorted infected ids when the run ended; None for implicit runs
     counters_at: dict[int, Checkpoint]
     classification: str
     bernoulli_draws: int  # implicit mode: pairs accounted, sum over steps of (n - t), plus stage draws
@@ -117,9 +120,8 @@ class ExplicitSource:
 
     mode = "explicit"
 
-    def __init__(self, graph: ExplicitGraph, p: float | None = None):
+    def __init__(self, graph: ExplicitGraph):
         self.graph = graph
-        self.p = p  # informational; explicit edges come from the graph
 
     @property
     def n(self) -> int:
@@ -134,7 +136,8 @@ class ImplicitSource:
     examine-one-vertex process would have revealed, sum over steps t of
     (n - t), to ``bernoulli_draws``.  The stage pipeline draws pairs the
     process never reveals through :meth:`pair_block_has_edge` and
-    :meth:`count_into`, which count their pairs as well.
+    :meth:`count_into`, which take set sizes, return counts and count
+    their pairs as well.
     """
 
     mode = "implicit"
@@ -156,17 +159,22 @@ class ImplicitSource:
     # --- fresh draws for the stage pipeline (pairs never touched by the
     # --- engine, which only reveals pairs with an examined endpoint)
 
-    def pair_block_has_edge(self, set_a, set_b) -> bool:
-        k = len(set_a) * len(set_b)
+    def pair_block_has_edge(self, size_a: int, size_b: int) -> bool:
+        """Whether any of the size_a * size_b pairs between two disjoint
+        sets is an edge."""
+        k = size_a * size_b
         if k == 0:
             return False
         self.bernoulli_draws += k
         return bool(self.rng.binomial(k, self.params.p) > 0)
 
-    def count_into(self, pool, targets) -> np.ndarray:
-        """Neighbour counts of each pool vertex inside ``targets``."""
-        self.bernoulli_draws += len(pool) * len(targets)
-        return self.rng.binomial(len(targets), self.params.p, size=len(pool)).astype(np.int64)
+    def count_into(self, pool: int, targets: int, r: int) -> int:
+        """How many of ``pool`` vertices have at least r neighbours among
+        ``targets`` other vertices."""
+        if pool == 0 or targets == 0:
+            return 0
+        self.bernoulli_draws += pool * targets
+        return int(self.rng.binomial(pool, binom_tail_geq(targets, self.params.p, r)))
 
 
 EdgeSource = ExplicitSource | ImplicitSource
@@ -211,21 +219,27 @@ def run_process(
 ) -> PercolationTrace:
     """Examine-one-vertex process; see the module docstring.
 
-    Counters are kept for every not-yet-examined vertex, including
-    infected-but-unexamined ones (the stage diagnostics read them); a
-    vertex's counter freezes once it is examined.
+    On an explicit graph, counters are kept for every not-yet-examined
+    vertex, including infected-but-unexamined ones (the stage diagnostics
+    read them at a checkpoint); a vertex's counter freezes once it is
+    examined.  An implicit run raises ValueError for checkpoints and for
+    seeds other than the prefix {1..a}.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     n = source.n
     seeds = seed.resolve(n)
     if isinstance(source, ImplicitSource):
-        walk = _InfectionWalk(source, np.array(seeds, dtype=np.int64), r, opts)
-        steps, sizes, final_infected, checkpoints = walk.run()
+        if opts.checkpoints:
+            raise ValueError("implicit runs take no checkpoints; use an explicit graph")
+        if seeds != tuple(range(1, len(seeds) + 1)):
+            raise ValueError("implicit runs take the prefix seeds {1..a} only")
+        steps, sizes, final_size = _walk_infection_times(source, len(seeds), r, opts)
+        final_infected, checkpoints = None, {}
         source.bernoulli_draws += steps * n - steps * (steps + 1) // 2
     else:
         steps, sizes, final_infected, checkpoints = _examine_graph(source.graph, seeds, r, opts)
-    final_size = len(final_infected)
+        final_size = len(final_infected)
     censored = final_size > steps
     if censored:
         classification = CLASS_CENSORED
@@ -307,184 +321,52 @@ def _examine_graph(g: ExplicitGraph, seeds, r: int, opts: TraceOptions):
     return t, sizes, final, checkpoints
 
 
-def _cat(arrays) -> np.ndarray:
-    return np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
-
-
-class _InfectionWalk:
+def _walk_infection_times(source: ImplicitSource, a: int, r: int, opts: TraceOptions):
     """The implicit process as a walk over infection times.
 
     While a non-seed is uninfected it meets one fresh Bernoulli(p) pair per
     step, so its infection step is an i.i.d. r-th success time Y and
     |A(t)| = a + #{v : Y_v <= t} up to T.  The process cannot stop before
-    step |A(H)|, so the walk jumps from H to H' = min(|A(H)|, cap, next
-    checkpoint) and draws the infections in (H, H'] as one binomial per
-    pool of uninfected vertices.  Infection steps inside a block are drawn
-    (by inverse CDF) only while the size record or a checkpoint needs them;
-    vertex ids only when a checkpoint or the final set asks for them.
+    step |A(H)|, so the walk jumps from H to H' = min(|A(H)|, cap) and
+    draws the infections in (H, H'] as one binomial over the uninfected
+    non-seeds, each of which survives to step s with P[Bin(s, p) < r].
+    Infection steps inside a block are drawn (by inverse CDF) only while
+    the size record needs them.
 
-    A pool holds the uninfected non-seeds that still needed k hits at step
-    ``base``; each survives to step s with P[Bin(s - base, p) < k].  Before
-    the first checkpoint there is one pool (k = r, base = 0) without ids.
-    A checkpoint draws every uninfected counter, regroups the pools by
-    counter value with shuffled ids, and after it infections take the
-    tail of a pool, a uniform subset.
+    Returns (steps taken, recorded sizes, final size).
     """
-
-    def __init__(self, source: ImplicitSource, seeds: np.ndarray, r: int, opts: TraceOptions):
-        self.rng = source.rng
-        self.p = source.params.p
-        self.n = source.n
-        self.r = r
-        self.opts = opts
-        self.seeds = seeds
-        # [hits still needed, base step, shuffled ids or None, live size]
-        self.pools: list[list] = [[r, 0, None, self.n - len(seeds)]]
-        self.steps_drawn: list[np.ndarray] = []  # infection steps of timed blocks
-        self.unassigned = 0  # infected non-seeds still without ids
-        # after the first checkpoint: infected vertices, seeds included, as
-        # ids, infection steps (0 for seeds), counters and the step each
-        # counter refers to; and the infections since the last checkpoint
-        self.marks: tuple[np.ndarray, ...] | None = None
-        self.fresh_ids: list[np.ndarray] = []
-        self.fresh_steps: list[np.ndarray | None] = []
-
-    def run(self):
-        opts = self.opts
-        cap = self.n if opts.max_steps is None else opts.max_steps
-        pending = sorted(c for c in set(opts.checkpoints) if c >= 1)
-        timed_until = max([*pending, self.n if opts.size_horizon is None else opts.size_horizon])
-        checkpoints: dict[int, Checkpoint] = {}
-        h, size = 0, len(self.seeds)
-        while size > h and h < cap:
-            h2 = min(size, cap, pending[0] if pending else cap)
-            size += self._block(h, h2, timed=h < timed_until)
-            h = h2
-            if pending and pending[0] == h:
-                checkpoints[h] = self._checkpoint(pending.pop(0))
-        last = h if opts.size_horizon is None else min(h, opts.size_horizon)
-        counts = np.bincount(_cat(self.steps_drawn), minlength=last + 1)[: last + 1]
-        sizes = len(self.seeds) + np.cumsum(counts)
-        return h, sizes, self._final_infected(), checkpoints
-
-    def _block(self, h: int, h2: int, timed: bool) -> int:
-        """Infect the uninfected non-seeds whose infection step falls in
-        (h, h2]; returns how many."""
-        total = 0
-        for pool in self.pools:
-            k, base, ids, live = pool
-            if live == 0:
-                continue
+    rng, p = source.rng, source.params.p
+    cap = source.n if opts.max_steps is None else opts.max_steps
+    timed_until = source.n if opts.size_horizon is None else opts.size_horizon
+    live = source.n - a  # uninfected non-seeds
+    steps_drawn: list[np.ndarray] = []  # infection steps of timed blocks
+    h, size = 0, a
+    while size > h and h < cap:
+        h2 = min(size, cap)
+        if live:
             # survival to each step of the block when its steps are drawn,
             # else to its two ends only
-            span = np.arange(h, h2 + 1) if timed else np.array([h, h2])
-            log_s = log_binom_lower(span - base, self.p, k)
-            m = int(self.rng.binomial(live, -math.expm1(log_s[-1] - log_s[0])))
-            if m == 0:
-                continue
-            steps = self._infection_steps(h, log_s, m) if timed else None
-            if steps is not None:
-                self.steps_drawn.append(steps)
-            pool[3] = live - m
-            total += m
-            if ids is None:
-                self.unassigned += m
-            else:
-                self.fresh_ids.append(ids[live - m : live])
-                self.fresh_steps.append(steps)
-        return total
-
-    def _infection_steps(self, h: int, log_s: np.ndarray, m: int) -> np.ndarray:
-        """m i.i.d. steps in (h, h2] with law P[Y = s | h < Y <= h2], from
-        the log survivals at h..h2, in ascending order (callers pair them
-        with ids in random order)."""
-        cdf = -np.expm1(log_s[1:] - log_s[0])  # P[Y <= s | Y > h], s = h+1..h2
-        u = self.rng.random(m) * cdf[-1]
-        u.sort()  # sorted keys make the search cache-friendly
-        return h + 1 + np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
-
-    def _assign_ids(self) -> np.ndarray:
-        """Ids for the infected non-seeds that have none yet: a uniform
-        sample of positions in the sorted non-seed set, mapped onto ids."""
-        idx = self.rng.choice(self.n - len(self.seeds), size=self.unassigned, replace=False)
-        gaps = self.seeds - 1 - np.arange(len(self.seeds))  # non-seeds below each seed
-        return idx + 1 + np.searchsorted(gaps, idx, side="right")
-
-    def _final_infected(self) -> np.ndarray:
-        if self.marks is None:
-            return np.sort(np.concatenate([self.seeds, self._assign_ids()]))
-        return np.sort(np.concatenate([self.marks[0], *self.fresh_ids]))
-
-    def _checkpoint(self, c: int) -> Checkpoint:
-        """Draw the per-vertex state after step c; later blocks continue
-        from it with the same joint law."""
-        rng, r, p = self.rng, self.r, self.p
-        if self.marks is None:
-            # so far every drawn step belongs to a vertex without an id
-            a = len(self.seeds)
-            steps = _cat(self.steps_drawn)
-            ids = np.concatenate([self.seeds, self._assign_ids()])
-            step = np.concatenate([np.zeros(a, dtype=np.int64), steps])
-            count = np.concatenate([np.zeros(a, dtype=np.int64), np.full(len(steps), r)])
-            as_of = step.copy()
-            rest = np.ones(self.n + 1, dtype=bool)
-            rest[0] = False
-            rest[ids] = False
-            groups = [(r, 0, np.flatnonzero(rest))]
-            self.unassigned = 0
-        else:
-            ids, step, count, as_of = self.marks
-            new_steps = _cat(self.fresh_steps)
-            ids = np.concatenate([ids, *self.fresh_ids])
-            step = np.concatenate([step, new_steps])
-            count = np.concatenate([count, np.full(len(new_steps), r)])
-            as_of = np.concatenate([as_of, new_steps])
-            groups = [(k, base, pool_ids[:live]) for k, base, pool_ids, live in self.pools]
-            self.fresh_ids, self.fresh_steps = [], []
-
-        examined = _replay_examinations(ids, step, c)
-        # infected and seed counters gain Bin(., p) hits until examined
-        order = np.argsort(ids)
-        exam_step = np.full(len(ids), c + 1, dtype=np.int64)
-        exam_step[order[np.searchsorted(ids[order], examined)]] = np.arange(1, c + 1)
-        grow = np.maximum(np.minimum(exam_step - 1, c) - as_of, 0)
-        count = count + rng.binomial(grow, p)
-        as_of = np.full(len(ids), c, dtype=np.int64)
-        self.marks = (ids, step, count, as_of)
-
-        # uninfected counters: j + Bin(c - base, p) given it stayed below r
-        counters = np.zeros(self.n + 1, dtype=np.int64)
-        for k, base, members in groups:
-            # P[Bin(s, p) <= x | Bin(s, p) < k] = S_{x+1}(s) / S_k(s), x < k
-            log_s = [log_binom_lower(c - base, p, x + 1) for x in range(k)]
-            cdf = np.exp(np.array(log_s) - log_s[-1])
-            x = np.minimum(np.searchsorted(cdf, rng.random(len(members)), side="right"), k - 1)
-            counters[members] = (r - k) + x
-        uninfected = _cat([g[2] for g in groups])
-        values = counters[uninfected]
-        self.pools = []
-        for j in range(r):
-            pool_ids = rng.permutation(uninfected[values == j])
-            self.pools.append([r - j, c, pool_ids, len(pool_ids)])
-        counters[ids] = count
-        return Checkpoint(t=c, counters=counters, examined=examined, infected=np.sort(ids))
+            timed = h < timed_until
+            log_s = log_binom_lower(np.arange(h, h2 + 1) if timed else np.array([h, h2]), p, r)
+            m = int(rng.binomial(live, -math.expm1(log_s[-1] - log_s[0])))
+            if m and timed:
+                steps_drawn.append(_infection_steps(rng, h, log_s, m))
+            live -= m
+            size += m
+        h = h2
+    last = h if opts.size_horizon is None else min(h, opts.size_horizon)
+    drawn = np.concatenate(steps_drawn) if steps_drawn else np.empty(0, dtype=np.int64)
+    sizes = a + np.cumsum(np.bincount(drawn, minlength=last + 1)[: last + 1])
+    return h, sizes, size
 
 
-def _replay_examinations(ids: np.ndarray, steps: np.ndarray, c: int) -> np.ndarray:
-    """Vertices examined at steps 1..c by the smallest-id rule: step s
-    examines the smallest unexamined id among those infected by step s-1."""
-    order = np.lexsort((ids, steps))
-    ready = np.searchsorted(steps[order], np.arange(c), side="right").tolist()
-    queue = ids[order].tolist()
-    heap: list[int] = []
-    examined = []
-    i = 0
-    for s in range(c):
-        for v in queue[i : ready[s]]:
-            heapq.heappush(heap, v)
-        i = ready[s]
-        examined.append(heapq.heappop(heap))
-    return np.array(examined, dtype=np.int64)
+def _infection_steps(rng: np.random.Generator, h: int, log_s: np.ndarray, m: int) -> np.ndarray:
+    """m i.i.d. steps in (h, h2] with law P[Y = s | h < Y <= h2], from
+    the log survivals at h..h2."""
+    cdf = -np.expm1(log_s[1:] - log_s[0])  # P[Y <= s | Y > h], s = h+1..h2
+    u = rng.random(m) * cdf[-1]
+    u.sort()  # sorted keys make the search cache-friendly
+    return h + 1 + np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
 def martingale_series(trace: PercolationTrace, params: ProcessParams) -> MartingaleSeries:

@@ -55,23 +55,6 @@ def from_edges(n: int, edges) -> ExplicitGraph:
     return ExplicitGraph(n=n, adj=adj)
 
 
-def _pair_offset(m: int, n: int) -> int:
-    # number of pairs (u,v), u<v, with u <= m
-    return m * n - m * (m + 1) // 2
-
-
-def _unrank_pair(k: int, n: int) -> tuple[int, int]:
-    """Pair (u, v), 1 <= u < v <= n, at 0-based lexicographic index k."""
-    a = 2 * n - 1
-    m = int((a - math.sqrt(a * a - 8 * k)) / 2)
-    while m > 0 and _pair_offset(m, n) > k:
-        m -= 1
-    while _pair_offset(m + 1, n) <= k:
-        m += 1
-    u = m + 1
-    return u, u + 1 + (k - _pair_offset(m, n))
-
-
 def _sample_edge_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Linearised indices of present pairs via geometric skips.
 
@@ -96,13 +79,14 @@ def _sample_edge_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarr
 
 
 def _unrank_pairs(idxs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised pair unranking with exact integer fix-up of the float
-    quadratic inverse."""
+    """Pairs (u, v), 1 <= u < v <= n, at 0-based lexicographic indices:
+    the float quadratic inverse with an exact integer fix-up."""
     a = 2 * n - 1
     disc = a * a - 8 * idxs
     m = ((a - np.sqrt(disc.astype(np.float64))) // 2).astype(np.int64)
 
     def off(mm):
+        # number of pairs (u, v), u < v, with u <= mm
         return mm * n - mm * (mm + 1) // 2
 
     over = off(m) > idxs

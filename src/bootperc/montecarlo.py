@@ -9,8 +9,9 @@ trials in index order; two runs of the same config are byte-identical.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from . import stages, thresholds
 from .engine import (
     CLASS_ALMOST,
+    EdgeSource,
     ExplicitSource,
     ImplicitSource,
     SeedSpec,
@@ -63,11 +65,8 @@ class ExperimentConfig:
     master_seed: int
     mode: str = "implicit"  # implicit | explicit
     percolation_threshold: float = 0.9
-    checkpoints: tuple[int, ...] = ()
     stage_diagnostics: bool = False
-    workers: int = 1
-    alpha_multiplier: float = 4.0  # alpha = multiplier * ceil(sqrt(a_c))
-    trajectory_horizon: int | None = None  # default: t0_int
+    workers: int = 1  # clamped to min(workers, trials, cpu count)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -202,60 +201,49 @@ def _classify(final_size: int, tc: int, threshold: float, n: int) -> str:
     return CLASS_OTHER
 
 
+def trial_sources(
+    params: ProcessParams, mode: str, seed: int, trial: int
+) -> tuple[EdgeSource, EdgeSource]:
+    """(run source, stage source) of one trial: the seed-stream layout.
+
+    An implicit trial walks on the STREAM_RUN generator of (seed, trial)
+    and draws its stages on the STREAM_STAGES one.  An explicit trial
+    samples its graph from the STREAM_GRAPH generator, and its stages read
+    the same graph.
+    """
+    if mode == "implicit":
+        return (
+            ImplicitSource(params, rng=make_generator(seed, trial, STREAM_RUN)),
+            ImplicitSource(params, rng=make_generator(seed, trial, STREAM_STAGES)),
+        )
+    source = ExplicitSource(
+        sample_gnp_with(params.n, params.p, make_generator(seed, trial, STREAM_GRAPH))
+    )
+    return source, source
+
+
 def _run_trial(args) -> _TrialResult:
-    config, a, trial, horizon, t1, alpha = args
+    config, a, trial, tc, horizon, t1, alpha = args
     params = config.params
-    checkpoints = set(config.checkpoints)
-    if config.stage_diagnostics:
-        checkpoints.add(t1)
+    stage_checkpoint = config.stage_diagnostics and config.mode == "explicit"
     opts = TraceOptions(
-        checkpoints=tuple(sorted(checkpoints)),
-        size_horizon=None if horizon is None else max(horizon, t1 or 0),
+        checkpoints=(t1,) if stage_checkpoint else (),
+        size_horizon=max(horizon, t1),
         percolation_threshold=config.percolation_threshold,
     )
-    if config.mode == "implicit":
-        source = ImplicitSource(
-            params, rng=make_generator(config.master_seed, trial, STREAM_RUN)
-        )
-    else:
-        g = sample_gnp_with(
-            params.n, params.p, make_generator(config.master_seed, trial, STREAM_GRAPH)
-        )
-        source = ExplicitSource(g, p=params.p)
+    source, stage_source = trial_sources(params, config.mode, config.master_seed, trial)
     trace = run_process(source, SeedSpec.prefix(a), params.r, opts)
     report = None
     if config.stage_diagnostics:
-        if config.mode == "implicit":
-            stage_source = ImplicitSource(
-                params, rng=make_generator(config.master_seed, trial, STREAM_STAGES)
-            )
-        else:
-            stage_source = source
         report = stages.run_stage_pipeline(stage_source, trace, params, alpha)
-    cut = len(trace.infected_sizes) if horizon is None else min(horizon + 1, len(trace.infected_sizes))
     return _TrialResult(
         trial=trial,
         final_size=trace.final_size,
         T=trace.T,
-        classification=_classify(
-            trace.final_size, _trial_tc(config), config.percolation_threshold, params.n
-        ),
-        sizes_prefix=trace.infected_sizes[:cut].copy(),
+        classification=_classify(trace.final_size, tc, config.percolation_threshold, params.n),
+        sizes_prefix=trace.infected_sizes[: horizon + 1].copy(),
         stage_report=report,
     )
-
-
-def _trial_tc(config: ExperimentConfig) -> int:
-    # memoised per process; the scan is cheap but repeated thousands of times
-    key = (config.params.n, config.params.p, config.params.r)
-    cached = _TC_CACHE.get(key)
-    if cached is None:
-        cached = thresholds.critical_pair(config.params).tc
-        _TC_CACHE[key] = cached
-    return cached
-
-
-_TC_CACHE: dict = {}
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
@@ -268,16 +256,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     params = config.params
     critical = thresholds.critical_pair(params)
     a = config.seed_size.resolve(critical, params.n)
-    alpha = config.alpha_multiplier * math.ceil(math.sqrt(max(critical.ac, 1.0)))
-    horizon = (
-        critical.t0_int if config.trajectory_horizon is None else config.trajectory_horizon
-    )
+    alpha = 4.0 * math.ceil(math.sqrt(max(critical.ac, 1.0)))
+    horizon = critical.t0_int  # the mean trajectory covers the critical window
     t1 = thresholds.stage_predictions(params, alpha).t1 if config.stage_diagnostics else 0
 
-    tasks = [(config, a, trial, horizon, t1, alpha) for trial in range(config.trials)]
-    if config.workers > 1 and config.trials > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunk = max(1, config.trials // (config.workers * 4))
+    tasks = [
+        (config, a, trial, critical.tc, horizon, t1, alpha) for trial in range(config.trials)
+    ]
+    workers = min(config.workers, config.trials, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, config.trials // (workers * 4))
             results = list(pool.map(_run_trial, tasks, chunksize=chunk))
     else:
         results = [_run_trial(t) for t in tasks]
@@ -383,20 +372,7 @@ def sweep(config: ExperimentConfig, a_values) -> SweepResult:
     points = []
     summaries = []
     for a in a_values:
-        cfg = ExperimentConfig(
-            params=config.params,
-            seed_size=SeedSizeSpec(a=a),
-            trials=config.trials,
-            master_seed=config.master_seed,
-            mode=config.mode,
-            percolation_threshold=config.percolation_threshold,
-            checkpoints=config.checkpoints,
-            stage_diagnostics=config.stage_diagnostics,
-            workers=config.workers,
-            alpha_multiplier=config.alpha_multiplier,
-            trajectory_horizon=config.trajectory_horizon,
-        )
-        summary = run_experiment(cfg)
+        summary = run_experiment(replace(config, seed_size=SeedSizeSpec(a=a)))
         summaries.append(summary)
         points.append(
             SweepPoint(

@@ -18,11 +18,33 @@ All of these are measurements; the matching predictions recompute from
 (params, alpha) via :func:`bootperc.thresholds.stage_predictions` and are
 reported side by side, never asserted on a single run.
 
-In implicit mode the pipeline reads the t1 checkpoint that the engine's
-infection-time walk draws (examined order, infected set, every counter,
-with the law of the examine-one-vertex process) and then samples only
-pairs the process never reveals (pairs among not-yet-examined vertices),
-so every draw is distributionally faithful to the same underlying G(n,p).
+An explicit run is measured on its graph: the pipeline reads the t1
+checkpoint (examined order, infected set, every counter) and builds each
+set.  This is the oracle.
+
+An implicit run keeps no per-vertex state, so the pipeline draws the
+sizes alone from |A(t1)| in the size record (the reduction of Janson,
+Luczak, Turova and Vallier).  Seeds are the prefix {1..a} and are
+examined first.  So at t1 there are K = |A(t1)| - t1 infected vertices
+not yet examined, s = max(0, a - t1) of them seeds, and the witness set
+W holds the |W| = min(ceil(witness_target), K) smallest of them,
+w_s = min(|W|, s) of them seeds.  The laws at t1 are: an unexamined
+seed's counter is Bin(t1, p), an infected non-seed's is at least r, an
+uninfected counter is Bin(t1, p) conditioned below r, and every pair
+between unexamined vertices is unrevealed.  Hence
+
+* |B-hat| = (K - s - (|W| - w_s)) + Bin(s - w_s, P[Bin(t1,p) >= r-1])
+  + Bin(n - |A(t1)|, P[Bin(t1,p) = r-1 | Bin(t1,p) < r]);
+* |B| is the largest component of a fresh G(|B-hat|, p);
+* the bridge is Bin(|W| |B|, p) > 0;
+* |C| = Bin(n - t1 - |W| - |B-hat|, P[Bin(b1,p) >= r]) with
+  b1 = min(ceil(b1_target), |B|), and |D| likewise against
+  c1 = min(ceil(pred_C), |C|) over the pool outside Z, W, B and C.
+
+All of these are drawn from the stage source's own generator, so B-hat,
+like B, C and D, is independent of the run after t1; the law given the
+trajectory up to t1 is that of the explicit pipeline.  Implicit stages
+therefore cost a few binomials and one G(|B-hat|, p) sample, not O(n).
 """
 
 from __future__ import annotations
@@ -34,9 +56,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import thresholds
-from .engine import Checkpoint, EdgeSource, ExplicitSource, PercolationTrace
+from .engine import Checkpoint, EdgeSource, ExplicitSource, ImplicitSource, PercolationTrace
 from .graph import count_neighbors_in, largest_component, sample_gnp_with
-from .thresholds import ProcessParams, StagePredictions
+from .thresholds import ProcessParams, StagePredictions, log_binom_lower
 
 
 class TraceTooShort(Exception):
@@ -138,24 +160,13 @@ def qualified_set(checkpoint: Checkpoint, witness: np.ndarray, r: int) -> np.nda
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def giant_in_qualified(source: EdgeSource, bhat: np.ndarray) -> np.ndarray:
-    """Largest connected component inside B-hat, as sorted vertex ids.
-
-    Explicit mode reads the induced subgraph.  Implicit mode samples the
-    edges inside B-hat fresh: the engine never revealed pairs between
-    unexamined vertices, so the induced subgraph is an untouched
-    G(|B-hat|, p).
-    """
-    k = len(bhat)
-    if k <= 1:
+def giant_in_qualified(source: ExplicitSource, bhat: np.ndarray) -> np.ndarray:
+    """Largest connected component of the subgraph induced on B-hat, as
+    sorted vertex ids."""
+    if len(bhat) <= 1:
         return np.array(sorted(int(v) for v in bhat), dtype=np.int64)
-    members = np.sort(np.asarray(bhat, dtype=np.int64))
-    if isinstance(source, ExplicitSource):
-        summary = largest_component(source.graph, members.tolist(), include_members=True)
-        return np.array(sorted(summary.largest_members), dtype=np.int64)
-    sub = sample_gnp_with(k, source.params.p, source.rng)
-    summary = largest_component(sub, include_members=True)
-    return members[np.array(sorted(summary.largest_members), dtype=np.int64) - 1]
+    summary = largest_component(source.graph, bhat, include_members=True)
+    return np.array(sorted(summary.largest_members), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -167,7 +178,7 @@ class BridgeExpansion:
 
 
 def bridge_and_expand(
-    source: EdgeSource,
+    source: ExplicitSource,
     witness: np.ndarray,
     b_component: np.ndarray,
     r: int,
@@ -180,20 +191,13 @@ def bridge_and_expand(
 
     C is counted against a designated subset of B of size
     ceil(b1_target), truncated to |B| (flagged); D is counted against C
-    truncated to ceil(pred_C) when C is larger.  Each stage draws only
+    truncated to ceil(pred_C) when C is larger.  Each stage reads only
     pairs no earlier stage (or the engine) touched.
     """
     n = source.n
 
-    bridge = False
-    if len(witness) and len(b_component):
-        if isinstance(source, ExplicitSource):
-            wset = set(witness.tolist())
-            bridge = any(
-                w in wset for v in b_component.tolist() for w in source.graph.adj[v]
-            )
-        else:
-            bridge = source.pair_block_has_edge(witness.tolist(), b_component.tolist())
+    wset = set(witness.tolist())
+    bridge = any(w in wset for v in b_component.tolist() for w in source.graph.adj[v])
 
     b1_want = math.ceil(predictions.b1_target)
     truncated = len(b_component) < b1_want
@@ -227,16 +231,74 @@ def bridge_and_expand(
 
 
 def _expand_once(
-    source: EdgeSource, pool: np.ndarray, targets: np.ndarray, r: int
+    source: ExplicitSource, pool: np.ndarray, targets: np.ndarray, r: int
 ) -> np.ndarray:
     """Vertices of ``pool`` with at least r neighbours in ``targets``."""
     if len(pool) == 0 or len(targets) == 0:
         return np.empty(0, dtype=np.int64)
-    if isinstance(source, ExplicitSource):
-        counts = count_neighbors_in(source.graph, targets.tolist())[pool]
-    else:
-        counts = source.count_into(pool, targets)
-    return pool[counts >= r]
+    return pool[count_neighbors_in(source.graph, targets.tolist())[pool] >= r]
+
+
+def _explicit_stages(
+    source: ExplicitSource,
+    trace: PercolationTrace,
+    params: ProcessParams,
+    alpha: float,
+    pred: StagePredictions,
+) -> dict:
+    """Stage sizes measured on the graph, from the checkpoint at t1."""
+    if pred.t1 not in trace.counters_at:
+        raise TraceTooShort(f"no counter checkpoint at t1={pred.t1}; pass checkpoints=({pred.t1},)")
+    checkpoint = trace.counters_at[pred.t1]
+    witness = designated_witness(checkpoint, params, alpha)
+    bhat = qualified_set(checkpoint, witness, params.r)
+    b_comp = giant_in_qualified(source, bhat)
+    expansion = bridge_and_expand(
+        source,
+        witness,
+        b_comp,
+        params.r,
+        examined=checkpoint.examined,
+        bhat=bhat,
+        predictions=pred,
+    )
+    return dict(
+        size_Bhat=len(bhat),
+        size_B=len(b_comp),
+        bridge_AB=expansion.bridge_AB,
+        size_C=len(expansion.C),
+        size_D=len(expansion.D),
+        truncated=expansion.truncated,
+    )
+
+
+def _implicit_stages(
+    source: ImplicitSource, trace: PercolationTrace, params: ProcessParams, pred: StagePredictions
+) -> dict:
+    """Stage sizes drawn from |A(t1)| alone; see the module docstring."""
+    n, p, r = params.n, params.p, params.r
+    t1, rng = pred.t1, source.rng
+    k = int(trace.infected_sizes[t1]) - t1  # infected, not yet examined
+    s = max(0, trace.a - t1)  # of which seeds
+    w = min(math.ceil(pred.witness_target), k)  # witness_target >= 0
+    w_s = min(w, s)
+    below_r1 = float(log_binom_lower(t1, p, r - 1))  # log P[Bin(t1,p) < r-1]
+    below_r = float(log_binom_lower(t1, p, r))
+    bhat = (
+        (k - s - (w - w_s))
+        + int(rng.binomial(s - w_s, -math.expm1(below_r1)))
+        + int(rng.binomial(n - t1 - k, -math.expm1(below_r1 - below_r)))
+    )
+    b = bhat
+    if bhat > 1:
+        b = largest_component(sample_gnp_with(bhat, p, rng)).largest_size
+    bridge = source.pair_block_has_edge(w, b)
+    b1_want = math.ceil(pred.b1_target)
+    c = source.count_into(n - t1 - w - bhat, min(b1_want, b), r)
+    d = source.count_into(n - t1 - w - b - c, min(math.ceil(pred.pred_c), c), r)
+    return dict(
+        size_Bhat=bhat, size_B=b, bridge_AB=bridge, size_C=c, size_D=d, truncated=b < b1_want
+    )
 
 
 def run_stage_pipeline(
@@ -247,9 +309,10 @@ def run_stage_pipeline(
 ) -> StageReport:
     """Run every stage on one finished (or t1-capped) trace.
 
-    The trace must carry a counter checkpoint at t1.  A run that stopped
-    before t1 reports early_ok=False with all stage sets empty: the
-    pipeline is only defined conditional on early growth.
+    An explicit trace must carry a counter checkpoint at t1; an implicit
+    one needs only its size record up to t1.  A run that stopped before
+    t1 reports early_ok=False with all stage sets empty: the pipeline is
+    only defined conditional on early growth.
     """
     pred = thresholds.stage_predictions(params, alpha)
     early = early_growth_check(trace, params, alpha)
@@ -267,27 +330,8 @@ def run_stage_pipeline(
             size_Bhat=0, size_B=0, bridge_AB=False, size_C=0, size_D=0,
             truncated=False, **base,
         )
-    if pred.t1 not in trace.counters_at:
-        raise TraceTooShort(f"no counter checkpoint at t1={pred.t1}; pass checkpoints=({pred.t1},)")
-    checkpoint = trace.counters_at[pred.t1]
-    witness = designated_witness(checkpoint, params, alpha)
-    bhat = qualified_set(checkpoint, witness, params.r)
-    b_comp = giant_in_qualified(source, bhat)
-    expansion = bridge_and_expand(
-        source,
-        witness,
-        b_comp,
-        params.r,
-        examined=checkpoint.examined,
-        bhat=bhat,
-        predictions=pred,
-    )
-    return StageReport(
-        size_Bhat=len(bhat),
-        size_B=len(b_comp),
-        bridge_AB=expansion.bridge_AB,
-        size_C=len(expansion.C),
-        size_D=len(expansion.D),
-        truncated=expansion.truncated,
-        **base,
-    )
+    if isinstance(source, ImplicitSource):
+        sizes = _implicit_stages(source, trace, params, pred)
+    else:
+        sizes = _explicit_stages(source, trace, params, alpha, pred)
+    return StageReport(**sizes, **base)

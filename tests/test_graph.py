@@ -8,7 +8,7 @@ from bootperc.graph import (
     ComponentSummary,
     ExplicitGraph,
     UnionFind,
-    _unrank_pair,
+    _unrank_pairs,
     count_neighbors_in,
     from_edges,
     largest_component,
@@ -45,16 +45,14 @@ class TestUnrank:
     def test_bijection_small(self):
         for n in [2, 3, 5, 17, 40]:
             expected = list(itertools.combinations(range(1, n + 1), 2))
-            got = [_unrank_pair(k, n) for k in range(n * (n - 1) // 2)]
-            assert got == expected
+            us, vs = _unrank_pairs(np.arange(n * (n - 1) // 2, dtype=np.int64), n)
+            assert list(zip(us.tolist(), vs.tolist())) == expected
 
     def test_large_indices(self):
         n = 10**6
         total = n * (n - 1) // 2
-        u, v = _unrank_pair(total - 1, n)
-        assert (u, v) == (n - 1, n)
-        u, v = _unrank_pair(0, n)
-        assert (u, v) == (1, 2)
+        us, vs = _unrank_pairs(np.array([total - 1, 0], dtype=np.int64), n)
+        assert list(zip(us.tolist(), vs.tolist())) == [(n - 1, n), (1, 2)]
 
 
 class TestSampling:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from bootperc import thresholds
+from bootperc import montecarlo, thresholds
 from bootperc.montecarlo import (
     CLASS_OTHER,
     CLASS_SUBCRITICAL,
@@ -102,6 +102,40 @@ class TestRunExperiment:
         s1 = run_experiment(ExperimentConfig(workers=1, **base))
         s2 = run_experiment(ExperimentConfig(workers=4, **base))
         assert summary_json(s1) == summary_json(s2)
+
+    def test_workers_clamped(self, monkeypatch):
+        # the pool gets min(workers, trials, cpu count) workers; a fake
+        # executor records what it was asked for and maps serially, so the
+        # test starts no process
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                asked.append(chunksize)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        base = dict(params=PARAMS, seed_size=SeedSizeSpec(a=20), master_seed=9)
+        wide = run_experiment(ExperimentConfig(trials=40, workers=10_000, **base))
+        assert asked == [4, 40 // (4 * 4)]
+        asked.clear()
+        run_experiment(ExperimentConfig(trials=3, workers=10_000, **base))
+        assert asked == [3, 1]
+        asked.clear()
+        run_experiment(ExperimentConfig(trials=1, workers=10_000, **base))
+        assert asked == []  # one trial runs in this process
+        serial = run_experiment(ExperimentConfig(trials=40, workers=1, **base))
+        assert summary_json(wide) == summary_json(serial)
 
     def test_classification_partition(self):
         cfg = ExperimentConfig(

@@ -12,7 +12,8 @@ from bootperc.engine import (
     TraceOptions,
     run_process,
 )
-from bootperc.graph import count_neighbors_in, sample_gnp
+from bootperc.graph import count_neighbors_in, sample_gnp, sample_gnp_with
+from bootperc.montecarlo import trial_sources
 from bootperc.rng import make_generator
 from bootperc.stages import (
     TraceTooShort,
@@ -24,6 +25,7 @@ from bootperc.stages import (
     run_stage_pipeline,
 )
 from bootperc.thresholds import ProcessParams, rho_fixed_point, stage_predictions
+from test_engine import two_sample_z
 
 # pilot-calibrated supercritical point reused across the stage tests
 PARAMS = ProcessParams(n=50_000, p=4e-4, r=2)
@@ -33,16 +35,13 @@ T1 = stage_predictions(PARAMS, ALPHA).t1
 A_SUPER = round(CRIT.ac) + int(ALPHA)
 
 
-def capped_run(trial, params=PARAMS, a=A_SUPER, alpha=ALPHA):
-    t1 = stage_predictions(params, alpha).t1
-    src = ImplicitSource(params, rng=make_generator(101, trial, 0))
-    trace = run_process(
-        src,
-        SeedSpec.prefix(a),
-        params.r,
-        TraceOptions(checkpoints=(t1,), max_steps=t1),
-    )
-    return src, trace
+def capped_run(trial, mode="implicit"):
+    """Trial ``trial`` of master seed 101 at the supercritical point, capped
+    at T1 (an explicit run with its checkpoint there), and its stage source."""
+    src, stage_src = trial_sources(PARAMS, mode, 101, trial)
+    checkpoints = (T1,) if mode == "explicit" else ()
+    opts = TraceOptions(checkpoints=checkpoints, max_steps=T1)
+    return stage_src, run_process(src, SeedSpec.prefix(A_SUPER), PARAMS.r, opts)
 
 
 class TestEarlyGrowth:
@@ -107,8 +106,7 @@ class TestEarlyGrowth:
 class TestQualifiedSet:
     def test_fresh_process_empty(self):
         # t1 = 0 edge case: no examined vertices, nobody qualifies at r = 2
-        params = ProcessParams(n=100, p=0.02, r=2)
-        src = ImplicitSource(params, seed=5)
+        src = ExplicitSource(sample_gnp(100, 0.02, seed=5))
         trace = run_process(src, SeedSpec.prefix(10), 2, TraceOptions(checkpoints=(1,), max_steps=1))
         chk = trace.counters_at[1]
         witness = np.array([], dtype=np.int64)
@@ -140,17 +138,14 @@ class TestQualifiedSet:
         hits = 0
         trials = 60
         for trial in range(trials):
-            _, trace = capped_run(trial + 500)
-            chk = trace.counters_at[T1]
-            witness = designated_witness(chk, PARAMS, ALPHA)
-            bhat = qualified_set(chk, witness, PARAMS.r)
-            hits += len(bhat) >= pred.pred_bhat
+            stage_src, trace = capped_run(trial + 500)
+            hits += run_stage_pipeline(stage_src, trace, PARAMS, ALPHA).size_Bhat >= pred.pred_bhat
         assert hits > trials / 2
 
 
 class TestGiant:
     def test_trivial_sizes(self):
-        src = ImplicitSource(PARAMS, seed=3)
+        src = ExplicitSource(sample_gnp(30, 0.2, seed=3))
         assert len(giant_in_qualified(src, np.array([], dtype=np.int64))) == 0
         comp = giant_in_qualified(src, np.array([17], dtype=np.int64))
         assert comp.tolist() == [17]
@@ -163,43 +158,11 @@ class TestGiant:
         rho = rho_fixed_point(0.3)
         fractions = []
         for trial in range(3):
-            src = ImplicitSource(params, rng=make_generator(7, trial, 0))
+            src = ExplicitSource(sample_gnp_with(k, p, make_generator(7, trial, 0)))
             comp = giant_in_qualified(src, np.arange(1, k + 1, dtype=np.int64))
             fractions.append(len(comp) / k)
         for frac in fractions:
             assert abs(frac - rho) < 0.05
-
-    def test_explicit_vs_implicit_distribution(self):
-        # the lazy-revelation faithfulness argument, end to end: giant
-        # component sizes inside B-hat from explicit-graph runs and from
-        # implicit fresh sampling should be indistinguishable (KS < 0.15)
-        params = ProcessParams(n=3000, p=2.2e-3, r=2)
-        crit = thresholds.critical_pair(params)
-        alpha = float(4 * math.ceil(math.sqrt(crit.ac)))
-        t1 = stage_predictions(params, alpha).t1
-        a = round(crit.ac) + int(alpha)
-        opts = TraceOptions(checkpoints=(t1,), max_steps=t1)
-        sizes_exp, sizes_imp = [], []
-        runs = 120
-        for trial in range(runs):
-            g = sample_gnp(params.n, params.p, seed=make_generator(55, trial).integers(2**60))
-            src = ExplicitSource(g)
-            tr = run_process(src, SeedSpec.prefix(a), 2, opts)
-            if t1 in tr.counters_at:
-                chk = tr.counters_at[t1]
-                w = designated_witness(chk, params, alpha)
-                bhat = qualified_set(chk, w, 2)
-                sizes_exp.append(len(giant_in_qualified(src, bhat)))
-            src2 = ImplicitSource(params, rng=make_generator(56, trial, 0))
-            tr2 = run_process(src2, SeedSpec.prefix(a), 2, opts)
-            if t1 in tr2.counters_at:
-                chk2 = tr2.counters_at[t1]
-                w2 = designated_witness(chk2, params, alpha)
-                bhat2 = qualified_set(chk2, w2, 2)
-                stage_src = ImplicitSource(params, rng=make_generator(57, trial, 1))
-                sizes_imp.append(len(giant_in_qualified(stage_src, bhat2)))
-        assert len(sizes_exp) > runs * 0.8 and len(sizes_imp) > runs * 0.8
-        assert ks_distance(sizes_exp, sizes_imp) < 0.15
 
 
 def ks_distance(xs, ys) -> float:
@@ -210,10 +173,52 @@ def ks_distance(xs, ys) -> float:
     return float(np.max(np.abs(cdf_x - cdf_y)))
 
 
+# |z| bound of the count-form comparisons below: with fifteen statistics
+# compared, a correct pipeline exceeds it with probability < 1e-3
+Z_STAGES = 4.5
+STAGE_FIELDS = ("size_Bhat", "size_B", "bridge_AB", "size_C", "size_D")
+
+
+class TestCountForm:
+    """Implicit stages, drawn from |A(t1)| alone, against explicit stages
+    measured on sampled G(n,p) graphs: the same law, compared by
+    two-sample z statistics over every reported size."""
+
+    @pytest.mark.parametrize(
+        "n, p, r, seeds",
+        [
+            (3000, 2.2e-3, 2, "above"),
+            (3000, 2.2e-3, 2, "unexamined"),  # a = t1 + 40 seeds at t1
+            (3000, 0.012, 3, "above"),
+        ],
+    )
+    def test_two_sample_against_explicit(self, n, p, r, seeds):
+        params = ProcessParams(n=n, p=p, r=r)
+        crit = thresholds.critical_pair(params)
+        alpha = float(4 * math.ceil(math.sqrt(crit.ac)))
+        t1 = stage_predictions(params, alpha).t1
+        a = round(crit.ac) + int(alpha) if seeds == "above" else t1 + 40
+        reports = {"implicit": [], "explicit": []}
+        for trial in range(300):
+            for mode, checkpoints in (("implicit", ()), ("explicit", (t1,))):
+                src, stage_src = trial_sources(params, mode, 91, trial)
+                opts = TraceOptions(checkpoints=checkpoints, max_steps=t1)
+                trace = run_process(src, SeedSpec.prefix(a), r, opts)
+                reports[mode].append(run_stage_pipeline(stage_src, trace, params, alpha))
+        columns = {
+            mode: {f: [getattr(rep, f) for rep in reps] for f in STAGE_FIELDS}
+            for mode, reps in reports.items()
+        }
+        for field in STAGE_FIELDS:
+            z = two_sample_z(columns["implicit"][field], columns["explicit"][field])
+            assert abs(z) <= Z_STAGES, f"{field}: z = {z:+.2f}"
+        assert ks_distance(columns["implicit"]["size_B"], columns["explicit"]["size_B"]) < 0.15
+
+
 class TestBridgeExpand:
     def test_empty_component(self):
         pred = stage_predictions(PARAMS, ALPHA)
-        src = ImplicitSource(PARAMS, seed=9)
+        src = ExplicitSource(sample_gnp(50, 0.1, seed=9))
         res = bridge_and_expand(
             src,
             witness=np.array([1, 2], dtype=np.int64),
@@ -248,14 +253,13 @@ class TestBridgeExpand:
         assert len(res.C) > 0
 
     def test_exclusion_discipline(self):
-        src, trace = capped_run(7)
+        src, trace = capped_run(7, "explicit")
         chk = trace.counters_at[T1]
         witness = designated_witness(chk, PARAMS, ALPHA)
         bhat = qualified_set(chk, witness, PARAMS.r)
-        stage_src = ImplicitSource(PARAMS, rng=make_generator(101, 7, 1))
-        b = giant_in_qualified(stage_src, bhat)
+        b = giant_in_qualified(src, bhat)
         res = bridge_and_expand(
-            stage_src,
+            src,
             witness,
             b,
             PARAMS.r,
@@ -275,8 +279,7 @@ class TestBridgeExpand:
         assert not (dd & (z | w | bb | cc))
 
     def test_pipeline_report_fields(self):
-        src, trace = capped_run(3)
-        stage_src = ImplicitSource(PARAMS, rng=make_generator(101, 3, 1))
+        stage_src, trace = capped_run(3)
         rep = run_stage_pipeline(stage_src, trace, PARAMS, ALPHA)
         payload = json.loads(rep.to_json())
         assert set(payload.keys()) == {
@@ -299,8 +302,7 @@ class TestBridgeExpand:
         assert payload["t1"] == T1
 
     def test_pred_fields_recompute(self):
-        src, trace = capped_run(4)
-        stage_src = ImplicitSource(PARAMS, rng=make_generator(101, 4, 1))
+        stage_src, trace = capped_run(4)
         rep = run_stage_pipeline(stage_src, trace, PARAMS, ALPHA)
         pred = stage_predictions(PARAMS, ALPHA)
         assert rep.pred_Bhat == pred.pred_bhat
@@ -318,14 +320,13 @@ class TestBridgeExpand:
 
     def test_truncation_flag(self):
         # force |B| below the designated subset target by shrinking B
-        src, trace = capped_run(8)
+        src, trace = capped_run(8, "explicit")
         chk = trace.counters_at[T1]
         witness = designated_witness(chk, PARAMS, ALPHA)
         bhat = qualified_set(chk, witness, PARAMS.r)
-        stage_src = ImplicitSource(PARAMS, rng=make_generator(101, 8, 1))
-        b = giant_in_qualified(stage_src, bhat)[:5]
+        b = giant_in_qualified(src, bhat)[:5]
         res = bridge_and_expand(
-            stage_src,
+            src,
             witness,
             b,
             PARAMS.r,
@@ -347,8 +348,7 @@ class TestBridgeExpand:
 def test_median_d_fraction_reaches_09():
     fracs = []
     for trial in range(30):
-        _, trace = capped_run(trial + 900)
-        stage_src = ImplicitSource(PARAMS, rng=make_generator(101, trial + 900, 1))
+        stage_src, trace = capped_run(trial + 900)
         rep = run_stage_pipeline(stage_src, trace, PARAMS, ALPHA)
         if rep.bridge_AB:
             fracs.append(rep.size_D / PARAMS.n)
