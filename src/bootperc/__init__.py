@@ -6,9 +6,7 @@ and a reproducible Monte Carlo experiment harness.
 """
 
 from .engine import (
-    ExplicitSource,
     ImplicitSource,
-    MartingaleSeries,
     PercolationTrace,
     SeedSpec,
     TraceOptions,
@@ -61,9 +59,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentSummary",
     "ExplicitGraph",
-    "ExplicitSource",
     "ImplicitSource",
-    "MartingaleSeries",
     "NoConvergence",
     "PercolationTrace",
     "ProcessParams",

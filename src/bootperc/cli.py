@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import montecarlo, stages, thresholds
 from .engine import SeedSpec, TraceOptions, run_process, write_trace_csv
@@ -113,29 +114,19 @@ def _params_from(args) -> ProcessParams:
     return ProcessParams(n=args.n, p=args.p, r=args.r)
 
 
-def _critical_dict(params: ProcessParams, crit: thresholds.CriticalValues) -> dict:
-    return {
+def _cmd_thresholds(args) -> int:
+    params = _params_from(args)
+    crit = thresholds.critical_pair(params)
+    payload = {
         "n": params.n,
         "p": params.p,
         "r": params.r,
         "np": params.mean_degree,
         "npr": params.npr,
         "regime_ok": params.regime_ok,
-        "delta": crit.delta,
-        "t0": crit.t0,
-        "t0_int": crit.t0_int,
-        "tc": crit.tc,
-        "ac": crit.ac,
-        "tc_asym": crit.tc_asym,
-        "ac_asym": crit.ac_asym,
-        "pi_hat_tc": crit.pi_hat_tc,
+        **asdict(crit),
     }
-
-
-def _cmd_thresholds(args) -> int:
-    params = _params_from(args)
-    crit = thresholds.critical_pair(params)
-    _emit(_critical_dict(params, crit), args)
+    _emit(payload, args)
     return EXIT_OK
 
 
@@ -207,20 +198,7 @@ def _cmd_sweep(args) -> int:
     if (args.format or "csv") == "csv":
         _emit(result.to_csv(), args)
     else:
-        rows = [
-            {
-                "a": pt.a,
-                "alpha_offset": pt.alpha_offset,
-                "p_hat": pt.p_hat,
-                "wilson_lo": pt.wilson_lo,
-                "wilson_hi": pt.wilson_hi,
-                "mean_final_size": pt.mean_final_size,
-                "mean_T": pt.mean_T,
-                "theorem_bound": pt.theorem_bound,
-            }
-            for pt in result.points
-        ]
-        _emit(rows, args)
+        _emit([asdict(pt) for pt in result.points], args)
     return EXIT_OK
 
 

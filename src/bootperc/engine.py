@@ -11,16 +11,17 @@ Two interchangeable forms of the same process:
   all not-yet-examined vertices are revealed.  A vertex outside the seed
   set becomes infected once its revealed-neighbour counter reaches r.
   The run stops at the first step T where the examined set has caught the
-  infected set.  On an explicit graph the edges are read one examined
-  vertex at a time.  On an implicit G(n,p) the process is not stepped at
-  all: an uninfected vertex meets one fresh Bernoulli(p) pair per step,
-  so infection steps are i.i.d. r-th success times (the reduction of
-  Janson, Luczak, Turova and Vallier), and the engine walks them in
-  blocks.  An implicit run keeps counts only, no per-vertex state: it
-  takes no checkpoints, its seeds are the prefix {1..a}, and it reports
-  the final size but not the final set.  A capped or subcritical implicit
-  run does no O(n) work, which is what lets n reach 10^9 in the critical
-  window.
+  infected set.  On an explicit graph (an :class:`ExplicitGraph`) the
+  edges are read one examined vertex at a time, as a row of its CSR
+  arrays.  On an implicit G(n,p) (an :class:`ImplicitSource`) the process
+  is not stepped at all: an uninfected vertex meets one fresh Bernoulli(p)
+  pair per step, so infection steps are i.i.d. r-th success times (the
+  reduction of Janson, Luczak, Turova and Vallier), and the engine walks
+  them in blocks.  An implicit run keeps counts only, no per-vertex
+  state: it takes no checkpoints, its seeds are the prefix {1..a}, and it
+  reports the final size but not the final set.  A capped or subcritical
+  implicit run does no O(n) work, which is what lets n reach 10^9 in the
+  critical window.
 """
 
 from __future__ import annotations
@@ -110,24 +111,6 @@ class PercolationTrace:
     bernoulli_draws: int  # implicit mode: pairs accounted, sum over steps of (n - t), plus stage draws
 
 
-@dataclass(frozen=True)
-class MartingaleSeries:
-    values: np.ndarray  # M(t) for each recorded t
-
-
-class ExplicitSource:
-    """Edges read from a materialised graph."""
-
-    mode = "explicit"
-
-    def __init__(self, graph: ExplicitGraph):
-        self.graph = graph
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-
 class ImplicitSource:
     """An implicit G(n,p): a generator plus the count of pairs accounted.
 
@@ -139,8 +122,6 @@ class ImplicitSource:
     :meth:`count_into`, which take set sizes, return counts and count
     their pairs as well.
     """
-
-    mode = "implicit"
 
     def __init__(
         self,
@@ -177,7 +158,7 @@ class ImplicitSource:
         return int(self.rng.binomial(pool, binom_tail_geq(targets, self.params.p, r)))
 
 
-EdgeSource = ExplicitSource | ImplicitSource
+EdgeSource = ExplicitGraph | ImplicitSource
 
 
 def run_direct(g: ExplicitGraph, seed_set, r: int) -> tuple[frozenset[int], int]:
@@ -197,7 +178,7 @@ def run_direct(g: ExplicitGraph, seed_set, r: int) -> tuple[frozenset[int], int]
     while frontier:
         crossed = []
         for u in frontier:
-            for v in g.adj[u]:
+            for v in g.neighbors(u).tolist():
                 if not infected[v]:
                     counts[v] += 1
                     if counts[v] == r:
@@ -237,9 +218,10 @@ def run_process(
         steps, sizes, final_size = _walk_infection_times(source, len(seeds), r, opts)
         final_infected, checkpoints = None, {}
         source.bernoulli_draws += steps * n - steps * (steps + 1) // 2
+        draws = source.bernoulli_draws
     else:
-        steps, sizes, final_infected, checkpoints = _examine_graph(source.graph, seeds, r, opts)
-        final_size = len(final_infected)
+        steps, sizes, final_infected, checkpoints = _examine_graph(source, seeds, r, opts)
+        final_size, draws = len(final_infected), 0
     censored = final_size > steps
     if censored:
         classification = CLASS_CENSORED
@@ -257,7 +239,7 @@ def run_process(
         final_infected=final_infected,
         counters_at=checkpoints,
         classification=classification,
-        bernoulli_draws=getattr(source, "bernoulli_draws", 0),
+        bernoulli_draws=draws,
     )
 
 
@@ -267,9 +249,9 @@ def _examine_graph(g: ExplicitGraph, seeds, r: int, opts: TraceOptions):
     Returns (steps taken, recorded sizes, sorted final infected ids,
     checkpoints).
     """
-    n = g.n
-    adj = g.adj
-    # hot loop works on plain lists and bytearrays; numpy only at snapshots
+    n, indptr, indices = g.n, g.indptr, g.indices
+    # hot loop works on plain lists and bytearrays; numpy only for rows and
+    # at snapshots
     infected = bytearray(n + 1)
     for v in seeds:
         infected[v] = 1
@@ -295,7 +277,7 @@ def _examine_graph(g: ExplicitGraph, seeds, r: int, opts: TraceOptions):
         examined[u] = 1
         examined_order.append(u)
 
-        for v in adj[u]:
+        for v in indices[indptr[u] : indptr[u + 1]].tolist():
             if examined[v]:
                 continue
             c = counters[v] + 1
@@ -369,8 +351,8 @@ def _infection_steps(rng: np.random.Generator, h: int, log_s: np.ndarray, m: int
     return h + 1 + np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
-def martingale_series(trace: PercolationTrace, params: ProcessParams) -> MartingaleSeries:
-    """Normalised zero-drift series for a recorded trace.
+def martingale_series(trace: PercolationTrace, params: ProcessParams) -> np.ndarray:
+    """Normalised zero-drift series M(t) for each recorded t of a trace.
 
     Inverts the infected-count identity
     |A(t)| = a + M(t) (1 - pi(t)) + (n - a) pi(t),
@@ -386,7 +368,7 @@ def martingale_series(trace: PercolationTrace, params: ProcessParams) -> Marting
     if np.any(pi >= 1.0):
         bad = int(t[np.argmax(pi >= 1.0)])
         raise DegenerateRegime(f"pi_hat({bad}) = 1; martingale values diverge")
-    return MartingaleSeries(values=(trace.infected_sizes - a - (n - a) * pi) / np.exp(log_s))
+    return (trace.infected_sizes - a - (n - a) * pi) / np.exp(log_s)
 
 
 def write_trace_csv(trace: PercolationTrace, params: ProcessParams, path) -> None:
@@ -394,5 +376,5 @@ def write_trace_csv(trace: PercolationTrace, params: ProcessParams, path) -> Non
     series = martingale_series(trace, params)
     with open(path, "w") as fh:
         fh.write("t,infected_size,martingale_value\n")
-        for t, (size, m) in enumerate(zip(trace.infected_sizes.tolist(), series.values.tolist())):
+        for t, (size, m) in enumerate(zip(trace.infected_sizes.tolist(), series.tolist())):
             fh.write(f"{t},{size},{m:.12g}\n")

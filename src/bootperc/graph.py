@@ -1,7 +1,8 @@
 """Materialised G(n,p) sampling and component analysis.
 
-Vertices are 1-based.  Graphs are immutable after construction; all read
-operations are safe to call concurrently.
+A graph is held in compressed sparse row (CSR) form: two int64 arrays,
+``indptr`` and ``indices``, with 1-based vertices.  Graphs are immutable
+after construction; all read operations are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -16,18 +17,22 @@ from .rng import make_generator
 
 @dataclass(frozen=True)
 class ExplicitGraph:
-    """Adjacency-list graph on vertices 1..n.  ``adj[0]`` is unused.
+    """CSR graph on vertices 1..n: the neighbours of u are
+    ``indices[indptr[u]:indptr[u + 1]]``, and row 0 is empty.
 
-    Neighbour lists are sorted ascending, symmetric, loop-free and
-    duplicate-free.
+    Rows are sorted ascending, symmetric, loop-free and duplicate-free.
     """
 
     n: int
-    adj: list[list[int]]
+    indptr: np.ndarray  # int64, length n + 2
+    indices: np.ndarray  # int64, two entries per edge
+
+    def neighbors(self, u: int) -> np.ndarray:
+        return self.indices[self.indptr[u] : self.indptr[u + 1]]
 
     @property
     def edge_count(self) -> int:
-        return sum(len(lst) for lst in self.adj) // 2
+        return len(self.indices) // 2
 
 
 @dataclass(frozen=True)
@@ -37,22 +42,31 @@ class ComponentSummary:
     largest_members: tuple[int, ...] | None = None
 
 
+def _csr(n: int, src: np.ndarray, indices: np.ndarray) -> ExplicitGraph:
+    """The graph whose rows are ``indices`` grouped by the source vertices
+    ``src`` (each row already sorted)."""
+    indptr = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n + 1), out=indptr[1:])
+    return ExplicitGraph(n=n, indptr=indptr, indices=indices)
+
+
 def from_edges(n: int, edges) -> ExplicitGraph:
     """Build a graph from (u, v) pairs; symmetrises and sorts."""
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in edges:
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    us, vs = pairs[:, 0], pairs[:, 1]
+    bad = (us == vs) | (us < 1) | (us > n) | (vs < 1) | (vs > n)
+    if bad.any():
+        u, v = pairs[np.argmax(bad)].tolist()
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ValueError(f"edge ({u},{v}) outside 1..{n}")
-        adj[u].append(v)
-        adj[v].append(u)
-    for lst in adj:
-        lst.sort()
-        for i in range(1, len(lst)):
-            if lst[i] == lst[i - 1]:
-                raise ValueError(f"duplicate edge involving vertex {lst[i]}")
-    return ExplicitGraph(n=n, adj=adj)
+        raise ValueError(f"edge ({u},{v}) outside 1..{n}")
+    src, dst = np.concatenate([us, vs]), np.concatenate([vs, us])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    dup = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+    if dup.any():
+        raise ValueError(f"duplicate edge involving vertex {dst[np.argmax(dup) + 1]}")
+    return _csr(n, src, dst)
 
 
 def _sample_edge_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -108,57 +122,47 @@ def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> ExplicitGraph
         raise ValueError(f"n must be >= 1, got {n}")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0,1], got {p}")
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
     if p <= 0.0 or n == 1:
-        return ExplicitGraph(n=n, adj=adj)
-    if p >= 1.0:
-        for u in range(1, n + 1):
-            adj[u] = [v for v in range(1, n + 1) if v != u]
-        return ExplicitGraph(n=n, adj=adj)
-    idxs = _sample_edge_indices(n, p, rng)
-    us, vs = _unrank_pairs(idxs, n)
-    for u, v in zip(us.tolist(), vs.tolist()):
-        adj[u].append(v)
-        adj[v].append(u)
-    for lst in adj:
-        lst.sort()
-    return ExplicitGraph(n=n, adj=adj)
+        return from_edges(n, [])
+    us, vs = _unrank_pairs(_sample_edge_indices(n, p, rng), n)
+    # pairs come in lexicographic order, so a stable sort on the source,
+    # with the (v, u) copies first, leaves every row ascending
+    src, dst = np.concatenate([vs, us]), np.concatenate([us, vs])
+    return _csr(n, src, dst[np.argsort(src, kind="stable")])
 
 
 def sample_gnp(n: int, p: float, seed: int) -> ExplicitGraph:
     """G(n,p): every one of the C(n,2) pairs present independently with
     probability p.  Deterministic for fixed (n, p, seed).
 
-    Memory is proportional to the edge count; as a rule of thumb keep
-    n^2 p below 1e8.
+    The graph takes 16 bytes per edge, plus 8 per vertex; as a rule of
+    thumb keep n^2 p below 1e8.
     """
     return sample_gnp_with(n, p, make_generator(seed))
 
 
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by rank."""
+def _vertex_mask(vertices, n: int, label: str) -> np.ndarray:
+    """Boolean mask over ids 0..n of an iterable of vertices in 1..n; a
+    mask rather than ``np.unique``, which takes about 0.9 s on 10^6 ids."""
+    if isinstance(vertices, np.ndarray):
+        ids = vertices.astype(np.int64, copy=False)
+    else:
+        ids = np.fromiter(vertices, dtype=np.int64)
+    bad = ids[(ids < 1) | (ids > n)]
+    if len(bad):
+        raise ValueError(f"{label} {bad[0]} outside 1..{n}")
+    mask = np.zeros(n + 1, dtype=bool)
+    mask[ids] = True
+    return mask
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
+def _rows_of(g: ExplicitGraph, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every entry (u, w) in the rows of the vertices vs, as two arrays."""
+    starts = g.indptr[vs]
+    lens = g.indptr[vs + 1] - starts
+    # position of each entry: its row's start plus its rank within the row
+    pos = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+    return np.repeat(vs, lens), g.indices[pos]
 
 
 def largest_component(
@@ -167,35 +171,47 @@ def largest_component(
     include_members: bool = False,
 ) -> ComponentSummary:
     """Largest connected component, optionally restricted to the induced
-    subgraph on ``subset`` (edges with both endpoints inside)."""
+    subgraph on ``subset`` (edges with both endpoints inside).
+
+    Components are labelled by min-label propagation with pointer jumping
+    (Shiloach and Vishkin): every edge hooks the larger of its two roots
+    onto the smaller until no edge joins two roots, so each component ends
+    labelled by its smallest vertex.  Ties between equally large components
+    go to the one holding the smallest vertex.
+    """
     if subset is None:
-        verts = list(range(1, g.n + 1))
-        in_subset = None
+        inside = np.ones(g.n + 1, dtype=bool)
+        inside[0] = False
     else:
-        verts = sorted(int(v) for v in set(subset))
-        if verts and not (1 <= verts[0] and verts[-1] <= g.n):
-            raise ValueError("subset contains vertices outside 1..n")
-        in_subset = np.zeros(g.n + 1, dtype=bool)
-        in_subset[verts] = True
-    if not verts:
+        inside = _vertex_mask(subset, g.n, "subset vertex")
+    verts = np.flatnonzero(inside)
+    if not len(verts):
         return ComponentSummary(0, 0, () if include_members else None)
-    index = {v: i for i, v in enumerate(verts)}
-    uf = UnionFind(len(verts))
-    for v in verts:
-        for w in g.adj[v]:
-            if w > v and (in_subset is None or in_subset[w]):
-                uf.union(index[v], index[w])
-    sizes: dict[int, int] = {}
-    for i in range(len(verts)):
-        root = uf.find(i)
-        sizes[root] = sizes.get(root, 0) + 1
-    best_root = max(sizes, key=lambda rt: (sizes[rt], -rt))
+    us, ws = _rows_of(g, verts)
+    keep = (us < ws) & inside[ws]
+    us, ws = us[keep], ws[keep]
+    root = np.arange(g.n + 1, dtype=np.int64)
+    while True:
+        ru, rw = root[us], root[ws]
+        split = ru != rw
+        if not split.any():
+            break
+        lo, hi = np.minimum(ru[split], rw[split]), np.maximum(ru[split], rw[split])
+        root[hi] = lo  # hi is a root; any of its smaller partners will do
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    labels = root[verts]
+    sizes = np.bincount(labels)
+    best = int(np.argmax(sizes))  # the first maximum: smallest label
     members = None
     if include_members:
-        members = tuple(v for i, v in enumerate(verts) if uf.find(i) == best_root)
+        members = tuple(verts[labels == best].tolist())
     return ComponentSummary(
-        component_count=len(sizes),
-        largest_size=sizes[best_root],
+        component_count=int(np.count_nonzero(sizes)),
+        largest_size=int(sizes[best]),
         largest_members=members,
     )
 
@@ -205,33 +221,5 @@ def count_neighbors_in(g: ExplicitGraph, target_set) -> np.ndarray:
 
     Returns an array indexed by vertex id (entry 0 unused).
     """
-    counts = np.zeros(g.n + 1, dtype=np.int64)
-    for v in set(target_set):
-        if not (1 <= v <= g.n):
-            raise ValueError(f"target vertex {v} outside 1..{g.n}")
-        for w in g.adj[v]:
-            counts[w] += 1
-    return counts
-
-
-def write_edge_list(g: ExplicitGraph, path) -> None:
-    """One ``u v`` pair per line, 1-based, u < v, sorted."""
-    with open(path, "w") as fh:
-        for u in range(1, g.n + 1):
-            for v in g.adj[u]:
-                if v > u:
-                    fh.write(f"{u} {v}\n")
-
-
-def read_edge_list(path, n: int) -> ExplicitGraph:
-    """Inverse of :func:`write_edge_list`; the vertex count is not stored
-    in the file and must be supplied."""
-    edges = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            u, v = line.split()
-            edges.append((int(u), int(v)))
-    return from_edges(n, edges)
+    targets = np.flatnonzero(_vertex_mask(target_set, g.n, "target vertex"))
+    return np.bincount(_rows_of(g, targets)[1], minlength=g.n + 1)

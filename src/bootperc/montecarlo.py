@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -20,7 +20,6 @@ from . import stages, thresholds
 from .engine import (
     CLASS_ALMOST,
     EdgeSource,
-    ExplicitSource,
     ImplicitSource,
     SeedSpec,
     TraceOptions,
@@ -83,7 +82,7 @@ class ExperimentConfig:
 class TrialOutcome:
     trial: int
     final_size: int
-    T: int
+    T: int | None  # None when the run was capped before it stopped
     classification: str
 
 
@@ -126,31 +125,14 @@ class ExperimentSummary:
             "master_seed": self.master_seed,
             "mode": self.mode,
             "percolation_threshold": self.percolation_threshold,
-            "critical": {
-                "delta": self.critical.delta,
-                "t0": self.critical.t0,
-                "t0_int": self.critical.t0_int,
-                "tc": self.critical.tc,
-                "ac": self.critical.ac,
-                "tc_asym": self.critical.tc_asym,
-                "ac_asym": self.critical.ac_asym,
-                "pi_hat_tc": self.critical.pi_hat_tc,
-            },
+            "critical": asdict(self.critical),
             "class_counts": dict(sorted(self.class_counts.items())),
             "empirical_percolation_probability": self.empirical_percolation_probability,
             "wilson_low": self.wilson_low,
             "wilson_high": self.wilson_high,
             "theorem_bound": self.theorem_bound,
             "theorem_used": self.theorem_used,
-            "outcomes": [
-                {
-                    "trial": o.trial,
-                    "final_size": o.final_size,
-                    "T": o.T,
-                    "classification": o.classification,
-                }
-                for o in self.outcomes
-            ],
+            "outcomes": [asdict(o) for o in self.outcomes],
             "mean_trajectory": [
                 {"t": int(t), "mean": float(m), "se": float(se)}
                 for t, m, se in self.mean_trajectory
@@ -185,10 +167,7 @@ def wilson_interval(
 
 @dataclass(frozen=True)
 class _TrialResult:
-    trial: int
-    final_size: int
-    T: int
-    classification: str
+    outcome: TrialOutcome
     sizes_prefix: np.ndarray
     stage_report: stages.StageReport | None
 
@@ -208,18 +187,16 @@ def trial_sources(
 
     An implicit trial walks on the STREAM_RUN generator of (seed, trial)
     and draws its stages on the STREAM_STAGES one.  An explicit trial
-    samples its graph from the STREAM_GRAPH generator, and its stages read
-    the same graph.
+    samples its graph from the STREAM_GRAPH generator, and both the run
+    and its stages read that graph.
     """
     if mode == "implicit":
         return (
             ImplicitSource(params, rng=make_generator(seed, trial, STREAM_RUN)),
             ImplicitSource(params, rng=make_generator(seed, trial, STREAM_STAGES)),
         )
-    source = ExplicitSource(
-        sample_gnp_with(params.n, params.p, make_generator(seed, trial, STREAM_GRAPH))
-    )
-    return source, source
+    graph = sample_gnp_with(params.n, params.p, make_generator(seed, trial, STREAM_GRAPH))
+    return graph, graph
 
 
 def _run_trial(args) -> _TrialResult:
@@ -236,11 +213,9 @@ def _run_trial(args) -> _TrialResult:
     report = None
     if config.stage_diagnostics:
         report = stages.run_stage_pipeline(stage_source, trace, params, alpha)
+    classification = _classify(trace.final_size, tc, config.percolation_threshold, params.n)
     return _TrialResult(
-        trial=trial,
-        final_size=trace.final_size,
-        T=trace.T,
-        classification=_classify(trace.final_size, tc, config.percolation_threshold, params.n),
+        outcome=TrialOutcome(trial, trace.final_size, trace.T, classification),
         sizes_prefix=trace.infected_sizes[: horizon + 1].copy(),
         stage_report=report,
     )
@@ -270,11 +245,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
             results = list(pool.map(_run_trial, tasks, chunksize=chunk))
     else:
         results = [_run_trial(t) for t in tasks]
-    results.sort(key=lambda res: res.trial)
+    results.sort(key=lambda res: res.outcome.trial)
 
-    outcomes = tuple(
-        TrialOutcome(res.trial, res.final_size, res.T, res.classification) for res in results
-    )
+    outcomes = tuple(res.outcome for res in results)
     counts: dict[str, int] = {CLASS_SUBCRITICAL: 0, CLASS_ALMOST: 0, CLASS_OTHER: 0}
     for o in outcomes:
         counts[o.classification] += 1
@@ -354,13 +327,12 @@ class SweepResult:
     summaries: tuple[ExperimentSummary, ...]
 
     def to_csv(self) -> str:
-        lines = ["a,alpha_offset,p_hat,wilson_lo,wilson_hi,mean_final_size,mean_T,theorem_bound"]
+        """One row per point, columns in field order; floats to 12
+        significant digits."""
+        lines = [",".join(f.name for f in fields(SweepPoint))]
         for pt in self.points:
-            lines.append(
-                f"{pt.a},{pt.alpha_offset:.12g},{pt.p_hat:.12g},{pt.wilson_lo:.12g},"
-                f"{pt.wilson_hi:.12g},{pt.mean_final_size:.12g},{pt.mean_T:.12g},"
-                f"{pt.theorem_bound:.12g}"
-            )
+            row = asdict(pt).values()
+            lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
         return "\n".join(lines) + "\n"
 
 

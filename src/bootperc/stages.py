@@ -18,9 +18,9 @@ All of these are measurements; the matching predictions recompute from
 (params, alpha) via :func:`bootperc.thresholds.stage_predictions` and are
 reported side by side, never asserted on a single run.
 
-An explicit run is measured on its graph: the pipeline reads the t1
-checkpoint (examined order, infected set, every counter) and builds each
-set.  This is the oracle.
+An explicit run is measured on its :class:`ExplicitGraph`: the pipeline
+reads the t1 checkpoint (examined order, infected set, every counter) and
+builds each set.  This is the oracle.
 
 An implicit run keeps no per-vertex state, so the pipeline draws the
 sizes alone from |A(t1)| in the size record (the reduction of Janson,
@@ -56,8 +56,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import thresholds
-from .engine import Checkpoint, EdgeSource, ExplicitSource, ImplicitSource, PercolationTrace
-from .graph import count_neighbors_in, largest_component, sample_gnp_with
+from .engine import Checkpoint, EdgeSource, ImplicitSource, PercolationTrace
+from .graph import ExplicitGraph, count_neighbors_in, largest_component, sample_gnp_with
 from .thresholds import ProcessParams, StagePredictions, log_binom_lower
 
 
@@ -160,13 +160,11 @@ def qualified_set(checkpoint: Checkpoint, witness: np.ndarray, r: int) -> np.nda
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def giant_in_qualified(source: ExplicitSource, bhat: np.ndarray) -> np.ndarray:
+def giant_in_qualified(graph: ExplicitGraph, bhat: np.ndarray) -> np.ndarray:
     """Largest connected component of the subgraph induced on B-hat, as
     sorted vertex ids."""
-    if len(bhat) <= 1:
-        return np.array(sorted(int(v) for v in bhat), dtype=np.int64)
-    summary = largest_component(source.graph, bhat, include_members=True)
-    return np.array(sorted(summary.largest_members), dtype=np.int64)
+    summary = largest_component(graph, bhat, include_members=True)
+    return np.array(summary.largest_members, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -178,7 +176,7 @@ class BridgeExpansion:
 
 
 def bridge_and_expand(
-    source: ExplicitSource,
+    graph: ExplicitGraph,
     witness: np.ndarray,
     b_component: np.ndarray,
     r: int,
@@ -194,10 +192,8 @@ def bridge_and_expand(
     truncated to ceil(pred_C) when C is larger.  Each stage reads only
     pairs no earlier stage (or the engine) touched.
     """
-    n = source.n
-
-    wset = set(witness.tolist())
-    bridge = any(w in wset for v in b_component.tolist() for w in source.graph.adj[v])
+    n = graph.n
+    bridge = bool(count_neighbors_in(graph, witness)[b_component].any())
 
     b1_want = math.ceil(predictions.b1_target)
     truncated = len(b_component) < b1_want
@@ -210,7 +206,7 @@ def bridge_and_expand(
         exclude[witness] = True
     exclude[bhat] = True
     pool_c = np.flatnonzero(~exclude).astype(np.int64)
-    c_set = _expand_once(source, pool_c, b1, r)
+    c_set = _expand_once(graph, pool_c, b1, r)
 
     c1_want = math.ceil(predictions.pred_c)
     c1 = c_set[: min(c1_want, len(c_set))]
@@ -225,22 +221,22 @@ def bridge_and_expand(
     if len(c_set):
         exclude_d[c_set] = True
     pool_d = np.flatnonzero(~exclude_d).astype(np.int64)
-    d_set = _expand_once(source, pool_d, c1, r)
+    d_set = _expand_once(graph, pool_d, c1, r)
 
     return BridgeExpansion(bridge_AB=bridge, C=c_set, D=d_set, truncated=truncated)
 
 
 def _expand_once(
-    source: ExplicitSource, pool: np.ndarray, targets: np.ndarray, r: int
+    graph: ExplicitGraph, pool: np.ndarray, targets: np.ndarray, r: int
 ) -> np.ndarray:
     """Vertices of ``pool`` with at least r neighbours in ``targets``."""
     if len(pool) == 0 or len(targets) == 0:
         return np.empty(0, dtype=np.int64)
-    return pool[count_neighbors_in(source.graph, targets.tolist())[pool] >= r]
+    return pool[count_neighbors_in(graph, targets)[pool] >= r]
 
 
 def _explicit_stages(
-    source: ExplicitSource,
+    graph: ExplicitGraph,
     trace: PercolationTrace,
     params: ProcessParams,
     alpha: float,
@@ -252,9 +248,9 @@ def _explicit_stages(
     checkpoint = trace.counters_at[pred.t1]
     witness = designated_witness(checkpoint, params, alpha)
     bhat = qualified_set(checkpoint, witness, params.r)
-    b_comp = giant_in_qualified(source, bhat)
+    b_comp = giant_in_qualified(graph, bhat)
     expansion = bridge_and_expand(
-        source,
+        graph,
         witness,
         b_comp,
         params.r,

@@ -13,7 +13,6 @@ import numpy as np
 
 import bootperc as bp
 from bootperc.engine import (
-    ExplicitSource,
     ImplicitSource,
     SeedSpec,
     TraceOptions,
@@ -63,7 +62,7 @@ def test_01_engine_oracle_equivalence():
         k = int(rng.integers(0, n // 2 + 1))
         seeds = rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist()
         oracle, _ = run_direct(g, seeds, r)
-        trace = run_process(ExplicitSource(g), SeedSpec.of(seeds), r)
+        trace = run_process(g, SeedSpec.of(seeds), r)
         if frozenset(trace.final_infected.tolist()) != oracle:
             mismatches += 1
     _criterion(1, "engine oracle equivalence", mismatches == 0, f"{mismatches}/200 mismatches")
@@ -127,7 +126,7 @@ def test_05_martingale_zero_drift():
     for trial in range(trials):
         src = ImplicitSource(params, rng=make_generator(505, trial, 0))
         tr = run_process(src, SeedSpec.prefix(a), 2, TraceOptions(max_steps=crit.t0_int))
-        series.append(martingale_series(tr, params).values)
+        series.append(martingale_series(tr, params))
         size_rows.append(tr.infected_sizes)
     tmin = min(len(s) for s in series) - 1
     mat = np.stack([s[: tmin + 1] for s in series])

@@ -8,7 +8,6 @@ from bootperc.engine import (
     CLASS_ALMOST,
     CLASS_CENSORED,
     CLASS_STOPPED,
-    ExplicitSource,
     ImplicitSource,
     SeedSpec,
     TraceOptions,
@@ -86,7 +85,7 @@ class TestRunProcess:
             k = int(rng.integers(0, n // 2 + 1))
             seeds = rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist()
             oracle, _ = run_direct(g, seeds, r)
-            trace = run_process(ExplicitSource(g), SeedSpec.of(seeds), r)
+            trace = run_process(g, SeedSpec.of(seeds), r)
             assert frozenset(trace.final_infected.tolist()) == oracle
 
     def test_seed_monotonicity(self):
@@ -139,9 +138,7 @@ class TestRunProcess:
 
     def test_checkpoint_contents(self):
         g = from_edges(6, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6)])
-        trace = run_process(
-            ExplicitSource(g), SeedSpec.of([1, 2]), 2, TraceOptions(checkpoints=(2,))
-        )
+        trace = run_process(g, SeedSpec.of([1, 2]), 2, TraceOptions(checkpoints=(2,)))
         chk = trace.counters_at[2]
         assert chk.t == 2
         assert list(chk.examined) == [1, 2]
@@ -175,14 +172,14 @@ class TestMartingale:
         params = ProcessParams(n=200, p=0.01, r=2)
         trace = run_process(ImplicitSource(params, seed=2), SeedSpec.prefix(10), 2)
         series = martingale_series(trace, params)
-        assert series.values[0] == 0.0
+        assert series[0] == 0.0
 
     def test_exact_inversion(self):
         params = ProcessParams(n=500, p=5e-3, r=2)
         trace = run_process(ImplicitSource(params, seed=4), SeedSpec.prefix(15), 2)
         series = martingale_series(trace, params)
         a, n = trace.a, trace.n
-        for t, m in enumerate(series.values.tolist()):
+        for t, m in enumerate(series.tolist()):
             pi = binom_tail_geq(min(t, trace.T), params.p, 2)
             reconstructed = a + m * (1.0 - pi) + (n - a) * pi
             assert reconstructed == pytest.approx(trace.infected_sizes[t], abs=1e-9)
@@ -197,7 +194,7 @@ class TestMartingale:
         for trial in range(trials):
             src = ImplicitSource(params, rng=make_generator(31, trial, 0))
             tr = run_process(src, SeedSpec.prefix(8), 2, TraceOptions(max_steps=16))
-            series_list.append(martingale_series(tr, params).values)
+            series_list.append(martingale_series(tr, params))
         tmin = min(len(s) for s in series_list) - 1
         mat = np.stack([s[: tmin + 1] for s in series_list])
         mean = mat.mean(axis=0)
@@ -234,7 +231,7 @@ class TestMartingale:
                 with pytest.raises(DegenerateRegime):
                     martingale_series(trace, params)
                 continue
-            got = martingale_series(trace, params).values
+            got = martingale_series(trace, params)
             assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
 
     def test_csv_export(self, tmp_path):
@@ -302,7 +299,7 @@ class TestImplicitWalk:
             for a in a_values:
                 src = ImplicitSource(params, rng=make_generator(62, trial, a))
                 walk[a].append(stats(run_process(src, SeedSpec.prefix(a), 2)))
-                graph[a].append(stats(run_process(ExplicitSource(g), SeedSpec.prefix(a), 2)))
+                graph[a].append(stats(run_process(g, SeedSpec.prefix(a), 2)))
         almost = {}
         for a in a_values:
             w, e = np.array(walk[a], dtype=float), np.array(graph[a], dtype=float)

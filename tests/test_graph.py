@@ -3,19 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from bootperc.graph import (
     ComponentSummary,
     ExplicitGraph,
-    UnionFind,
+    _sample_edge_indices,
     _unrank_pairs,
     count_neighbors_in,
     from_edges,
     largest_component,
-    read_edge_list,
     sample_gnp,
-    write_edge_list,
 )
+from bootperc.rng import make_generator
 
 
 def bfs_components(g: ExplicitGraph, subset=None):
@@ -32,13 +33,21 @@ def bfs_components(g: ExplicitGraph, subset=None):
         seen.add(start)
         while queue:
             u = queue.pop()
-            for v in g.adj[u]:
+            for v in g.neighbors(u).tolist():
                 if v in allowed and v not in seen:
                     seen.add(v)
                     comp.add(v)
                     queue.append(v)
         comps.append(comp)
     return comps
+
+
+def scipy_components(g: ExplicitGraph, verts: np.ndarray) -> tuple[int, int]:
+    """scipy oracle: (component count, largest size) of the subgraph
+    induced on the sorted vertices ``verts``."""
+    adj = csr_matrix((np.ones(len(g.indices)), g.indices, g.indptr), shape=(g.n + 1, g.n + 1))
+    count, labels = connected_components(adj[verts][:, verts], directed=False)
+    return count, int(np.bincount(labels).max())
 
 
 class TestUnrank:
@@ -63,25 +72,44 @@ class TestSampling:
     def test_complete_graph(self):
         g = sample_gnp(10, 1.0, seed=1)
         assert g.edge_count == 45
-        assert g.adj[1] == list(range(2, 11))
+        assert g.neighbors(1).tolist() == list(range(2, 11))
+        assert g.neighbors(10).tolist() == list(range(1, 10))
 
     def test_structural_invariants(self):
         for seed in range(5):
             g = sample_gnp(400, 0.02, seed=seed)
+            assert len(g.indptr) == g.n + 2 and g.indptr[0] == g.indptr[1] == 0
+            assert g.indptr[-1] == len(g.indices) == 2 * g.edge_count
             for u in range(1, g.n + 1):
-                lst = g.adj[u]
+                lst = g.neighbors(u).tolist()
                 assert lst == sorted(lst)
                 assert len(lst) == len(set(lst))
                 assert u not in lst
                 for v in lst:
-                    assert u in g.adj[v]
+                    assert 1 <= v <= g.n
+                    assert u in g.neighbors(v).tolist()
+
+    def test_rows_match_pair_loop(self):
+        # reference: the sampler's pairs appended one by one to Python
+        # lists, each list then sorted
+        for n, p, seed in [(2, 0.5, 1), (300, 0.03, 2), (2000, 2e-3, 3), (40, 1.0, 4)]:
+            g = sample_gnp(n, p, seed=seed)
+            us, vs = _unrank_pairs(_sample_edge_indices(n, p, make_generator(seed)), n)
+            rows = [[] for _ in range(n + 1)]
+            for u, v in zip(us.tolist(), vs.tolist()):
+                rows[u].append(v)
+                rows[v].append(u)
+            assert [g.neighbors(u).tolist() for u in range(n + 1)] == [sorted(r) for r in rows]
 
     def test_determinism(self):
+        def rows(g):
+            return [g.neighbors(u).tolist() for u in range(g.n + 1)]
+
         g1 = sample_gnp(500, 0.01, seed=99)
         g2 = sample_gnp(500, 0.01, seed=99)
-        assert g1.adj == g2.adj
+        assert rows(g1) == rows(g2)
         g3 = sample_gnp(500, 0.01, seed=100)
-        assert g1.adj != g3.adj
+        assert rows(g1) != rows(g3)
 
     def test_edge_count_concentrates(self):
         n, p = 10_000, 1e-3
@@ -91,12 +119,17 @@ class TestSampling:
         assert abs(g.edge_count - mean) < 4 * sd
 
     def test_from_edges_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="self-loop at vertex 1"):
             from_edges(3, [(1, 1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"edge \(1,4\) outside 1..3"):
             from_edges(3, [(1, 4)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate edge"):
             from_edges(3, [(1, 2), (2, 1)])
+
+    def test_from_edges_sorts_rows(self):
+        g = from_edges(5, [(5, 1), (3, 1), (2, 5)])
+        assert [g.neighbors(u).tolist() for u in range(6)] == [[], [3, 5], [5], [1], [], [1, 2]]
+        assert g.edge_count == 3
 
 
 class TestComponents:
@@ -127,6 +160,16 @@ class TestComponents:
         assert summary.largest_size == 2
         assert summary.component_count == 2
 
+    def test_tie_goes_to_smallest_vertex(self):
+        # {4,5,6} and {1,2,3} are equally large; the one holding vertex 1
+        # wins, whatever the edge order
+        g = from_edges(7, [(5, 6), (4, 5), (3, 2), (2, 1)])
+        summary = largest_component(g, include_members=True)
+        assert summary.largest_members == (1, 2, 3)
+        assert summary.component_count == 3
+        sub = largest_component(g, subset=[6, 5, 4, 3, 2], include_members=True)
+        assert sub.largest_members == (4, 5, 6)  # {2,3} is smaller now
+
     def test_empty_subset(self):
         g = from_edges(4, [(1, 2)])
         summary = largest_component(g, subset=[])
@@ -145,6 +188,12 @@ class TestComponents:
             assert set(summary.largest_members) in [
                 c for c in comps if len(c) == summary.largest_size
             ]
+            # scipy's connected components, on the full graph and on a subset
+            subset = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n + 1)), replace=False)
+            for verts in (np.arange(1, n + 1), np.sort(subset)):
+                count, largest = scipy_components(g, verts)
+                summary = largest_component(g, subset=verts)
+                assert (summary.component_count, summary.largest_size) == (count, largest)
 
     def test_subset_matches_bfs(self):
         rng = np.random.default_rng(5)
@@ -177,32 +226,5 @@ class TestCountNeighbors:
         target = set(rng.choice(np.arange(1, 121), size=30, replace=False).tolist())
         counts = count_neighbors_in(g, target)
         for v in range(1, 121):
-            brute = sum(1 for w in g.adj[v] if w in target)
+            brute = sum(1 for w in g.neighbors(v).tolist() if w in target)
             assert counts[v] == brute
-
-
-class TestEdgeListIO:
-    def test_round_trip(self, tmp_path):
-        g = sample_gnp(60, 0.08, seed=21)
-        path = tmp_path / "edges.txt"
-        write_edge_list(g, path)
-        g2 = read_edge_list(path, 60)
-        assert g2.adj == g.adj
-
-    def test_format(self, tmp_path):
-        g = from_edges(4, [(3, 4), (1, 2)])
-        path = tmp_path / "edges.txt"
-        write_edge_list(g, path)
-        assert path.read_text() == "1 2\n3 4\n"
-
-
-class TestUnionFind:
-    def test_basic(self):
-        uf = UnionFind(5)
-        uf.union(0, 1)
-        uf.union(3, 4)
-        assert uf.find(0) == uf.find(1)
-        assert uf.find(3) == uf.find(4)
-        assert uf.find(0) != uf.find(3)
-        uf.union(1, 3)
-        assert uf.find(0) == uf.find(4)

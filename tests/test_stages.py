@@ -6,7 +6,6 @@ import pytest
 
 from bootperc import thresholds
 from bootperc.engine import (
-    ExplicitSource,
     ImplicitSource,
     SeedSpec,
     TraceOptions,
@@ -106,8 +105,8 @@ class TestEarlyGrowth:
 class TestQualifiedSet:
     def test_fresh_process_empty(self):
         # t1 = 0 edge case: no examined vertices, nobody qualifies at r = 2
-        src = ExplicitSource(sample_gnp(100, 0.02, seed=5))
-        trace = run_process(src, SeedSpec.prefix(10), 2, TraceOptions(checkpoints=(1,), max_steps=1))
+        g = sample_gnp(100, 0.02, seed=5)
+        trace = run_process(g, SeedSpec.prefix(10), 2, TraceOptions(checkpoints=(1,), max_steps=1))
         chk = trace.counters_at[1]
         witness = np.array([], dtype=np.int64)
         bhat = qualified_set(chk, witness, r=3)  # needs 2 neighbours among 1 examined
@@ -117,8 +116,7 @@ class TestQualifiedSet:
         # explicit fixture: counters at t1 must equal true neighbour counts
         # into Z(t1), so B-hat matches count_neighbors_in
         g = sample_gnp(600, 0.02, seed=33)
-        src = ExplicitSource(g)
-        trace = run_process(src, SeedSpec.prefix(40), 2, TraceOptions(checkpoints=(25,), max_steps=25))
+        trace = run_process(g, SeedSpec.prefix(40), 2, TraceOptions(checkpoints=(25,), max_steps=25))
         chk = trace.counters_at[25]
         z = chk.examined.tolist()
         counts = count_neighbors_in(g, z)
@@ -145,9 +143,9 @@ class TestQualifiedSet:
 
 class TestGiant:
     def test_trivial_sizes(self):
-        src = ExplicitSource(sample_gnp(30, 0.2, seed=3))
-        assert len(giant_in_qualified(src, np.array([], dtype=np.int64))) == 0
-        comp = giant_in_qualified(src, np.array([17], dtype=np.int64))
+        g = sample_gnp(30, 0.2, seed=3)
+        assert len(giant_in_qualified(g, np.array([], dtype=np.int64))) == 0
+        comp = giant_in_qualified(g, np.array([17], dtype=np.int64))
         assert comp.tolist() == [17]
 
     def test_synthetic_supercritical_size(self):
@@ -158,8 +156,8 @@ class TestGiant:
         rho = rho_fixed_point(0.3)
         fractions = []
         for trial in range(3):
-            src = ExplicitSource(sample_gnp_with(k, p, make_generator(7, trial, 0)))
-            comp = giant_in_qualified(src, np.arange(1, k + 1, dtype=np.int64))
+            g = sample_gnp_with(k, p, make_generator(7, trial, 0))
+            comp = giant_in_qualified(g, np.arange(1, k + 1, dtype=np.int64))
             fractions.append(len(comp) / k)
         for frac in fractions:
             assert abs(frac - rho) < 0.05
@@ -218,9 +216,8 @@ class TestCountForm:
 class TestBridgeExpand:
     def test_empty_component(self):
         pred = stage_predictions(PARAMS, ALPHA)
-        src = ExplicitSource(sample_gnp(50, 0.1, seed=9))
         res = bridge_and_expand(
-            src,
+            sample_gnp(50, 0.1, seed=9),
             witness=np.array([1, 2], dtype=np.int64),
             b_component=np.array([], dtype=np.int64),
             r=2,
@@ -237,10 +234,9 @@ class TestBridgeExpand:
 
         n = 12
         g = from_edges(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
-        src = ExplicitSource(g)
         pred = stage_predictions(PARAMS, ALPHA)  # targets irrelevant here
         res = bridge_and_expand(
-            src,
+            g,
             witness=np.array([1], dtype=np.int64),
             b_component=np.array([5, 6], dtype=np.int64),
             r=2,
@@ -253,13 +249,13 @@ class TestBridgeExpand:
         assert len(res.C) > 0
 
     def test_exclusion_discipline(self):
-        src, trace = capped_run(7, "explicit")
+        g, trace = capped_run(7, "explicit")
         chk = trace.counters_at[T1]
         witness = designated_witness(chk, PARAMS, ALPHA)
         bhat = qualified_set(chk, witness, PARAMS.r)
-        b = giant_in_qualified(src, bhat)
+        b = giant_in_qualified(g, bhat)
         res = bridge_and_expand(
-            src,
+            g,
             witness,
             b,
             PARAMS.r,
@@ -320,13 +316,13 @@ class TestBridgeExpand:
 
     def test_truncation_flag(self):
         # force |B| below the designated subset target by shrinking B
-        src, trace = capped_run(8, "explicit")
+        g, trace = capped_run(8, "explicit")
         chk = trace.counters_at[T1]
         witness = designated_witness(chk, PARAMS, ALPHA)
         bhat = qualified_set(chk, witness, PARAMS.r)
-        b = giant_in_qualified(src, bhat)[:5]
+        b = giant_in_qualified(g, bhat)[:5]
         res = bridge_and_expand(
-            src,
+            g,
             witness,
             b,
             PARAMS.r,
