@@ -147,7 +147,15 @@ def _cmd_run(args) -> int:
             )
         if args.mode == "explicit":
             checkpoints = (thresholds.stage_predictions(params, alpha).t1,)
-    opts = TraceOptions(checkpoints=checkpoints, percolation_threshold=args.threshold)
+    # an explicit run records |A(t)| only as far as its stages read it, so
+    # past that it finishes by closure; an implicit run's horizon decides
+    # which draws its walk makes, so it keeps None
+    horizon = None
+    if args.mode == "explicit" and not args.trace_out:
+        horizon = max(checkpoints, default=0)
+    opts = TraceOptions(
+        checkpoints=checkpoints, size_horizon=horizon, percolation_threshold=args.threshold
+    )
     # the run is trial 0 of an experiment with master seed --seed
     source, stage_source = montecarlo.trial_sources(params, args.mode, args.seed, 0)
     trace = run_process(source, SeedSpec.prefix(args.a), params.r, opts)

@@ -3,8 +3,9 @@
 Two interchangeable forms of the same process:
 
 * :func:`run_direct`: the fixed-point definition on an explicit graph:
-  sweep generations until no uninfected vertex has r infected neighbours.
-  This is the oracle form.
+  sweep generations until no uninfected vertex has r infected neighbours,
+  each generation one ``bincount`` over the rows of the vertices it
+  infected.  This is the oracle form.
 
 * :func:`run_process`: the examine-one-vertex reformulation: at step t
   the smallest unexamined infected vertex is examined and its edges to
@@ -13,7 +14,12 @@ Two interchangeable forms of the same process:
   The run stops at the first step T where the examined set has caught the
   infected set.  On an explicit graph (an :class:`ExplicitGraph`) the
   edges are read one examined vertex at a time, as a row of its CSR
-  arrays.  On an implicit G(n,p) (an :class:`ImplicitSource`) the process
+  arrays.  The examination order only matters for what a run records
+  (|A(t)| up to its size horizon, and its checkpoints); the final set is
+  the r-closure of the seeds whatever the order.  So an uncapped explicit
+  run with a size horizon steps only through its recorded window and then
+  finishes with the generation sweep of :func:`run_direct`, started from
+  A(t).  On an implicit G(n,p) (an :class:`ImplicitSource`) the process
   is not stepped at all: an uninfected vertex meets one fresh Bernoulli(p)
   pair per step, so infection steps are i.i.d. r-th success times (the
   reduction of Janson, Luczak, Turova and Vallier), and the engine walks
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ExplicitGraph
+from .graph import ExplicitGraph, count_neighbors_in
 from .rng import make_generator
 from .thresholds import DegenerateRegime, ProcessParams, binom_tail_geq, log_binom_lower
 
@@ -76,7 +82,9 @@ class TraceOptions:
         explicit runs only (an implicit run holds no per-vertex state).
     max_steps: hard cap on examined steps; a capped run is "Censored".
     size_horizon: record |A(t)| only for t <= horizon (the run itself
-        continues); None records the whole trajectory.
+        continues); None records the whole trajectory.  An uncapped
+        explicit run with a horizon stops stepping once it is past the
+        horizon and every checkpoint, and finishes by closure.
     percolation_threshold: fraction of n at which a finished run counts
         as almost-percolated.
     """
@@ -172,24 +180,25 @@ def run_direct(g: ExplicitGraph, seed_set, r: int) -> tuple[frozenset[int], int]
         raise ValueError("seed set outside 1..n")
     infected = np.zeros(g.n + 1, dtype=bool)
     infected[seeds] = True
-    counts = np.zeros(g.n + 1, dtype=np.int64)
-    frontier = seeds
+    generations = _close(g, infected, r)
+    return frozenset(np.flatnonzero(infected).tolist()), generations
+
+
+def _close(g: ExplicitGraph, infected: np.ndarray, r: int) -> int:
+    """Grow the mask ``infected`` (ids 0..n) in place to its r-closure on
+    g, one generation at a time: every uninfected vertex with at least r
+    infected neighbours joins.  The neighbour counts start from one
+    ``bincount`` over the infected rows and then add the rows of each
+    generation's joins.  Returns the number of productive generations."""
+    counts = count_neighbors_in(g, np.flatnonzero(infected))
     generations = 0
-    while frontier:
-        crossed = []
-        for u in frontier:
-            for v in g.neighbors(u).tolist():
-                if not infected[v]:
-                    counts[v] += 1
-                    if counts[v] == r:
-                        crossed.append(v)
-        joins = [v for v in crossed if not infected[v]]
-        if not joins:
-            break
+    while True:
+        joins = np.flatnonzero((counts >= r) & ~infected)
+        if not len(joins):
+            return generations
         generations += 1
         infected[joins] = True
-        frontier = joins
-    return frozenset(np.flatnonzero(infected).tolist()), generations
+        counts += count_neighbors_in(g, joins)
 
 
 def run_process(
@@ -246,6 +255,12 @@ def run_process(
 def _examine_graph(g: ExplicitGraph, seeds, r: int, opts: TraceOptions):
     """The process on a materialised graph, one examined vertex per step.
 
+    An uncapped run with a size horizon steps only until it has recorded
+    |A(t)| up to the horizon and taken every checkpoint, then finishes
+    with :func:`_close` on A(t): closure(A(t)) = closure(seeds), and an
+    uncapped run stops at T = |final set|.  A capped run steps to its cap,
+    since the set infected at the cap depends on the order.
+
     Returns (steps taken, recorded sizes, sorted final infected ids,
     checkpoints).
     """
@@ -264,14 +279,15 @@ def _examine_graph(g: ExplicitGraph, seeds, r: int, opts: TraceOptions):
     examined_order: list[int] = []
     horizon = opts.size_horizon
     max_steps = opts.max_steps
+    stop = max_steps
+    if max_steps is None and horizon is not None:
+        stop = max((horizon, *opts.checkpoints))
     sizes = [len(seeds)]
     infected_count = len(seeds)
     t = 0
     heappop, heappush = heapq.heappop, heapq.heappush
 
-    while heap:
-        if max_steps is not None and t >= max_steps:
-            break
+    while heap and (stop is None or t < stop):
         u = heappop(heap)
         t += 1
         examined[u] = 1
@@ -299,7 +315,11 @@ def _examine_graph(g: ExplicitGraph, seeds, r: int, opts: TraceOptions):
                 ).astype(np.int64),
             )
 
-    final = np.flatnonzero(np.frombuffer(bytes(infected), dtype=np.uint8)).astype(np.int64)
+    final_mask = np.frombuffer(infected, dtype=bool)
+    if heap and max_steps is None:
+        _close(g, final_mask, r)
+        t = int(np.count_nonzero(final_mask))
+    final = np.flatnonzero(final_mask).astype(np.int64)
     return t, sizes, final, checkpoints
 
 

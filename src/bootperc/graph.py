@@ -117,7 +117,14 @@ def _unrank_pairs(idxs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> ExplicitGraph:
-    """G(n,p) drawn from an existing generator (one graph per call)."""
+    """G(n,p) drawn from an existing generator (one graph per call).
+
+    One sort of the int64 keys src*(n+1) + dst, over both copies of every
+    edge, groups the rows and leaves each ascending.  The keys stay below
+    (n+1)^2, which fits in int64 for every n the sampler can allocate: up
+    to n = 3.03e9, where indptr alone takes 24 GB, and the pair unranking
+    already needs (2n-1)^2 < 2^63, that is n < 1.52e9.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not (0.0 <= p <= 1.0):
@@ -125,10 +132,10 @@ def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> ExplicitGraph
     if p <= 0.0 or n == 1:
         return from_edges(n, [])
     us, vs = _unrank_pairs(_sample_edge_indices(n, p, rng), n)
-    # pairs come in lexicographic order, so a stable sort on the source,
-    # with the (v, u) copies first, leaves every row ascending
-    src, dst = np.concatenate([vs, us]), np.concatenate([us, vs])
-    return _csr(n, src, dst[np.argsort(src, kind="stable")])
+    keys = np.concatenate([us * (n + 1) + vs, vs * (n + 1) + us])
+    keys.sort()
+    src, dst = np.divmod(keys, n + 1)
+    return _csr(n, src, dst)
 
 
 def sample_gnp(n: int, p: float, seed: int) -> ExplicitGraph:

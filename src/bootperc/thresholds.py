@@ -78,6 +78,7 @@ class CriticalValues:
     tc_asym: float
     ac_asym: float
     pi_hat_tc: float
+    tc_at_horizon: bool  # tc == min(t0_int, n): the scan's minimum sits on its last step
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,9 @@ def critical_pair(params: ProcessParams) -> CriticalValues:
     lies beyond it; ``t0_int`` still reports ceil(t0).  The scan
     minimises (n pi_hat(t) - t)/(1 - pi_hat(t)) in numpy chunks; the
     critical seed count a_c is minus that minimum and t_c is the smallest
-    step attaining it.  Also fills the first-order asymptotic references
+    step attaining it.  ``tc_at_horizon`` flags a t_c on the scan's last
+    step, min(t0_int, n), where a_c depends on where the scan stops.  Also
+    fills the first-order asymptotic references
     tc_asym = ((r-1)!/(np^r))^(1/(r-1)) and ac_asym = (1 - 1/r) tc_asym.
     """
     n, p, r = params.n, params.p, params.r
@@ -207,6 +210,7 @@ def critical_pair(params: ProcessParams) -> CriticalValues:
         tc_asym=tc_asym,
         ac_asym=(1.0 - 1.0 / r) * tc_asym,
         pi_hat_tc=-math.expm1(best_log_s),
+        tc_at_horizon=best_t == min(t0i, n),
     )
 
 

@@ -124,6 +124,20 @@ class TestRunCommand:
         assert code == 0
         validate(payload, "run.schema.json")
 
+    def test_explicit_closure_matches_traced_run(self, capsys, tmp_path):
+        # without --trace-out an explicit run finishes by closure; with it
+        # the run steps to the end to record every |A(t)|
+        args = ["run", "--n", "3000", "--p", "0.0022", "--r", "2", "--mode", "explicit"]
+        almost = 0
+        for a, seed in ((30, 1), (46, 2), (60, 3)):
+            run = [*args, "--a", str(a), "--seed", str(seed)]
+            _, closed = main_json(capsys, *run)
+            _, traced = main_json(capsys, *run, "--trace-out", str(tmp_path / "t.csv"))
+            traced.pop("trace_csv")
+            assert closed == traced
+            almost += closed["classification"] == "AlmostPercolated"
+        assert 0 < almost < 3
+
 
     def test_explicit_graph_is_trial_zero_of_an_experiment(self, capsys):
         # one stream layout: run --seed s samples the graph trial 0 of an

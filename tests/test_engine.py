@@ -27,7 +27,62 @@ from bootperc.thresholds import (
 )
 
 
+def run_direct_per_edge(g, seed_set, r):
+    """The per-edge fixed-point sweep that the vectorised ``run_direct``
+    replaced: one frontier vertex and one edge at a time.  The reference."""
+    seeds = sorted(set(int(v) for v in seed_set))
+    infected = np.zeros(g.n + 1, dtype=bool)
+    infected[seeds] = True
+    counts = np.zeros(g.n + 1, dtype=np.int64)
+    frontier = seeds
+    generations = 0
+    while frontier:
+        crossed = []
+        for u in frontier:
+            for v in g.neighbors(u).tolist():
+                if not infected[v]:
+                    counts[v] += 1
+                    if counts[v] == r:
+                        crossed.append(v)
+        joins = [v for v in crossed if not infected[v]]
+        if not joins:
+            break
+        generations += 1
+        infected[joins] = True
+        frontier = joins
+    return frozenset(np.flatnonzero(infected).tolist()), generations
+
+
+def sampled_cases(seed, count):
+    """(graph, r, seeds) over r in {1, 2, 3}, with prefix, scattered and
+    empty seed sets."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(rng.integers(20, 400))
+        r = case % 3 + 1
+        p = float(rng.choice([0.004, 0.01, 0.02, 0.05])) * r
+        g = sample_gnp(n, p, seed=int(rng.integers(0, 2**60)))
+        k = int(rng.integers(0, n // 4 + 1)) if case % 7 else 0
+        if case % 2:
+            seeds = rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist()
+        else:
+            seeds = list(range(1, k + 1))
+        yield g, r, seeds
+
+
 class TestRunDirect:
+    def test_matches_per_edge_reference(self):
+        fixed_points = 0
+        for g, r, seeds in sampled_cases(13, 120):
+            got = run_direct(g, seeds, r)
+            assert got == run_direct_per_edge(g, seeds, r)
+            # the final set is a fixed point: 0 generations from it
+            final = sorted(got[0])
+            assert run_direct(g, final, r) == (got[0], 0)
+            assert run_direct_per_edge(g, final, r) == (got[0], 0)
+            fixed_points += got[1] == 0
+        assert 0 < fixed_points < 120
+
     def test_empty_seed(self):
         g = sample_gnp(30, 0.2, seed=1)
         final, gens = run_direct(g, [], 2)
@@ -165,6 +220,53 @@ class TestRunProcess:
             pi = binom_tail_geq(t, params.p, 2)
             se = math.sqrt((params.n - a) * pi * (1.0 - pi) / trials)
             assert abs(mean[t] - (a + (params.n - a) * pi)) <= 4 * se
+
+
+class TestClosureTail:
+    """An uncapped explicit run past its size horizon and checkpoints
+    finishes by closure; the full one-vertex-per-step loop is the
+    reference."""
+
+    def test_tail_matches_full_loop(self):
+        rng = np.random.default_rng(14)
+        tails = 0
+        for g, r, seeds in sampled_cases(15, 150):
+            full = run_process(g, SeedSpec.of(seeds), r)
+            T = full.T
+            small = int(rng.integers(1, max(2, T // 2 + 1)))
+            for horizon in (0, small, T + 3):
+                checkpoints = tuple(sorted({max(1, horizon // 2), horizon + 2}))
+                opts = TraceOptions(checkpoints=checkpoints, size_horizon=horizon)
+                ref = run_process(g, SeedSpec.of(seeds), r, TraceOptions(checkpoints=checkpoints))
+                got = run_process(g, SeedSpec.of(seeds), r, opts)
+                assert (got.T, got.final_size, got.classification) == (
+                    ref.T,
+                    ref.final_size,
+                    ref.classification,
+                )
+                assert np.array_equal(got.final_infected, ref.final_infected)
+                assert np.array_equal(got.infected_sizes, ref.infected_sizes[: horizon + 1])
+                assert got.counters_at.keys() == ref.counters_at.keys()
+                for t, chk in ref.counters_at.items():
+                    mine = got.counters_at[t]
+                    assert mine.t == chk.t
+                    assert np.array_equal(mine.counters, chk.counters)
+                    assert np.array_equal(mine.examined, chk.examined)
+                    assert np.array_equal(mine.infected, chk.infected)
+                tails += T > max(horizon, *checkpoints)
+        assert tails >= 100
+
+    def test_capped_run_still_censored(self):
+        g = sample_gnp(2000, 3e-3, seed=21)
+        capped = run_process(g, SeedSpec.prefix(60), 2, TraceOptions(max_steps=40))
+        with_horizon = run_process(
+            g, SeedSpec.prefix(60), 2, TraceOptions(max_steps=40, size_horizon=10)
+        )
+        assert capped.classification == with_horizon.classification == CLASS_CENSORED
+        assert capped.T is None and with_horizon.T is None
+        assert np.array_equal(capped.final_infected, with_horizon.final_infected)
+        assert np.array_equal(with_horizon.infected_sizes, capped.infected_sizes[:11])
+        assert capped.final_size > 40
 
 
 class TestMartingale:

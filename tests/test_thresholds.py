@@ -202,6 +202,18 @@ class TestCriticalPair:
                 assert deficit(t) > at_tc
         assert 0 <= crit.ac <= crit.tc <= crit.t0_int
 
+    def test_tc_at_horizon(self):
+        # t_c on the scan's last step, min(t0_int, n): there a_c depends on
+        # where the scan stops
+        for (n, p, r), flag in (
+            ((10**6, 1e-5, 3), True),
+            ((10**6, 2e-6, 2), True),
+            ((10**6, 1e-4, 2), False),
+        ):
+            crit = critical_pair(ProcessParams(n=n, p=p, r=r))
+            assert crit.tc_at_horizon is flag, (n, p, r)
+            assert (crit.tc == min(crit.t0_int, n)) is flag
+
     def test_negative_ac_warns(self):
         # saturated regime: every scanned step already infects in expectation
         params = ProcessParams(n=5000, p=0.2, r=2)
@@ -264,6 +276,7 @@ class TestVectorisedScan:
         crit = critical_pair(params)
         assert crit.t0_int == math.ceil(t_zero(params))
         assert crit.tc == params.n
+        assert crit.tc_at_horizon
 
     def test_cli_returns_out_of_regime(self):
         proc = subprocess.run(
