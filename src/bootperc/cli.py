@@ -85,8 +85,18 @@ _CONFIG_COERCE = {
 }
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master seed (u64)")
+    parser.add_argument("--seed", type=_seed, default=0, help="master seed, a non-negative integer")
     parser.add_argument("--out", type=str, default=None, help="write output to this path")
     parser.add_argument("--format", choices=["json", "csv"], default=None)
     parser.add_argument(

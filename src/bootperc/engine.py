@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ExplicitGraph, count_neighbors_in
+from .graph import ExplicitGraph, _neighbor_counts
 from .rng import make_generator
 from .thresholds import DegenerateRegime, ProcessParams, binom_tail_geq, log_binom_lower
 
@@ -64,14 +64,26 @@ class SeedSpec:
         ms = tuple(sorted(set(int(v) for v in members)))
         return cls(a=len(ms), members=ms)
 
-    def resolve(self, n: int) -> tuple[int, ...]:
+    def _check(self, n: int) -> None:
         if not (0 <= self.a <= n):
             raise ValueError(f"seed count a={self.a} outside 0..{n}")
-        if self.members is None:
-            return tuple(range(1, self.a + 1))
         if self.members and not (1 <= self.members[0] and self.members[-1] <= n):
             raise ValueError("seed members outside 1..n")
+
+    def resolve(self, n: int) -> tuple[int, ...]:
+        self._check(n)
+        if self.members is None:
+            return tuple(range(1, self.a + 1))
         return self.members
+
+    def _prefix_size(self) -> int:
+        """a for the seeds {1..a}, without building them; ValueError for
+        any other seed set."""
+        if self.members is None:
+            return self.a
+        if any(v != k for k, v in enumerate(self.members, 1)):
+            raise ValueError("implicit runs take the prefix seeds {1..a} only")
+        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -190,7 +202,7 @@ def _close(g: ExplicitGraph, infected: np.ndarray, r: int) -> int:
     infected neighbours joins.  The neighbour counts start from one
     ``bincount`` over the infected rows and then add the rows of each
     generation's joins.  Returns the number of productive generations."""
-    counts = count_neighbors_in(g, np.flatnonzero(infected))
+    counts = _neighbor_counts(g, np.flatnonzero(infected))
     generations = 0
     while True:
         joins = np.flatnonzero((counts >= r) & ~infected)
@@ -198,7 +210,7 @@ def _close(g: ExplicitGraph, infected: np.ndarray, r: int) -> int:
             return generations
         generations += 1
         infected[joins] = True
-        counts += count_neighbors_in(g, joins)
+        counts += _neighbor_counts(g, joins)
 
 
 def run_process(
@@ -218,17 +230,18 @@ def run_process(
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     n = source.n
-    seeds = seed.resolve(n)
     if isinstance(source, ImplicitSource):
+        seed._check(n)
         if opts.checkpoints:
             raise ValueError("implicit runs take no checkpoints; use an explicit graph")
-        if seeds != tuple(range(1, len(seeds) + 1)):
-            raise ValueError("implicit runs take the prefix seeds {1..a} only")
-        steps, sizes, final_size = _walk_infection_times(source, len(seeds), r, opts)
+        a = seed._prefix_size()
+        steps, sizes, final_size = _walk_infection_times(source, a, r, opts)
         final_infected, checkpoints = None, {}
         source.bernoulli_draws += steps * n - steps * (steps + 1) // 2
         draws = source.bernoulli_draws
     else:
+        seeds = seed.resolve(n)
+        a = len(seeds)
         steps, sizes, final_infected, checkpoints = _examine_graph(source, seeds, r, opts)
         final_size, draws = len(final_infected), 0
     censored = final_size > steps
@@ -239,7 +252,7 @@ def run_process(
     else:
         classification = CLASS_STOPPED
     return PercolationTrace(
-        a=len(seeds),
+        a=a,
         n=n,
         r=r,
         infected_sizes=np.asarray(sizes, dtype=np.int64),

@@ -70,7 +70,7 @@ def from_edges(n: int, edges) -> ExplicitGraph:
 
 
 def _sample_edge_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Linearised indices of present pairs via geometric skips.
+    """Linearised indices of present pairs via geometric skips, ascending.
 
     Expected work is proportional to the edge count: the gap to the next
     present pair is geometric with success probability p.
@@ -81,8 +81,9 @@ def _sample_edge_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarr
     mean_left = total * p
     while True:
         size = max(64, int(mean_left + 4.0 * math.sqrt(mean_left + 1.0)))
-        gaps = rng.geometric(p, size=size).astype(np.int64)
-        idxs = pos + np.cumsum(gaps)
+        idxs = rng.geometric(p, size=size).astype(np.int64, copy=False)
+        np.cumsum(idxs, out=idxs)
+        idxs += pos
         cut = int(np.searchsorted(idxs, total))
         chunks.append(idxs[:cut])
         if cut < size:
@@ -92,50 +93,89 @@ def _sample_edge_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarr
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
 
 
+def _row_start(u, n: int):
+    """off(u - 1) = (u - 1)(2n - u) / 2: the number of pairs (x, y),
+    x < y, with x < u, so the index of the pair (u, u + 1)."""
+    return ((u - 1) * (2 * n - u)) >> 1
+
+
 def _unrank_pairs(idxs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (u, v), 1 <= u < v <= n, at 0-based lexicographic indices:
-    the float quadratic inverse with an exact integer fix-up."""
-    a = 2 * n - 1
-    disc = a * a - 8 * idxs
-    m = ((a - np.sqrt(disc.astype(np.float64))) // 2).astype(np.int64)
+    """Pairs (u, v), 1 <= u < v <= n, at the ascending 0-based
+    lexicographic indices ``idxs``, exactly.
 
-    def off(mm):
-        # number of pairs (u, v), u < v, with u <= mm
-        return mm * n - mm * (mm + 1) // 2
-
-    over = off(m) > idxs
-    while over.any():
-        m[over] -= 1
-        over = off(m) > idxs
-    under = off(m + 1) <= idxs
-    while under.any():
-        m[under] += 1
-        under = off(m + 1) <= idxs
-    u = m + 1
-    v = u + 1 + (idxs - off(m))
+    With at least n indices, the rows come from counting the indices
+    below each row start.  With fewer, u comes from the float inverse of
+    the row start, which is stable at both ends because it is taken in the
+    pairs after the index, j = C(n,2) - 1 - idx: u = floor((2n + 1 -
+    sqrt(8j + 9)) / 2).  The guess is checked by u < v <= n and moved one
+    row at a time where it misses.  Every product stays below n^2.
+    """
+    if n <= len(idxs):
+        rows = np.arange(1, n, dtype=np.int64)
+        starts = _row_start(rows, n)
+        counts = np.diff(np.searchsorted(idxs, starts), append=len(idxs))
+        u = np.repeat(rows, counts)
+        v = idxs - np.repeat(starts - rows - 1, counts)
+        return u, v
+    guess = ((n * (n - 1) // 2 - 1) - idxs).astype(np.float64)
+    guess *= 8.0
+    guess += 9.0
+    np.sqrt(guess, out=guess)
+    np.subtract(2 * n + 1, guess, out=guess)
+    guess *= 0.5
+    np.floor(guess, out=guess)
+    u = guess.astype(np.int64)
+    del guess
+    v = idxs - _row_start(u, n)
+    v += u
+    v += 1
+    miss = np.flatnonzero((v <= u) | (v > n))
+    while len(miss):
+        um = u[miss] + np.where(v[miss] > n, 1, -1)
+        vm = idxs[miss] - _row_start(um, n) + um + 1
+        u[miss], v[miss] = um, vm
+        miss = miss[(vm <= um) | (vm > n)]
     return u, v
+
+
+# the CSR keys stay below (n + 1)^2, which must fit in int64
+MAX_N = math.isqrt(2**63 - 1) - 1
 
 
 def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> ExplicitGraph:
     """G(n,p) drawn from an existing generator (one graph per call).
 
-    One sort of the int64 keys src*(n+1) + dst, over both copies of every
-    edge, groups the rows and leaves each ascending.  The keys stay below
-    (n+1)^2, which fits in int64 for every n the sampler can allocate: up
-    to n = 3.03e9, where indptr alone takes 24 GB, and the pair unranking
-    already needs (2n-1)^2 < 2^63, that is n < 1.52e9.
+    The rows come from the int64 keys src*(n+1) + dst over both copies of
+    every edge.  The upper copies (src < dst) already ascend with the pair
+    index, so only the lower copies are sorted, and a stable sort (timsort)
+    merges the two ascending runs.  ``indptr`` comes from the degrees and
+    ``indices`` is the keys mod n+1.  The keys stay below (n+1)^2 < 2^63,
+    so n is at most ``MAX_N`` = 3037000498 (where indptr alone takes
+    24 GB); a larger n raises ValueError before anything is drawn.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not (1 <= n <= MAX_N):
+        raise ValueError(f"n must lie in 1..{MAX_N}, got {n}")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0,1], got {p}")
     if p <= 0.0 or n == 1:
         return from_edges(n, [])
     us, vs = _unrank_pairs(_sample_edge_indices(n, p, rng), n)
-    keys = np.concatenate([us * (n + 1) + vs, vs * (n + 1) + us])
-    keys.sort()
-    src, dst = np.divmod(keys, n + 1)
-    return _csr(n, src, dst)
+    e, n1 = len(us), n + 1
+    indptr = np.zeros(n + 2, dtype=np.int64)
+    indptr[1:] = np.bincount(us, minlength=n1)
+    indptr[1:] += np.bincount(vs, minlength=n1)
+    np.cumsum(indptr, out=indptr)
+    keys = np.empty(2 * e, dtype=np.int64)
+    upper, lower = keys[:e], keys[e:]
+    np.multiply(vs, n1, out=lower)
+    lower += us
+    lower.sort()
+    np.multiply(us, n1, out=upper)
+    upper += vs
+    del us, vs
+    keys.sort(kind="stable")
+    np.remainder(keys, n1, out=keys)
+    return ExplicitGraph(n=n, indptr=indptr, indices=keys)
 
 
 def sample_gnp(n: int, p: float, seed: int) -> ExplicitGraph:
@@ -163,13 +203,25 @@ def _vertex_mask(vertices, n: int, label: str) -> np.ndarray:
     return mask
 
 
-def _rows_of(g: ExplicitGraph, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every entry (u, w) in the rows of the vertices vs, as two arrays."""
+def _row_entries(g: ExplicitGraph, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the vertices vs, concatenated, and their lengths."""
     starts = g.indptr[vs]
     lens = g.indptr[vs + 1] - starts
     # position of each entry: its row's start plus its rank within the row
     pos = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
-    return np.repeat(vs, lens), g.indices[pos]
+    return g.indices[pos], lens
+
+
+def _rows_of(g: ExplicitGraph, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every entry (u, w) in the rows of the vertices vs, as two arrays."""
+    ws, lens = _row_entries(g, vs)
+    return np.repeat(vs, lens), ws
+
+
+def _neighbor_counts(g: ExplicitGraph, vs: np.ndarray) -> np.ndarray:
+    """Per-vertex count of neighbours among the distinct, in-range
+    vertices vs, indexed by vertex id."""
+    return np.bincount(_row_entries(g, vs)[0], minlength=g.n + 1)
 
 
 def largest_component(
@@ -228,5 +280,4 @@ def count_neighbors_in(g: ExplicitGraph, target_set) -> np.ndarray:
 
     Returns an array indexed by vertex id (entry 0 unused).
     """
-    targets = np.flatnonzero(_vertex_mask(target_set, g.n, "target vertex"))
-    return np.bincount(_rows_of(g, targets)[1], minlength=g.n + 1)
+    return _neighbor_counts(g, np.flatnonzero(_vertex_mask(target_set, g.n, "target vertex")))

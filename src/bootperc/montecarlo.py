@@ -70,6 +70,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if not (0.0 < self.percolation_threshold <= 1.0):
             raise ValueError(
                 f"percolation_threshold must lie in (0,1], got {self.percolation_threshold}"

@@ -31,12 +31,15 @@ def _splitmix64(x: int) -> int:
 
 
 def derive_key(*parts: int) -> tuple[int, int]:
-    """Fold integer parts into a 128-bit key.  Order-sensitive."""
+    """Fold non-negative integer parts into a 128-bit key.
+    Order-sensitive; ValueError for a negative part."""
     h = 0
-    for part in parts:
-        h = _splitmix64(h ^ (int(part) & _MASK64))
+    for part in map(int, parts):
+        if part < 0:
+            raise ValueError(f"stream key parts must be non-negative, got {part}")
+        h = _splitmix64(h ^ (part & _MASK64))
         # absorb the high bits of arbitrarily large Python ints
-        extra = int(part) >> 64
+        extra = part >> 64
         while extra:
             h = _splitmix64(h ^ (extra & _MASK64))
             extra >>= 64

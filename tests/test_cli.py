@@ -181,6 +181,30 @@ def test_csv_format_rejected(capsys, argv):
     assert "--format csv" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("thresholds", "--n", "2000", "--p", "0.003", "--r", "2"),
+        ("run", "--n", "2000", "--p", "0.003", "--r", "2", "--a", "40"),
+        ("stages", "--n", "2000", "--p", "0.003", "--r", "2", "--a", "40"),
+        ("sweep", "--n", "2000", "--p", "0.003", "--r", "2", "--trials", "2", "--a-list", "40"),
+        ("giant", "--m", "2000", "--eps", "0.2"),
+        ("bounds", "--chernoff", "lower", "--mean", "10", "--lam", "3"),
+    ],
+)
+def test_negative_seed_rejected(argv):
+    # a child process under a timeout, since a negative seed once hung
+    for seed in ("--seed=-5", "--seed=x"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bootperc.cli", *argv, seed],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "argument --seed:" in proc.stderr and "non-negative integer" in proc.stderr
+
+
 class TestGiantCommand:
     def test_schema_and_prediction(self, capsys):
         code, payload = main_json(capsys, "giant", "--m", "20000", "--eps", "0.2", "--seed", "3")
@@ -297,6 +321,13 @@ class TestConfigOverlay:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("bogus=1\n")
         assert cli.main(["thresholds", "--config", str(cfg), "--n", "10", "--p", "0.1", "--r", "2"]) == 2
+
+    def test_negative_seed_in_file_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed=-3\n")
+        code = cli.main(["thresholds", "--n", "2000", "--p", "0.003", "--r", "2", "--config", str(cfg)])
+        assert code == 2
+        assert "must be a non-negative integer, got -3" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert cli.main(["thresholds", "--config", "/nonexistent.cfg", "--n", "10", "--p", "0.1", "--r", "2"]) == 2

@@ -362,6 +362,37 @@ class TestSeedSpec:
         with pytest.raises(ValueError):
             SeedSpec.of([0, 2]).resolve(10)
 
+    def test_implicit_prefix_check(self, monkeypatch):
+        params = ProcessParams(n=100, p=0.02, r=2)
+
+        def run(seed, **opts):
+            return run_process(ImplicitSource(params, seed=3), seed, 2, TraceOptions(**opts))
+
+        as_members, as_prefix = run(SeedSpec.of([3, 1, 2])), run(SeedSpec.prefix(3))
+        assert np.array_equal(as_members.infected_sizes, as_prefix.infected_sizes)
+        assert run(SeedSpec.of([])).a == 0
+        for seed, opts, message in [
+            (SeedSpec.of([1, 3]), {}, "prefix seeds"),
+            (SeedSpec.of([2, 3]), {}, "prefix seeds"),
+            (SeedSpec.prefix(101), {}, "outside 0..100"),
+            (SeedSpec.of([1, 101]), {}, "seed members outside"),
+            (SeedSpec.prefix(101), {"checkpoints": (2,)}, "outside 0..100"),
+            (SeedSpec.prefix(3), {"checkpoints": (2,)}, "no checkpoints"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                run(seed, **opts)
+
+        # a prefix run never builds the seed tuple
+        def no_resolve(self, n):
+            raise AssertionError("resolve called")
+
+        monkeypatch.setattr(SeedSpec, "resolve", no_resolve)
+        big = ProcessParams(n=10**9, p=1e-7, r=2)
+        trace = run_process(
+            ImplicitSource(big, seed=1), SeedSpec.prefix(50_000), 2, TraceOptions(max_steps=10)
+        )
+        assert trace.a == 50_000 and trace.infected_sizes[0] == 50_000
+
 
 def two_sample_z(xs, ys) -> float:
     """Welch z statistic for the difference of two sample means."""

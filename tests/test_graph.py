@@ -7,6 +7,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from bootperc.graph import (
+    MAX_N,
     ComponentSummary,
     ExplicitGraph,
     _sample_edge_indices,
@@ -15,6 +16,7 @@ from bootperc.graph import (
     from_edges,
     largest_component,
     sample_gnp,
+    sample_gnp_with,
 )
 from bootperc.rng import make_generator
 
@@ -50,6 +52,68 @@ def scipy_components(g: ExplicitGraph, verts: np.ndarray) -> tuple[int, int]:
     return count, int(np.bincount(labels).max())
 
 
+def reference_edge_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """The geometric-skip draw loop as first written, with a fresh array
+    per cumulative sum."""
+    total = n * (n - 1) // 2
+    chunks = []
+    pos = -1
+    mean_left = total * p
+    while True:
+        size = max(64, int(mean_left + 4.0 * math.sqrt(mean_left + 1.0)))
+        gaps = rng.geometric(p, size=size).astype(np.int64)
+        idxs = pos + np.cumsum(gaps)
+        cut = int(np.searchsorted(idxs, total))
+        chunks.append(idxs[:cut])
+        if cut < size:
+            break
+        pos = int(idxs[-1])
+        mean_left = (total - pos) * p
+    return np.concatenate(chunks)
+
+
+def reference_unrank_pairs(idxs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The float quadratic inverse with an integer fix-up that evaluates
+    off(m) until it holds; needs (2n - 1)^2 < 2^63."""
+    a = 2 * n - 1
+    disc = a * a - 8 * idxs
+    m = ((a - np.sqrt(disc.astype(np.float64))) // 2).astype(np.int64)
+
+    def off(mm):
+        # number of pairs (u, v), u < v, with u <= mm
+        return mm * n - mm * (mm + 1) // 2
+
+    over = off(m) > idxs
+    while over.any():
+        m[over] -= 1
+        over = off(m) > idxs
+    under = off(m + 1) <= idxs
+    while under.any():
+        m[under] += 1
+        under = off(m + 1) <= idxs
+    u = m + 1
+    return u, u + 1 + (idxs - off(m))
+
+
+def reference_csr(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of sample_gnp(n, p, seed) from one sort of the
+    keys src*(n+1) + dst over both copies of every edge, split by divmod."""
+    indptr = np.zeros(n + 2, dtype=np.int64)
+    if p <= 0.0 or n == 1:
+        return indptr, np.empty(0, dtype=np.int64)
+    us, vs = reference_unrank_pairs(reference_edge_indices(n, p, make_generator(seed)), n)
+    keys = np.concatenate([us * (n + 1) + vs, vs * (n + 1) + us])
+    keys.sort()
+    src, dst = np.divmod(keys, n + 1)
+    np.cumsum(np.bincount(src, minlength=n + 1), out=indptr[1:])
+    return indptr, dst
+
+
+def pair_rank(u: int, v: int, n: int) -> int:
+    """0-based lexicographic index of the pair (u, v), in Python ints."""
+    return (u - 1) * (2 * n - u) // 2 + (v - u - 1)
+
+
 class TestUnrank:
     def test_bijection_small(self):
         for n in [2, 3, 5, 17, 40]:
@@ -62,6 +126,27 @@ class TestUnrank:
         total = n * (n - 1) // 2
         us, vs = _unrank_pairs(np.array([total - 1, 0], dtype=np.int64), n)
         assert list(zip(us.tolist(), vs.tolist())) == [(n - 1, n), (1, 2)]
+
+    def test_fewer_indices_than_rows(self):
+        # below n indices the rows come from the float inverse, not counting
+        rng = np.random.default_rng(11)
+        for n in [3, 17, 40, 300, 3000]:
+            for size in (1, n // 2, n - 1):
+                idxs = np.sort(rng.choice(n * (n - 1) // 2, size=size, replace=False))
+                us, vs = _unrank_pairs(idxs.astype(np.int64), n)
+                for idx, u, v in zip(idxs.tolist(), us.tolist(), vs.tolist()):
+                    assert 1 <= u < v <= n and pair_rank(u, v, n) == idx
+
+    def test_beyond_float_exact_squares(self):
+        # (2n - 1)^2 overflows int64 here; the unranking never forms it
+        n = 1_600_000_000
+        total = n * (n - 1) // 2
+        idxs = [0, 1, n - 2, n - 1, total // 3, total // 2, total - 3, total - 2, total - 1]
+        us, vs = _unrank_pairs(np.array(idxs, dtype=np.int64), n)
+        pairs = list(zip(us.tolist(), vs.tolist()))
+        assert pairs[0] == (1, 2) and pairs[3] == (2, 3) and pairs[-1] == (n - 1, n)
+        for idx, (u, v) in zip(idxs, pairs):
+            assert 1 <= u < v <= n and pair_rank(u, v, n) == idx
 
 
 class TestSampling:
@@ -100,6 +185,27 @@ class TestSampling:
                 rows[u].append(v)
                 rows[v].append(u)
             assert [g.neighbors(u).tolist() for u in range(n + 1)] == [sorted(r) for r in rows]
+
+    def test_csr_matches_reference_builder(self):
+        ps = [1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0]
+        cases = [(n, p, seed) for n in [2, 3, 5, 40, 300, 3000] for p in ps for seed in (0, 1, 2)]
+        # one seed where a graph has over 10^5 edges
+        cases = [(n, p, seed) for n, p, seed in cases if seed == 0 or n * n * p < 2e5]
+        cases += [(50_000, 4e-4, 3), (1_000_000, 1.2e-6, 4)]  # n <= E and n > E
+        for n, p, seed in cases:
+            g = sample_gnp(n, p, seed=seed)
+            indptr, indices = reference_csr(n, p, seed)
+            assert g.indptr.dtype == g.indices.dtype == np.int64
+            assert np.array_equal(g.indptr, indptr), (n, p, seed)
+            assert np.array_equal(g.indices, indices), (n, p, seed)
+
+    def test_n_bound_checked_before_drawing(self):
+        assert MAX_N == 3_037_000_498 and (MAX_N + 1) ** 2 < 2**63 <= (MAX_N + 2) ** 2
+        for n in (MAX_N + 1, 3_100_000_000):
+            with pytest.raises(ValueError, match="n must lie in 1..3037000498"):
+                sample_gnp_with(n, 1e-20, make_generator(0))
+        with pytest.raises(ValueError, match="n must lie in"):
+            sample_gnp_with(0, 0.5, make_generator(0))
 
     def test_determinism(self):
         def rows(g):

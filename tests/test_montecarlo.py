@@ -223,6 +223,8 @@ class TestRunExperiment:
             ExperimentConfig(
                 params=PARAMS, seed_size=SeedSizeSpec(a=1), trials=1, master_seed=0, mode="magic"
             )
+        with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+            ExperimentConfig(params=PARAMS, seed_size=SeedSizeSpec(a=1), trials=1, master_seed=-1)
 
 
 class TestSweep:
