@@ -42,14 +42,6 @@ class ComponentSummary:
     largest_members: tuple[int, ...] | None = None
 
 
-def _csr(n: int, src: np.ndarray, indices: np.ndarray) -> ExplicitGraph:
-    """The graph whose rows are ``indices`` grouped by the source vertices
-    ``src`` (each row already sorted)."""
-    indptr = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n + 1), out=indptr[1:])
-    return ExplicitGraph(n=n, indptr=indptr, indices=indices)
-
-
 def from_edges(n: int, edges) -> ExplicitGraph:
     """Build a graph from (u, v) pairs; symmetrises and sorts."""
     pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
@@ -66,7 +58,9 @@ def from_edges(n: int, edges) -> ExplicitGraph:
     dup = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
     if dup.any():
         raise ValueError(f"duplicate edge involving vertex {dst[np.argmax(dup) + 1]}")
-    return _csr(n, src, dst)
+    indptr = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n + 1), out=indptr[1:])
+    return ExplicitGraph(n=n, indptr=indptr, indices=dst)
 
 
 def _sample_edge_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
