@@ -75,9 +75,8 @@ def _sample_edge_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarr
     mean_left = total * p
     while True:
         size = max(64, int(mean_left + 4.0 * math.sqrt(mean_left + 1.0)))
-        idxs = rng.geometric(p, size=size).astype(np.int64, copy=False)
-        np.cumsum(idxs, out=idxs)
-        idxs += pos
+        gaps = rng.geometric(p, size=size).astype(np.int64)
+        idxs = pos + np.cumsum(gaps)
         cut = int(np.searchsorted(idxs, total))
         chunks.append(idxs[:cut])
         if cut < size:
@@ -94,23 +93,15 @@ def _row_start(u, n: int):
 
 
 def _unrank_pairs(idxs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (u, v), 1 <= u < v <= n, at the ascending 0-based
-    lexicographic indices ``idxs``, exactly.
+    """Pairs (u, v), 1 <= u < v <= n, at the 0-based lexicographic
+    indices ``idxs``, exactly.
 
-    With at least n indices, the rows come from counting the indices
-    below each row start.  With fewer, u comes from the float inverse of
-    the row start, which is stable at both ends because it is taken in the
-    pairs after the index, j = C(n,2) - 1 - idx: u = floor((2n + 1 -
-    sqrt(8j + 9)) / 2).  The guess is checked by u < v <= n and moved one
-    row at a time where it misses.  Every product stays below n^2.
+    u comes from the float inverse of the row start, taken in the pairs
+    after the index, j = C(n,2) - 1 - idx, so that it is stable at both
+    ends: u = floor((2n + 1 - sqrt(8j + 9)) / 2).  The guess is checked by
+    u < v <= n and moved one row at a time where it misses.  Every product
+    stays below n^2.
     """
-    if n <= len(idxs):
-        rows = np.arange(1, n, dtype=np.int64)
-        starts = _row_start(rows, n)
-        counts = np.diff(np.searchsorted(idxs, starts), append=len(idxs))
-        u = np.repeat(rows, counts)
-        v = idxs - np.repeat(starts - rows - 1, counts)
-        return u, v
     guess = ((n * (n - 1) // 2 - 1) - idxs).astype(np.float64)
     guess *= 8.0
     guess += 9.0
@@ -206,12 +197,6 @@ def _row_entries(g: ExplicitGraph, vs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return g.indices[pos], lens
 
 
-def _rows_of(g: ExplicitGraph, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every entry (u, w) in the rows of the vertices vs, as two arrays."""
-    ws, lens = _row_entries(g, vs)
-    return np.repeat(vs, lens), ws
-
-
 def _neighbor_counts(g: ExplicitGraph, vs: np.ndarray) -> np.ndarray:
     """Per-vertex count of neighbours among the distinct, in-range
     vertices vs, indexed by vertex id."""
@@ -240,7 +225,8 @@ def largest_component(
     verts = np.flatnonzero(inside)
     if not len(verts):
         return ComponentSummary(0, 0, () if include_members else None)
-    us, ws = _rows_of(g, verts)
+    ws, lens = _row_entries(g, verts)
+    us = np.repeat(verts, lens)
     keep = (us < ws) & inside[ws]
     us, ws = us[keep], ws[keep]
     root = np.arange(g.n + 1, dtype=np.int64)
