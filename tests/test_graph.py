@@ -107,15 +107,6 @@ class TestUnrank:
         us, vs = _unrank_pairs(np.array([total - 1, 0], dtype=np.int64), n)
         assert list(zip(us.tolist(), vs.tolist())) == [(n - 1, n), (1, 2)]
 
-    def test_random_index_sets(self):
-        rng = np.random.default_rng(11)
-        for n in [3, 17, 40, 300, 3000]:
-            for size in (1, n // 2, min(4 * n, n * (n - 1) // 2)):
-                idxs = np.sort(rng.choice(n * (n - 1) // 2, size=size, replace=False))
-                us, vs = _unrank_pairs(idxs.astype(np.int64), n)
-                for idx, u, v in zip(idxs.tolist(), us.tolist(), vs.tolist()):
-                    assert 1 <= u < v <= n and pair_rank(u, v, n) == idx
-
     def test_beyond_float_exact_squares(self):
         # (2n - 1)^2 overflows int64 here; the unranking never forms it
         n = 1_600_000_000
