@@ -5,6 +5,9 @@ Commands: ``thresholds``, ``run``, ``sweep``, ``giant``, ``bounds`` and
 by default, CSV for sweep curves.  All probabilities print with 12
 significant digits.  Exit codes: 0 success, 2 argument/validation error,
 3 degenerate-regime error, 1 unexpected internal failure.
+
+Each command imports the modules it runs when it is called, and parsing
+imports none of them, so ``--help`` and usage errors never load numpy.
 """
 
 from __future__ import annotations
@@ -13,13 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
-
-from . import montecarlo, stages, thresholds
-from .engine import SeedSpec, TraceOptions, run_process, write_trace_csv
-from .graph import largest_component, sample_gnp
-from .montecarlo import ExperimentConfig, SeedSizeSpec
-from .thresholds import DegenerateRegime, NoConvergence, ProcessParams
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -120,11 +116,17 @@ def _resolve_workers(args) -> int:
     return 1
 
 
-def _params_from(args) -> ProcessParams:
+def _params_from(args):
+    from .thresholds import ProcessParams
+
     return ProcessParams(n=args.n, p=args.p, r=args.r)
 
 
 def _cmd_thresholds(args) -> int:
+    from dataclasses import asdict
+
+    from . import thresholds
+
     params = _params_from(args)
     crit = thresholds.critical_pair(params)
     payload = {
@@ -141,6 +143,9 @@ def _cmd_thresholds(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from . import montecarlo, stages, thresholds
+    from .engine import SeedSpec, TraceOptions, run_process, write_trace_csv
+
     params = _params_from(args)
     if not (0 <= args.a <= params.n):
         raise ValueError(f"a={args.a} outside 0..{params.n}")
@@ -192,6 +197,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from dataclasses import asdict
+
+    from . import montecarlo, thresholds
+    from .montecarlo import ExperimentConfig, SeedSizeSpec
+
     params = _params_from(args)
     crit = thresholds.critical_pair(params)
     if args.a_list:
@@ -221,6 +231,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_giant(args) -> int:
+    from . import thresholds
+    from .graph import largest_component, sample_gnp
+
     if not args.eps > 0:
         raise ValueError(f"eps must be > 0, got {args.eps}")
     if args.m < 2:
@@ -246,6 +259,8 @@ def _cmd_giant(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import thresholds
+
     chosen = [
         name
         for name, flag in [
@@ -405,24 +420,35 @@ def _apply_config_overlay(argv: list[str]) -> list[str]:
     return argv + extra
 
 
+def _parse(argv: list[str]):
+    """The parsed arguments, or the exit code when parsing ends the run."""
+    argv = _apply_config_overlay(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    if args.format == "csv" and args.func is not _cmd_sweep:
+        raise ValueError(f"--format csv is only supported by sweep, not {args.command}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _apply_config_overlay(argv)
+        args = _parse(argv)
+        if isinstance(args, int):
+            return args
+        # the first numeric import: a command is about to run
+        from .thresholds import DegenerateRegime, NoConvergence
+
         try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-        if args.format == "csv" and args.func is not _cmd_sweep:
-            raise ValueError(f"--format csv is only supported by sweep, not {args.command}")
-        return args.func(args)
+            return args.func(args)
+        except (DegenerateRegime, NoConvergence) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DEGENERATE
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DegenerateRegime, NoConvergence) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

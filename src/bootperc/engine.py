@@ -55,19 +55,30 @@ class SeedSpec:
     a: int
     members: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        if self.members is None:
+            return
+        members = tuple(sorted(set(int(v) for v in self.members)))
+        if members and members[0] < 1:
+            raise ValueError("seed members outside 1..n")
+        if self.a != len(members):
+            raise ValueError(f"seed count a={self.a} but {len(members)} distinct members")
+        # the engine takes the members as a sorted heap of distinct ids
+        object.__setattr__(self, "members", members)
+
     @classmethod
     def prefix(cls, a: int) -> "SeedSpec":
         return cls(a=a)
 
     @classmethod
     def of(cls, members) -> "SeedSpec":
-        ms = tuple(sorted(set(int(v) for v in members)))
-        return cls(a=len(ms), members=ms)
+        ms = set(int(v) for v in members)
+        return cls(a=len(ms), members=tuple(ms))
 
     def _check(self, n: int) -> None:
         if not (0 <= self.a <= n):
             raise ValueError(f"seed count a={self.a} outside 0..{n}")
-        if self.members and not (1 <= self.members[0] and self.members[-1] <= n):
+        if self.members and self.members[-1] > n:
             raise ValueError("seed members outside 1..n")
 
     def resolve(self, n: int) -> tuple[int, ...]:

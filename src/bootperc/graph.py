@@ -235,13 +235,15 @@ def largest_component(
         split = ru != rw
         if not split.any():
             break
-        lo, hi = np.minimum(ru[split], rw[split]), np.maximum(ru[split], rw[split])
-        root[hi] = lo  # hi is a root; any of its smaller partners will do
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
+        # an edge inside one component stays inside it
+        us, ws, ru, rw = us[split], ws[split], ru[split], rw[split]
+        root[np.maximum(ru, rw)] = np.minimum(ru, rw)  # any smaller partner will do
+        # jump only the labels that still move; a root never moves
+        moving = np.flatnonzero(root[root] != root)
+        while len(moving):
+            up = root[root[moving]]
+            root[moving] = up
+            moving = moving[root[up] != up]
     labels = root[verts]
     sizes = np.bincount(labels)
     best = int(np.argmax(sizes))  # the first maximum: smallest label

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
-from statistics import NormalDist
 
 import numpy as np
 
@@ -157,6 +155,8 @@ def wilson_interval(
         raise ValueError(f"successes={successes} outside 0..{trials}")
     if not (0.0 < confidence < 1.0):
         raise ValueError(f"confidence must lie in (0,1), got {confidence}")
+    from statistics import NormalDist
+
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
@@ -242,6 +242,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     ]
     workers = min(config.workers, config.trials, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, config.trials // (workers * 4))
             results = list(pool.map(_run_trial, tasks, chunksize=chunk))

@@ -62,7 +62,8 @@ class TestThresholdsCommand:
         def boom(params):
             raise thresholds.DegenerateRegime("pi_hat reached 1")
 
-        monkeypatch.setattr(cli.thresholds, "critical_pair", boom)
+        # the command reads thresholds.critical_pair when it runs
+        monkeypatch.setattr(thresholds, "critical_pair", boom)
         code = cli.main(["thresholds", "--n", "1000", "--p", "0.5", "--r", "2"])
         assert code == 3
 

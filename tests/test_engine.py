@@ -362,6 +362,22 @@ class TestSeedSpec:
         with pytest.raises(ValueError):
             SeedSpec.of([0, 2]).resolve(10)
 
+    def test_constructor_sorts_and_checks_members(self):
+        path = from_edges(6, [(v, v + 1) for v in range(1, 6)])
+        # members out of order are sorted, so the range check sees them all
+        with pytest.raises(ValueError, match="seed members outside"):
+            run_process(path, SeedSpec(a=2, members=(5, 0)), 1)
+        with pytest.raises(ValueError, match="seed members outside"):
+            run_process(path, SeedSpec(a=2, members=(7, 1)), 1)
+        # a counts the distinct members
+        with pytest.raises(ValueError, match="a=3 but 1 distinct"):
+            SeedSpec(a=3, members=(2, 2))
+        spec = SeedSpec(a=2, members=(5, 1, 5))
+        assert spec.members == (1, 5) and spec == SeedSpec.of([1, 5])
+        trace = run_process(path, spec, 1)
+        assert trace.a == 2 and trace.final_size == 6
+        assert np.array_equal(np.sort(trace.final_infected), np.arange(1, 7))
+
     def test_implicit_prefix_check(self, monkeypatch):
         params = ProcessParams(n=100, p=0.02, r=2)
 

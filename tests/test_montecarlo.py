@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 
@@ -123,7 +124,9 @@ class TestRunExperiment:
                 asked.append(chunksize)
                 return map(fn, tasks)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        # run_experiment imports the pool class from its package when a
+        # pool is needed, so the fake takes its place there
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
         base = dict(params=PARAMS, seed_size=SeedSizeSpec(a=20), master_seed=9)
         wide = run_experiment(ExperimentConfig(trials=40, workers=10_000, **base))
