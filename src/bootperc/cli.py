@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 EXIT_OK = 0
@@ -39,7 +38,7 @@ def _emit(payload, args) -> None:
         text = payload
     else:
         text = json.dumps(_sig12(payload), indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -81,39 +80,27 @@ _CONFIG_COERCE = {
 }
 
 
-def _seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
-    return seed
+def _int_at_least(low: int, kind: str):
+    """An argparse type: an integer >= low, described as a `kind` integer."""
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=_seed, default=0, help="master seed, a non-negative integer")
-    parser.add_argument("--out", type=str, default=None, help="write output to this path")
-    parser.add_argument("--format", choices=["json", "csv"], default=None)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parallelism hint; BOOTPERC_WORKERS is the default; never changes output",
-    )
-    parser.add_argument("--config", type=str, default=None, help="key=value overlay file")
-
-
-def _resolve_workers(args) -> int:
-    if getattr(args, "workers", None) is not None:
-        return max(1, args.workers)
-    env = os.environ.get("BOOTPERC_WORKERS")
-    if env:
+    def parse(text: str) -> int:
         try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"BOOTPERC_WORKERS must be an integer, got {env!r}") from exc
-    return 1
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+        return value
+
+    return parse
+
+
+def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
+    """--out and --config on every command; --seed on those that draw."""
+    if seed:
+        parser.add_argument("--seed", type=_int_at_least(0, "non-negative"), default=0, help="master seed")
+    parser.add_argument("--out", type=str, default=None, help="write output to this path")
+    parser.add_argument("--config", type=str, default=None, help="key=value overlay file")
 
 
 def _params_from(args):
@@ -171,7 +158,11 @@ def _cmd_run(args) -> int:
     opts = TraceOptions(
         checkpoints=checkpoints, size_horizon=horizon, percolation_threshold=args.threshold
     )
-    # the run is trial 0 of an experiment with master seed --seed
+    # the run draws on the streams of trial 0 of an experiment with master
+    # seed --seed.  An explicit run reads that trial's graph and ends as it
+    # does.  An implicit run records its whole trajectory, a trial only up
+    # to t0_int, and the walk's draws depend on that horizon, so the two
+    # can end differently
     source, stage_source = montecarlo.trial_sources(params, args.mode, args.seed, 0)
     trace = run_process(source, SeedSpec.prefix(args.a), params.r, opts)
     payload = {
@@ -220,10 +211,10 @@ def _cmd_sweep(args) -> int:
         master_seed=args.seed,
         mode=args.mode,
         percolation_threshold=args.threshold,
-        workers=_resolve_workers(args),
+        workers=args.workers,
     )
     result = montecarlo.sweep(config, a_values)
-    if (args.format or "csv") == "csv":
+    if args.format == "csv":
         _emit(result.to_csv(), args)
     else:
         _emit([asdict(pt) for pt in result.points], args)
@@ -324,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--n", type=int, required=True)
     p_thr.add_argument("--p", type=float, required=True)
     p_thr.add_argument("--r", type=int, required=True)
-    _add_common(p_thr)
+    _add_common(p_thr, seed=False)
     p_thr.set_defaults(func=_cmd_thresholds)
 
     for name, force_stages in (("run", False), ("stages", True)):
@@ -361,6 +352,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--mode", choices=["implicit", "explicit"], default="implicit")
     p_sweep.add_argument("--threshold", type=float, default=0.9)
+    p_sweep.add_argument("--format", choices=["json", "csv"], default="csv")
+    p_sweep.add_argument(
+        "--workers",
+        type=_int_at_least(1, "positive"),
+        default=1,
+        help="worker processes, at most the trial and core counts; never changes output",
+    )
     _add_common(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -383,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--p", type=float, default=None)
     p_bounds.add_argument("--r", type=int, default=None)
     p_bounds.add_argument("--alpha", type=float, default=None)
-    _add_common(p_bounds)
+    _add_common(p_bounds, seed=False)
     p_bounds.set_defaults(func=_cmd_bounds)
 
     return parser
@@ -427,8 +425,6 @@ def _parse(argv: list[str]):
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.format == "csv" and args.func is not _cmd_sweep:
-        raise ValueError(f"--format csv is only supported by sweep, not {args.command}")
     return args
 
 

@@ -42,8 +42,9 @@ from .graph import ExplicitGraph, _neighbor_counts
 from .rng import make_generator
 from .thresholds import DegenerateRegime, ProcessParams, binom_tail_geq, log_binom_lower
 
-CLASS_STOPPED = "Stopped"
-CLASS_ALMOST = "AlmostPercolated"
+# a run's classification, the one vocabulary of runs and experiment counts
+CLASS_STOPPED = "Stopped"  # stopped below the almost-percolation threshold
+CLASS_ALMOST = "AlmostPercolated"  # stopped with final size >= threshold * n
 CLASS_CENSORED = "Censored"  # run hit a step cap before stopping
 
 

@@ -17,6 +17,8 @@ import numpy as np
 from . import stages, thresholds
 from .engine import (
     CLASS_ALMOST,
+    CLASS_CENSORED,
+    CLASS_STOPPED,
     EdgeSource,
     ImplicitSource,
     SeedSpec,
@@ -26,9 +28,6 @@ from .engine import (
 from .graph import sample_gnp_with
 from .rng import STREAM_GRAPH, STREAM_RUN, STREAM_STAGES, make_generator
 from .thresholds import CriticalValues, ProcessParams
-
-CLASS_SUBCRITICAL = "SubcriticalConfirmed"
-CLASS_OTHER = "Other"
 
 
 @dataclass(frozen=True)
@@ -93,6 +92,11 @@ class ExperimentSummary:
     ``mean_trajectory`` covers t = 0..min(horizon, min over trials of T);
     on that prefix every trial contributes, so the empirical mean of
     |A(t)| is an unbiased estimate of a + (n-a) pi_hat(t).
+
+    ``class_counts`` counts the trials by the engine's classification:
+    Stopped, AlmostPercolated (final size >= threshold * n) and Censored.
+    Trials run uncapped, so Censored stays 0.  The subcritical event of
+    the paper, a run that stops before t_c, is ``final_size < critical.tc``.
     """
 
     params: ProcessParams
@@ -174,14 +178,6 @@ class _TrialResult:
     stage_report: stages.StageReport | None
 
 
-def _classify(final_size: int, tc: int, threshold: float, n: int) -> str:
-    if final_size < tc:
-        return CLASS_SUBCRITICAL
-    if final_size >= threshold * n:
-        return CLASS_ALMOST
-    return CLASS_OTHER
-
-
 def trial_sources(
     params: ProcessParams, mode: str, seed: int, trial: int
 ) -> tuple[EdgeSource, EdgeSource]:
@@ -202,7 +198,7 @@ def trial_sources(
 
 
 def _run_trial(args) -> _TrialResult:
-    config, a, trial, tc, horizon, t1, alpha = args
+    config, a, trial, horizon, t1, alpha = args
     params = config.params
     stage_checkpoint = config.stage_diagnostics and config.mode == "explicit"
     opts = TraceOptions(
@@ -215,9 +211,8 @@ def _run_trial(args) -> _TrialResult:
     report = None
     if config.stage_diagnostics:
         report = stages.run_stage_pipeline(stage_source, trace, params, alpha)
-    classification = _classify(trace.final_size, tc, config.percolation_threshold, params.n)
     return _TrialResult(
-        outcome=TrialOutcome(trial, trace.final_size, trace.T, classification),
+        outcome=TrialOutcome(trial, trace.final_size, trace.T, trace.classification),
         sizes_prefix=trace.infected_sizes[: horizon + 1].copy(),
         stage_report=report,
     )
@@ -237,9 +232,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     horizon = critical.t0_int  # the mean trajectory covers the critical window
     t1 = thresholds.stage_predictions(params, alpha).t1 if config.stage_diagnostics else 0
 
-    tasks = [
-        (config, a, trial, critical.tc, horizon, t1, alpha) for trial in range(config.trials)
-    ]
+    tasks = [(config, a, trial, horizon, t1, alpha) for trial in range(config.trials)]
     workers = min(config.workers, config.trials, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -252,7 +245,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     results.sort(key=lambda res: res.outcome.trial)
 
     outcomes = tuple(res.outcome for res in results)
-    counts: dict[str, int] = {CLASS_SUBCRITICAL: 0, CLASS_ALMOST: 0, CLASS_OTHER: 0}
+    counts: dict[str, int] = {CLASS_STOPPED: 0, CLASS_ALMOST: 0, CLASS_CENSORED: 0}
     for o in outcomes:
         counts[o.classification] += 1
     successes = counts[CLASS_ALMOST]

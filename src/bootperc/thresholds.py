@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DegenerateRegime(Exception):
@@ -108,6 +110,8 @@ def log_binom_lower(t, p: float, k: int) -> np.ndarray:
     relative error stays near 1e-8 down to pi = 1e-14), and ratios of
     survivals come out as differences.  Exactly 0 for t < k.
     """
+    import numpy as np  # here, not at the top: `bounds` loads no numpy
+
     t = np.asarray(t, dtype=np.float64)
     log_x = math.log(p) - math.log1p(-p)
     acc = term = np.zeros(t.shape)
@@ -177,6 +181,8 @@ def critical_pair(params: ProcessParams) -> CriticalValues:
     fills the first-order asymptotic references
     tc_asym = ((r-1)!/(np^r))^(1/(r-1)) and ac_asym = (1 - 1/r) tc_asym.
     """
+    import numpy as np
+
     n, p, r = params.n, params.p, params.r
     d = delta(params)
     t0 = t_zero(params)

@@ -163,23 +163,32 @@ class TestRunCommand:
         assert payload["final_size"] == summary.outcomes[0].final_size == 1974
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["thresholds", "--n", "1000", "--p", "0.01", "--r", "2"],
-        ["run", "--n", "500", "--p", "0.005", "--r", "2", "--a", "3"],
-        ["stages", "--n", "20000", "--p", "0.001", "--r", "2", "--a", "80"],
-        ["giant", "--m", "1000", "--eps", "0.2"],
-        ["bounds", "--chernoff", "lower", "--mean", "50", "--lam", "10"],
-    ],
-    ids=lambda argv: argv[0],
-)
+NOT_SWEEP = [
+    ["thresholds", "--n", "1000", "--p", "0.01", "--r", "2"],
+    ["run", "--n", "500", "--p", "0.005", "--r", "2", "--a", "3"],
+    ["stages", "--n", "20000", "--p", "0.001", "--r", "2", "--a", "80"],
+    ["giant", "--m", "1000", "--eps", "0.2"],
+    ["bounds", "--chernoff", "lower", "--mean", "50", "--lam", "10"],
+]
+
+
+@pytest.mark.parametrize("argv", NOT_SWEEP, ids=lambda argv: argv[0])
 def test_csv_format_rejected(capsys, argv):
     # only sweep writes CSV; the others must not print JSON for it
     assert cli.main([*argv, "--format", "csv"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--format csv" in captured.err
+    assert "unrecognized arguments: --format csv" in captured.err
+
+
+@pytest.mark.parametrize("argv", NOT_SWEEP, ids=lambda argv: argv[0])
+def test_workers_rejected(capsys, argv):
+    # only sweep runs trials in parallel; a flag a command never reads
+    # must not pass silently
+    assert cli.main([*argv, "--workers", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --workers 2" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -194,7 +203,9 @@ def test_csv_format_rejected(capsys, argv):
     ],
 )
 def test_negative_seed_rejected(argv):
-    # a child process under a timeout, since a negative seed once hung
+    # a child process under a timeout, since a negative seed once hung;
+    # thresholds and bounds draw nothing, so they take no --seed at all
+    draws = argv[0] not in ("thresholds", "bounds")
     for seed in ("--seed=-5", "--seed=x"):
         proc = subprocess.run(
             [sys.executable, "-m", "bootperc.cli", *argv, seed],
@@ -203,7 +214,10 @@ def test_negative_seed_rejected(argv):
             timeout=60,
         )
         assert proc.returncode == 2
-        assert "argument --seed:" in proc.stderr and "non-negative integer" in proc.stderr
+        if draws:
+            assert "argument --seed:" in proc.stderr and "non-negative integer" in proc.stderr
+        else:
+            assert f"unrecognized arguments: {seed}" in proc.stderr
 
 
 class TestGiantCommand:
@@ -281,6 +295,14 @@ class TestSweepCommand:
         assert code == 0
         validate(rows, "sweep_rows.schema.json")
 
+    def test_workers_must_be_positive(self, capsys):
+        base = ["sweep", "--n", "1500", "--p", "0.004", "--r", "2", "--trials", "2", "--a-list", "5"]
+        for workers in ("0", "-2", "x"):
+            assert cli.main([*base, "--workers", workers]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "argument --workers:" in captured.err and "positive integer" in captured.err
+
     def test_needs_a_values(self, capsys):
         assert (
             cli.main(["sweep", "--n", "2000", "--p", "0.004", "--r", "2", "--trials", "5"]) == 2
@@ -320,13 +342,15 @@ class TestConfigOverlay:
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("bogus=1\n")
-        assert cli.main(["thresholds", "--config", str(cfg), "--n", "10", "--p", "0.1", "--r", "2"]) == 2
+        for text in ("bogus=1\n", "seed=1\n", "workers=2\n"):
+            # seed and workers are keys, but not flags of thresholds
+            cfg.write_text(text)
+            assert cli.main(["thresholds", "--config", str(cfg), "--n", "10", "--p", "0.1", "--r", "2"]) == 2
 
     def test_negative_seed_in_file_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("seed=-3\n")
-        code = cli.main(["thresholds", "--n", "2000", "--p", "0.003", "--r", "2", "--config", str(cfg)])
+        code = cli.main(["run", "--n", "2000", "--p", "0.003", "--r", "2", "--a", "40", "--config", str(cfg)])
         assert code == 2
         assert "must be a non-negative integer, got -3" in capsys.readouterr().err
 
@@ -351,20 +375,6 @@ class TestDeterminism:
         c2, out2, _ = run_cli(*base, "--workers", "8")
         assert c1 == c2 == 0
         assert out1 == out2
-
-    def test_workers_env_default(self):
-        env = dict(os.environ, BOOTPERC_WORKERS="2")
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "bootperc.cli",
-                "sweep", "--n", "1500", "--p", "0.004", "--r", "2",
-                "--trials", "4", "--a-list", "5", "--seed", "17",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 0
 
     def test_out_flag_writes_file(self, tmp_path):
         target = tmp_path / "out.json"

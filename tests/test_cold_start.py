@@ -57,15 +57,20 @@ def test_help_and_usage_errors_load_no_numpy():
 
 
 def test_thresholds_and_bounds_load_no_engine():
+    point = ["--n", "1000000", "--p", "0.0001", "--r", "2", "--alpha", "30"]
     for argv in [
         ["thresholds", "--n", "1000", "--p", "0.01", "--r", "2"],
-        ["bounds", "--theorem1", "--n", "1000000", "--p", "0.0001", "--r", "2", "--alpha", "30"],
+        ["bounds", "--theorem1", *point],
+        ["bounds", "--theorem2", *point],
         ["bounds", "--chernoff", "lower", "--mean", "50", "--lam", "10"],
+        ["bounds", "--martingale", "--lam", "30", "--max-step", "1", "--var-sum", "131.6"],
     ]:
         code, loaded = _loaded_after(*argv)
         assert code == 0, argv
         assert "bootperc.thresholds" in loaded
         assert not loaded & set(ENGINE_STACK), (argv, sorted(loaded & set(ENGINE_STACK)))
+        # the closed-form bounds are plain math; only the critical scan needs numpy
+        assert ("numpy" in loaded) == (argv[0] == "thresholds"), argv
 
 
 def test_package_names_resolve_lazily():

@@ -6,15 +6,13 @@ import pytest
 
 from bootperc import montecarlo, thresholds
 from bootperc.montecarlo import (
-    CLASS_OTHER,
-    CLASS_SUBCRITICAL,
     ExperimentConfig,
     SeedSizeSpec,
     run_experiment,
     sweep,
     wilson_interval,
 )
-from bootperc.engine import CLASS_ALMOST
+from bootperc.engine import CLASS_ALMOST, CLASS_CENSORED, CLASS_STOPPED
 from bootperc.thresholds import ProcessParams
 
 PARAMS = ProcessParams(n=3000, p=3e-3, r=2)
@@ -81,8 +79,8 @@ class TestRunExperiment:
         )
         summary = run_experiment(cfg)
         assert summary.empirical_percolation_probability == 0.0
-        assert summary.outcomes[0].final_size == 0
-        assert summary.outcomes[0].classification == CLASS_SUBCRITICAL
+        assert summary.outcomes[0].final_size == 0 < summary.critical.tc
+        assert summary.outcomes[0].classification == CLASS_STOPPED
 
     def test_trivial_full_seed(self):
         cfg = ExperimentConfig(
@@ -145,9 +143,12 @@ class TestRunExperiment:
             params=PARAMS, seed_size=SeedSizeSpec(offset_c=0.0), trials=60, master_seed=3
         )
         summary = run_experiment(cfg)
+        assert set(summary.class_counts) == {CLASS_STOPPED, CLASS_ALMOST, CLASS_CENSORED}
         assert sum(summary.class_counts.values()) == 60
+        assert summary.class_counts[CLASS_CENSORED] == 0  # trials run uncapped
         for o in summary.outcomes:
-            assert o.classification in (CLASS_SUBCRITICAL, CLASS_ALMOST, CLASS_OTHER)
+            almost = o.final_size >= cfg.percolation_threshold * PARAMS.n
+            assert o.classification == (CLASS_ALMOST if almost else CLASS_STOPPED)
 
     def test_interval_contains_estimate(self):
         cfg = ExperimentConfig(

@@ -1,15 +1,20 @@
-"""The benchmark's tracer wraps bootperc functions by module and name.
+"""The benchmark reads bootperc by module, name and attribute.
 
-A layer that is deleted or renamed in ``src/`` would only show up when a
-traced benchmark run fails to install its wrappers; this test makes it a
-tier-1 failure instead.  The tracer file is read, never modified.
+A layer, constant or field that is deleted or renamed in ``src/`` would
+only show up when a benchmark run fails; these tests make it a tier-1
+failure instead.  The perfbench files are read, never modified.
 """
 
 import importlib
 import runpy
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from bootperc import engine, montecarlo, thresholds
+from bootperc.graph import sample_gnp
+from bootperc.thresholds import ProcessParams
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def test_tracer_targets_resolve():
@@ -21,3 +26,24 @@ def test_tracer_targets_resolve():
         if not callable(getattr(importlib.import_module(f"bootperc.{mod}"), name, None))
     ]
     assert targets and not missing, f"tracer targets not found: {missing}"
+
+
+def test_workloads_imports_resolve():
+    names = runpy.run_path(str(PERFBENCH / "workloads.py"))
+    assert {"WindowImplicit", "ExplicitStages", "CliSession"} <= set(names)
+
+
+def test_class_almost_is_the_traced_literal():
+    # workloads.py counts class_counts[CLASS_ALMOST]; the tracer compares a
+    # trace's classification with the literal
+    assert montecarlo.CLASS_ALMOST == engine.CLASS_ALMOST == "AlmostPercolated"
+
+
+def test_tracer_count_attributes_exist():
+    # the attributes tracer._counts reads off results
+    params = ProcessParams(n=2000, p=3e-3, r=2)
+    trace = engine.run_process(engine.ImplicitSource(params, seed=1), engine.SeedSpec.prefix(40), 2)
+    for name in ("classification", "bernoulli_draws", "T"):
+        assert hasattr(trace, name), name
+    assert hasattr(sample_gnp(100, 0.05, seed=1), "edge_count")
+    assert hasattr(thresholds.critical_pair(params), "t0_int")
