@@ -137,7 +137,6 @@ def _cmd_run(args) -> int:
     if not (0 <= args.a <= params.n):
         raise ValueError(f"a={args.a} outside 0..{params.n}")
     alpha = args.alpha
-    checkpoints: tuple[int, ...] = ()
     if args.stages:
         if alpha is None:
             crit = thresholds.critical_pair(params)
@@ -147,17 +146,12 @@ def _cmd_run(args) -> int:
                 f"stage diagnostics need alpha > 0 (a={args.a} is not above the "
                 "critical seed count; pass --alpha explicitly)"
             )
-        if args.mode == "explicit":
-            checkpoints = (thresholds.stage_predictions(params, alpha).t1,)
-    # an explicit run records |A(t)| only as far as its stages read it, so
-    # past that it finishes by closure; an implicit run's horizon decides
-    # which draws its walk makes, so it keeps None
+    # an explicit run steps only to t1, where its stages read it, and closes;
+    # an implicit run's horizon decides its walk's draws, so it keeps None
     horizon = None
     if args.mode == "explicit" and not args.trace_out:
-        horizon = max(checkpoints, default=0)
-    opts = TraceOptions(
-        checkpoints=checkpoints, size_horizon=horizon, percolation_threshold=args.threshold
-    )
+        horizon = thresholds.stage_predictions(params, alpha).t1 if args.stages else 0
+    opts = TraceOptions(size_horizon=horizon, percolation_threshold=args.threshold)
     # the run draws on the streams of trial 0 of an experiment with master
     # seed --seed.  An explicit run reads that trial's graph and ends as it
     # does.  An implicit run records its whole trajectory, a trial only up
@@ -413,7 +407,10 @@ def _apply_config_overlay(argv: list[str]) -> list[str]:
         flag = "--" + key.replace("_", "-")
         if flag in present:
             continue  # explicit flags win
-        coerce(raw)  # validate early so errors name the config file value
+        try:
+            coerce(raw)  # validate early so errors name the config file value
+        except ValueError as exc:
+            raise ValueError(f"{path}: {key}={raw!r}: {exc}") from None
         extra.extend([flag, raw])
     return argv + extra
 

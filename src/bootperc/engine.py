@@ -3,9 +3,9 @@
 Two interchangeable forms of the same process:
 
 * :func:`run_direct`: the fixed-point definition on an explicit graph:
-  sweep generations until no uninfected vertex has r infected neighbours,
-  each generation one ``bincount`` over the rows of the vertices it
-  infected.  This is the oracle form.
+  sweep generations until no uninfected vertex has r infected neighbours;
+  each pushes its joins' rows into the neighbour counts, or pulls the
+  counts from the uninfected rows when those weigh less.  The oracle form.
 
 * :func:`run_process`: the examine-one-vertex reformulation: at step t
   the smallest unexamined infected vertex is examined and its edges to
@@ -15,17 +15,18 @@ Two interchangeable forms of the same process:
   infected set.  On an explicit graph (an :class:`ExplicitGraph`) the
   edges are read one examined vertex at a time, as a row of its CSR
   arrays.  The examination order only matters for what a run records
-  (|A(t)| up to its size horizon, and its checkpoints); the final set is
-  the r-closure of the seeds whatever the order.  So an uncapped explicit
-  run with a size horizon steps only through its recorded window and then
-  finishes with the generation sweep of :func:`run_direct`, started from
-  A(t).  On an implicit G(n,p) (an :class:`ImplicitSource`) the process
-  is not stepped at all: an uninfected vertex meets one fresh Bernoulli(p)
-  pair per step, so infection steps are i.i.d. r-th success times (the
-  reduction of Janson, Luczak, Turova and Vallier), and the engine walks
-  them in blocks.  An implicit run keeps counts only, no per-vertex
-  state: it takes no checkpoints, its seeds are the prefix {1..a}, and it
-  reports the final size but not the final set.  A capped or subcritical
+  (|A(t)| up to its size horizon, and the order, which the stages read);
+  the final set is the r-closure of the seeds whatever the order.  So an
+  uncapped explicit run with a size horizon steps only through its
+  recorded window and then finishes with the generation sweep of
+  :func:`run_direct`, started from A(t).  On an implicit G(n,p) (an
+  :class:`ImplicitSource`) the process is not stepped at all: an
+  uninfected vertex meets one fresh Bernoulli(p) pair per step, so
+  infection steps are i.i.d. r-th success times (the reduction of
+  Janson, Luczak, Turova and Vallier), and the engine walks them in
+  blocks.  An implicit run keeps counts only, no per-vertex state: its
+  seeds are the prefix {1..a}, and it reports the final size but neither
+  the examination order nor the final set.  A capped or subcritical
   implicit run does no O(n) work, which is what lets n reach 10^9 in the
   critical window.
 """
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ExplicitGraph, _neighbor_counts
+from .graph import ExplicitGraph, _neighbor_counts, _row_entries, _vertex_mask
 from .rng import make_generator
 from .thresholds import DegenerateRegime, ProcessParams, binom_tail_geq, log_binom_lower
 
@@ -102,31 +103,23 @@ class SeedSpec:
 class TraceOptions:
     """Instrumentation knobs for :func:`run_process`.
 
-    checkpoints: steps at which to snapshot counters and set membership;
-        explicit runs only (an implicit run holds no per-vertex state).
     max_steps: hard cap on examined steps; a capped run is "Censored".
     size_horizon: record |A(t)| only for t <= horizon (the run itself
         continues); None records the whole trajectory.  An uncapped
         explicit run with a horizon stops stepping once it is past the
-        horizon and every checkpoint, and finishes by closure.
-    percolation_threshold: fraction of n at which a finished run counts
-        as almost-percolated.
+        horizon, and finishes by closure.
+    percolation_threshold: fraction of n in (0, 1] at which a finished
+        run counts as almost-percolated.
     """
 
-    checkpoints: tuple[int, ...] = ()
     max_steps: int | None = None
     size_horizon: int | None = None
     percolation_threshold: float = 0.9
 
-
-@dataclass(frozen=True)
-class Checkpoint:
-    """Snapshot of the run state after step t."""
-
-    t: int
-    counters: np.ndarray  # neighbours-in-Z count per vertex id
-    examined: np.ndarray  # u(1..t) in examination order
-    infected: np.ndarray  # sorted infected ids at step t
+    def __post_init__(self):
+        threshold = self.percolation_threshold
+        if not 0.0 < threshold <= 1.0:
+            raise ValueError(f"percolation_threshold must lie in (0,1], got {threshold}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +131,8 @@ class PercolationTrace:
     T: int | None  # None when max_steps hit before the process stopped
     final_size: int
     final_infected: np.ndarray | None  # sorted infected ids when the run ended; None for implicit runs
-    counters_at: dict[int, Checkpoint]
+    seeds: tuple[int, ...] | None  # sorted seed ids; None for implicit runs (seeds {1..a})
+    examined: np.ndarray | None  # u(1..t) for the steps taken; None for implicit runs
     classification: str
     bernoulli_draws: int  # implicit mode: pairs accounted, sum over steps of (n - t), plus stage draws
 
@@ -199,30 +193,38 @@ def run_direct(g: ExplicitGraph, seed_set, r: int) -> tuple[frozenset[int], int]
     one vertex; a seed set that is already a fixed point reports 0."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    seeds = sorted(set(int(v) for v in seed_set))
-    if seeds and not (1 <= seeds[0] and seeds[-1] <= g.n):
-        raise ValueError("seed set outside 1..n")
-    infected = np.zeros(g.n + 1, dtype=bool)
-    infected[seeds] = True
+    infected = _vertex_mask(seed_set, g.n, "seed")
     generations = _close(g, infected, r)
     return frozenset(np.flatnonzero(infected).tolist()), generations
 
 
 def _close(g: ExplicitGraph, infected: np.ndarray, r: int) -> int:
-    """Grow the mask ``infected`` (ids 0..n) in place to its r-closure on
-    g, one generation at a time: every uninfected vertex with at least r
-    infected neighbours joins.  The neighbour counts start from one
-    ``bincount`` over the infected rows and then add the rows of each
-    generation's joins.  Returns the number of productive generations."""
+    """Grow the mask ``infected`` (ids 0..n) in place to its r-closure on g;
+    returns the productive generations.  Each generation takes the cheaper
+    direction (Beamer, Asanovic and Patterson, SC 2012): it pushes its
+    joins' rows into the neighbour counts while their degree sum is below
+    the uninfected vertices', else pulls each uninfected count from its row."""
     counts = _neighbor_counts(g, np.flatnonzero(infected))
+    joins = np.flatnonzero((counts >= r) & ~infected)
+    degrees = np.diff(g.indptr)
+    # degree sum of the uninfected vertices: all rows less the counted ones
+    pending = int(g.indptr[-1]) - int(counts.sum())
     generations = 0
-    while True:
-        joins = np.flatnonzero((counts >= r) & ~infected)
-        if not len(joins):
-            return generations
+    while len(joins):
         generations += 1
         infected[joins] = True
-        counts += _neighbor_counts(g, joins)
+        pushed = int(degrees[joins].sum())
+        pending -= pushed
+        if pushed < pending:
+            np.add.at(counts, _row_entries(g, joins)[0], 1)
+            joins = np.flatnonzero((counts >= r) & ~infected)
+        else:
+            rest = np.flatnonzero(~infected[1:]) + 1
+            entries, lens = _row_entries(g, rest)
+            owners = np.repeat(rest, lens)[infected[entries]]  # of each infected neighbour
+            counts[rest] = np.bincount(owners, minlength=g.n + 1)[rest]
+            joins = rest[counts[rest] >= r]
+    return generations
 
 
 def run_process(
@@ -233,28 +235,23 @@ def run_process(
 ) -> PercolationTrace:
     """Examine-one-vertex process; see the module docstring.
 
-    On an explicit graph, counters are kept for every not-yet-examined
-    vertex, including infected-but-unexamined ones (the stage diagnostics
-    read them at a checkpoint); a vertex's counter freezes once it is
-    examined.  An implicit run raises ValueError for checkpoints and for
-    seeds other than the prefix {1..a}.
+    An implicit run raises ValueError for seeds other than the prefix
+    {1..a}.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     n = source.n
     if isinstance(source, ImplicitSource):
         seed._check(n)
-        if opts.checkpoints:
-            raise ValueError("implicit runs take no checkpoints; use an explicit graph")
         a = seed._prefix_size()
         steps, sizes, final_size = _walk_infection_times(source, a, r, opts)
-        final_infected, checkpoints = None, {}
+        seeds = final_infected = examined = None
         source.bernoulli_draws += steps * n - steps * (steps + 1) // 2
         draws = source.bernoulli_draws
     else:
         seeds = seed.resolve(n)
         a = len(seeds)
-        steps, sizes, final_infected, checkpoints = _examine_graph(source, seeds, r, opts)
+        steps, sizes, final_infected, examined = _examine_graph(source, seeds, r, opts)
         final_size, draws = len(final_infected), 0
     censored = final_size > steps
     if censored:
@@ -271,7 +268,8 @@ def run_process(
         T=None if censored else steps,
         final_size=final_size,
         final_infected=final_infected,
-        counters_at=checkpoints,
+        seeds=seeds,
+        examined=examined,
         classification=classification,
         bernoulli_draws=draws,
     )
@@ -281,32 +279,26 @@ def _examine_graph(g: ExplicitGraph, seeds, r: int, opts: TraceOptions):
     """The process on a materialised graph, one examined vertex per step.
 
     An uncapped run with a size horizon steps only until it has recorded
-    |A(t)| up to the horizon and taken every checkpoint, then finishes
-    with :func:`_close` on A(t): closure(A(t)) = closure(seeds), and an
-    uncapped run stops at T = |final set|.  A capped run steps to its cap,
-    since the set infected at the cap depends on the order.
+    |A(t)| up to the horizon, then finishes with :func:`_close` on A(t):
+    closure(A(t)) = closure(seeds), and an uncapped run stops at
+    T = |final set|.  A capped run steps to its cap, since the set
+    infected at the cap depends on the order.
 
     Returns (steps taken, recorded sizes, sorted final infected ids,
-    checkpoints).
+    examination order of the steps taken).
     """
     n, indptr, indices = g.n, g.indptr, g.indices
-    # hot loop works on plain lists and bytearrays; numpy only for rows and
-    # at snapshots
+    # hot loop works on plain lists and bytearrays; numpy only for rows
     infected = bytearray(n + 1)
     for v in seeds:
         infected[v] = 1
-    examined = bytearray(n + 1)
     counters = [0] * (n + 1)
     heap = list(seeds)  # already sorted, a valid min-heap
 
-    want_checkpoint = set(opts.checkpoints)
-    checkpoints: dict[int, Checkpoint] = {}
     examined_order: list[int] = []
     horizon = opts.size_horizon
     max_steps = opts.max_steps
-    stop = max_steps
-    if max_steps is None and horizon is not None:
-        stop = max((horizon, *opts.checkpoints))
+    stop = horizon if max_steps is None else max_steps
     sizes = [len(seeds)]
     infected_count = len(seeds)
     t = 0
@@ -315,12 +307,9 @@ def _examine_graph(g: ExplicitGraph, seeds, r: int, opts: TraceOptions):
     while heap and (stop is None or t < stop):
         u = heappop(heap)
         t += 1
-        examined[u] = 1
         examined_order.append(u)
-
+        # an examined v is infected, so its counter is counted on but never read
         for v in indices[indptr[u] : indptr[u + 1]].tolist():
-            if examined[v]:
-                continue
             c = counters[v] + 1
             counters[v] = c
             if c == r and not infected[v]:
@@ -330,22 +319,13 @@ def _examine_graph(g: ExplicitGraph, seeds, r: int, opts: TraceOptions):
 
         if horizon is None or t <= horizon:
             sizes.append(infected_count)
-        if t in want_checkpoint:
-            checkpoints[t] = Checkpoint(
-                t=t,
-                counters=np.array(counters, dtype=np.int64),
-                examined=np.array(examined_order, dtype=np.int64),
-                infected=np.flatnonzero(
-                    np.frombuffer(bytes(infected), dtype=np.uint8)
-                ).astype(np.int64),
-            )
 
     final_mask = np.frombuffer(infected, dtype=bool)
     if heap and max_steps is None:
         _close(g, final_mask, r)
         t = int(np.count_nonzero(final_mask))
     final = np.flatnonzero(final_mask).astype(np.int64)
-    return t, sizes, final, checkpoints
+    return t, sizes, final, np.array(examined_order, dtype=np.int64)
 
 
 def _walk_infection_times(source: ImplicitSource, a: int, r: int, opts: TraceOptions):

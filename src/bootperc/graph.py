@@ -3,6 +3,9 @@
 A graph is held in compressed sparse row (CSR) form: two int64 arrays,
 ``indptr`` and ``indices``, with 1-based vertices.  Graphs are immutable
 after construction; all read operations are safe to call concurrently.
+
+G(n,p) is drawn by geometric skips over the C(n,2) pair indices, each
+unranked exactly to its pair (see :func:`sample_gnp_with`).
 """
 
 from __future__ import annotations
@@ -63,6 +66,22 @@ def from_edges(n: int, edges) -> ExplicitGraph:
     return ExplicitGraph(n=n, indptr=indptr, indices=dst)
 
 
+def _geometric_gaps(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
+    """``rng.geometric(p, size)`` capped at 2^62, with the same generator
+    state after: below p = 1/3 numpy inverts one standard exponential per
+    draw, ceil(E / -log1p(-p)), done here in bulk in one buffer.  2^62
+    passes every pair index and keeps the running sum from wrapping first."""
+    if p >= 1.0 / 3.0:
+        return rng.geometric(p, size=size)
+    gaps = np.empty(size, dtype=np.int64)
+    draws = gaps.view(np.float64)
+    rng.standard_exponential(out=draws)
+    draws /= -math.log1p(-p)
+    np.minimum(draws, 2.0**62, out=draws)
+    np.ceil(draws, out=gaps, casting="unsafe")  # in place, element by element
+    return gaps
+
+
 def _sample_edge_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Linearised indices of present pairs via geometric skips, ascending.
 
@@ -75,15 +94,19 @@ def _sample_edge_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarr
     mean_left = total * p
     while True:
         size = max(64, int(mean_left + 4.0 * math.sqrt(mean_left + 1.0)))
-        gaps = rng.geometric(p, size=size).astype(np.int64)
-        idxs = pos + np.cumsum(gaps)
-        cut = int(np.searchsorted(idxs, total))
+        idxs = _geometric_gaps(rng, p, size)
+        np.cumsum(idxs, out=idxs)
+        idxs += pos
+        # the sum may wrap once past total < 2^62: scan, do not bisect, for the end
+        cut = int(np.argmax(idxs >= total))
+        if idxs[cut] < total:
+            cut = size
         chunks.append(idxs[:cut])
         if cut < size:
             break
         pos = int(idxs[-1])
         mean_left = (total - pos) * p
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def _row_start(u, n: int):
@@ -92,51 +115,34 @@ def _row_start(u, n: int):
     return ((u - 1) * (2 * n - u)) >> 1
 
 
-def _unrank_pairs(idxs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (u, v), 1 <= u < v <= n, at the 0-based lexicographic
-    indices ``idxs``, exactly.
-
-    u comes from the float inverse of the row start, taken in the pairs
-    after the index, j = C(n,2) - 1 - idx, so that it is stable at both
-    ends: u = floor((2n + 1 - sqrt(8j + 9)) / 2).  The guess is checked by
-    u < v <= n and moved one row at a time where it misses.  Every product
-    stays below n^2.
-    """
-    guess = ((n * (n - 1) // 2 - 1) - idxs).astype(np.float64)
-    guess *= 8.0
-    guess += 9.0
-    np.sqrt(guess, out=guess)
-    np.subtract(2 * n + 1, guess, out=guess)
-    guess *= 0.5
-    np.floor(guess, out=guess)
-    u = guess.astype(np.int64)
-    del guess
-    v = idxs - _row_start(u, n)
-    v += u
-    v += 1
-    miss = np.flatnonzero((v <= u) | (v > n))
-    while len(miss):
-        um = u[miss] + np.where(v[miss] > n, 1, -1)
-        vm = idxs[miss] - _row_start(um, n) + um + 1
-        u[miss], v[miss] = um, vm
-        miss = miss[(vm <= um) | (vm > n)]
-    return u, v
+def _pair_rows(idxs: np.ndarray, n: int) -> np.ndarray:
+    """Row u of each pair index, in O(len(idxs)): the float inverse of the
+    row start, floor((2n + 1 - sqrt(8j + 9)) / 2) with j = C(n,2) - 1 - idx,
+    is within one row of u for n <= MAX_N, and one exact step settles it."""
+    j = (n * (n - 1) // 2 - 1 - idxs).astype(np.float64)
+    us = np.floor((2 * n + 1 - np.sqrt(8.0 * j + 9.0)) / 2.0).astype(np.int64)
+    us -= _row_start(us, n) > idxs
+    us += _row_start(us + 1, n) <= idxs
+    return us
 
 
-# the CSR keys stay below (n + 1)^2, which must fit in int64
+# (n + 1)^2 < 2^63 keeps the pair indices below 2^62, the gap cap, and n below 2^32
 MAX_N = math.isqrt(2**63 - 1) - 1
 
 
 def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> ExplicitGraph:
     """G(n,p) drawn from an existing generator (one graph per call).
 
-    The rows come from the int64 keys src*(n+1) + dst over both copies of
-    every edge.  The upper copies (src < dst) already ascend with the pair
-    index, so only the lower copies are sorted, and a stable sort (timsort)
-    merges the two ascending runs.  ``indptr`` comes from the degrees and
-    ``indices`` is the keys mod n+1.  The keys stay below (n+1)^2 < 2^63,
-    so n is at most ``MAX_N`` = 3037000498 (where indptr alone takes
-    24 GB); a larger n raises ValueError before anything is drawn.
+    Row u's upper neighbours are the ascending pair indices between the
+    exact row starts off(u - 1) and off(u): with more pairs than rows, a
+    ``searchsorted`` of the n + 1 row starts gives every upper degree and
+    u follows by ``repeat``; with fewer, :func:`_pair_rows` finds each
+    row.  v follows by subtraction.  The rows come from the uint64 keys
+    (src << s) | dst, s = n.bit_length(), over both copies of every edge:
+    the upper copies already ascend, so only the lower copies are sorted,
+    and a stable sort (timsort) merges the two runs.  n is at most
+    ``MAX_N`` = 3037000498 (where indptr alone takes 24 GB); a larger n
+    raises ValueError before anything is drawn.
     """
     if not (1 <= n <= MAX_N):
         raise ValueError(f"n must lie in 1..{MAX_N}, got {n}")
@@ -144,23 +150,36 @@ def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> ExplicitGraph
         raise ValueError(f"p must lie in [0,1], got {p}")
     if p <= 0.0 or n == 1:
         return from_edges(n, [])
-    us, vs = _unrank_pairs(_sample_edge_indices(n, p, rng), n)
-    e, n1 = len(us), n + 1
-    indptr = np.zeros(n + 2, dtype=np.int64)
-    indptr[1:] = np.bincount(us, minlength=n1)
-    indptr[1:] += np.bincount(vs, minlength=n1)
+    idxs = _sample_edge_indices(n, p, rng)
+    e = len(idxs)
+    indptr = np.zeros(n + 2, dtype=np.int64)  # u's degree sits at indptr[u + 1] until the cumsum
+    # each index becomes v = idx - off(u - 1) + u + 1 in place
+    if e > n:
+        rows = np.arange(1, n + 2, dtype=np.int64)
+        starts = _row_start(rows, n)
+        indptr[2:] = np.diff(np.searchsorted(idxs, starts))
+        idxs -= np.repeat(starts[:-1] - rows[:-1] - 1, indptr[2:])
+        us = np.repeat(rows[:-1], indptr[2:])
+    else:
+        us = _pair_rows(idxs, n)
+        indptr[1:] = np.bincount(us, minlength=n + 1)
+        idxs -= _row_start(us, n) - us - 1
+    vs = idxs
+    indptr[1:] += np.bincount(vs, minlength=n + 1)
     np.cumsum(indptr, out=indptr)
-    keys = np.empty(2 * e, dtype=np.int64)
+    shift = n.bit_length()  # dst < 2^shift <= 2^32, so a key fits in 64 bits
+    us, vs = us.view(np.uint64), vs.view(np.uint64)
+    keys = np.empty(2 * e, dtype=np.uint64)
     upper, lower = keys[:e], keys[e:]
-    np.multiply(vs, n1, out=lower)
-    lower += us
+    np.left_shift(vs, shift, out=lower)
+    lower |= us
     lower.sort()
-    np.multiply(us, n1, out=upper)
-    upper += vs
+    np.left_shift(us, shift, out=upper)
+    upper |= vs
     del us, vs
     keys.sort(kind="stable")
-    np.remainder(keys, n1, out=keys)
-    return ExplicitGraph(n=n, indptr=indptr, indices=keys)
+    keys &= (1 << shift) - 1
+    return ExplicitGraph(n=n, indptr=indptr, indices=keys.view(np.int64))
 
 
 def sample_gnp(n: int, p: float, seed: int) -> ExplicitGraph:

@@ -69,10 +69,7 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        if not (0.0 < self.percolation_threshold <= 1.0):
-            raise ValueError(
-                f"percolation_threshold must lie in (0,1], got {self.percolation_threshold}"
-            )
+        TraceOptions(percolation_threshold=self.percolation_threshold)  # checks (0, 1]
         if self.mode not in ("implicit", "explicit"):
             raise ValueError(f"mode must be implicit or explicit, got {self.mode!r}")
 
@@ -200,12 +197,8 @@ def trial_sources(
 def _run_trial(args) -> _TrialResult:
     config, a, trial, horizon, t1, alpha = args
     params = config.params
-    stage_checkpoint = config.stage_diagnostics and config.mode == "explicit"
-    opts = TraceOptions(
-        checkpoints=(t1,) if stage_checkpoint else (),
-        size_horizon=max(horizon, t1),
-        percolation_threshold=config.percolation_threshold,
-    )
+    threshold = config.percolation_threshold
+    opts = TraceOptions(size_horizon=max(horizon, t1), percolation_threshold=threshold)
     source, stage_source = trial_sources(params, config.mode, config.master_seed, trial)
     trace = run_process(source, SeedSpec.prefix(a), params.r, opts)
     report = None

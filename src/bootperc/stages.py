@@ -19,8 +19,8 @@ All of these are measurements; the matching predictions recompute from
 reported side by side, never asserted on a single run.
 
 An explicit run is measured on its :class:`ExplicitGraph`: the pipeline
-reads the t1 checkpoint (examined order, infected set, every counter) and
-builds each set.  This is the oracle.
+derives the state at t1 from the run's examination order (:func:`state_at`)
+and builds each set.  This is the oracle.
 
 An implicit run keeps no per-vertex state, so the pipeline draws the
 sizes alone from |A(t1)| in the size record (the reduction of Janson,
@@ -56,7 +56,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import thresholds
-from .engine import Checkpoint, EdgeSource, ImplicitSource, PercolationTrace
+from .engine import EdgeSource, ImplicitSource, PercolationTrace
 from .graph import ExplicitGraph, count_neighbors_in, largest_component, sample_gnp_with
 from .thresholds import ProcessParams, StagePredictions, log_binom_lower
 
@@ -64,6 +64,21 @@ from .thresholds import ProcessParams, StagePredictions, log_binom_lower
 class TraceTooShort(Exception):
     """The trace recording ended before t1 for a reason other than the
     process itself stopping (e.g. a size horizon below t1)."""
+
+
+def state_at(graph: ExplicitGraph, trace: PercolationTrace, t: int):
+    """(Z(t), counters, A(t)) of an explicit run after step t, from its
+    examination order: Z(t) = u(1..t); the neighbour counts in Z(t), an
+    unexamined vertex's revealed-neighbour counter; and the seeds plus every
+    vertex with r neighbours in Z(t) (an examined non-seed had r before its
+    turn)."""
+    if trace.examined is None or len(trace.examined) < t:
+        raise TraceTooShort(f"no examination order up to t1={t}; pass size_horizon >= {t}")
+    examined = trace.examined[:t]
+    counters = count_neighbors_in(graph, examined)
+    infected = counters >= trace.r
+    infected[np.array(trace.seeds, dtype=np.int64)] = True
+    return examined, counters, np.flatnonzero(infected)
 
 
 @dataclass(frozen=True)
@@ -138,25 +153,26 @@ def early_growth_check(
 
 
 def designated_witness(
-    checkpoint: Checkpoint, params: ProcessParams, alpha: float
+    infected: np.ndarray, examined: np.ndarray, params: ProcessParams, alpha: float
 ) -> np.ndarray:
     """The designated witness subset A: the smallest-id members of
     A(t1) \\ Z(t1), ceil((1 - 2 pi_hat(t0)) alpha / 4) of them (capped at
     the available surplus)."""
     pred = thresholds.stage_predictions(params, alpha)
     want = math.ceil(pred.witness_target)
-    pool = np.setdiff1d(checkpoint.infected, checkpoint.examined)  # sorted
+    pool = np.setdiff1d(infected, examined)  # sorted
     return pool[: max(0, want)]
 
 
-def qualified_set(checkpoint: Checkpoint, witness: np.ndarray, r: int) -> np.ndarray:
+def qualified_set(
+    counters: np.ndarray, examined: np.ndarray, witness: np.ndarray, r: int
+) -> np.ndarray:
     """B-hat: vertices outside Z(t1) and outside the witness set whose
     revealed-neighbour counter reached r-1 by step t1."""
-    mask = checkpoint.counters >= (r - 1)
+    mask = counters >= (r - 1)
     mask[0] = False
-    mask[checkpoint.examined] = False
-    if len(witness):
-        mask[witness] = False
+    mask[examined] = False
+    mask[witness] = False
     return np.flatnonzero(mask).astype(np.int64)
 
 
@@ -202,8 +218,7 @@ def bridge_and_expand(
     exclude = np.zeros(n + 1, dtype=bool)
     exclude[0] = True
     exclude[examined] = True
-    if len(witness):
-        exclude[witness] = True
+    exclude[witness] = True
     exclude[bhat] = True
     pool_c = np.flatnonzero(~exclude).astype(np.int64)
     c_set = _expand_once(graph, pool_c, b1, r)
@@ -214,12 +229,9 @@ def bridge_and_expand(
     exclude_d = np.zeros(n + 1, dtype=bool)
     exclude_d[0] = True
     exclude_d[examined] = True
-    if len(witness):
-        exclude_d[witness] = True
-    if len(b_component):
-        exclude_d[b_component] = True
-    if len(c_set):
-        exclude_d[c_set] = True
+    exclude_d[witness] = True
+    exclude_d[b_component] = True
+    exclude_d[c_set] = True
     pool_d = np.flatnonzero(~exclude_d).astype(np.int64)
     d_set = _expand_once(graph, pool_d, c1, r)
 
@@ -242,19 +254,17 @@ def _explicit_stages(
     alpha: float,
     pred: StagePredictions,
 ) -> dict:
-    """Stage sizes measured on the graph, from the checkpoint at t1."""
-    if pred.t1 not in trace.counters_at:
-        raise TraceTooShort(f"no counter checkpoint at t1={pred.t1}; pass checkpoints=({pred.t1},)")
-    checkpoint = trace.counters_at[pred.t1]
-    witness = designated_witness(checkpoint, params, alpha)
-    bhat = qualified_set(checkpoint, witness, params.r)
+    """Stage sizes measured on the graph, from the state at t1."""
+    examined, counters, infected = state_at(graph, trace, pred.t1)
+    witness = designated_witness(infected, examined, params, alpha)
+    bhat = qualified_set(counters, examined, witness, params.r)
     b_comp = giant_in_qualified(graph, bhat)
     expansion = bridge_and_expand(
         graph,
         witness,
         b_comp,
         params.r,
-        examined=checkpoint.examined,
+        examined=examined,
         bhat=bhat,
         predictions=pred,
     )
@@ -305,10 +315,11 @@ def run_stage_pipeline(
 ) -> StageReport:
     """Run every stage on one finished (or t1-capped) trace.
 
-    An explicit trace must carry a counter checkpoint at t1; an implicit
-    one needs only its size record up to t1.  A run that stopped before
-    t1 reports early_ok=False with all stage sets empty: the pipeline is
-    only defined conditional on early growth.
+    An explicit trace must carry its examination order up to t1 (run with
+    ``size_horizon`` or a cap >= t1); an implicit one needs only its size
+    record up to t1.  A run that stopped before t1 reports early_ok=False
+    with all stage sets empty: the pipeline is only defined conditional on
+    early growth.
     """
     pred = thresholds.stage_predictions(params, alpha)
     early = early_growth_check(trace, params, alpha)

@@ -140,6 +140,21 @@ class TestRunCommand:
         assert 0 < almost < 3
 
 
+    @pytest.mark.parametrize("command", ["run", "stages"])
+    @pytest.mark.parametrize("threshold", ["5", "-1", "0"])
+    def test_threshold_outside_unit_interval_rejected(self, capsys, command, threshold):
+        argv = [command, "--n", "500", "--p", "0.005", "--r", "2", "--a", "400"]
+        assert cli.main([*argv, "--threshold", threshold]) == 2
+        assert f"percolation_threshold must lie in (0,1], got {float(threshold)}" in capsys.readouterr().err
+
+    def test_threshold_one_accepted(self, capsys):
+        code, payload = main_json(
+            capsys, "run", "--n", "500", "--p", "0.005", "--r", "2", "--a", "400", "--threshold", "1.0"
+        )
+        assert code == 0
+        assert payload["percolation_threshold"] == 1.0
+        assert payload["classification"] == ("AlmostPercolated" if payload["final_size"] == 500 else "Stopped")
+
     def test_explicit_graph_is_trial_zero_of_an_experiment(self, capsys):
         # one stream layout: run --seed s samples the graph trial 0 of an
         # experiment with master seed s samples
@@ -353,6 +368,14 @@ class TestConfigOverlay:
         code = cli.main(["run", "--n", "2000", "--p", "0.003", "--r", "2", "--a", "40", "--config", str(cfg)])
         assert code == 2
         assert "must be a non-negative integer, got -3" in capsys.readouterr().err
+
+    def test_bad_value_names_key_and_file(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("trials=x\n")
+        code = cli.main(["sweep", "--n", "1500", "--p", "0.004", "--r", "2", "--a-list", "5", "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: trials='x': invalid literal for int()" in err
 
     def test_missing_file(self, capsys):
         assert cli.main(["thresholds", "--config", "/nonexistent.cfg", "--n", "10", "--p", "0.1", "--r", "2"]) == 2

@@ -1,9 +1,11 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from bootperc import engine
 from bootperc.engine import (
     CLASS_ALMOST,
     CLASS_CENSORED,
@@ -112,6 +114,71 @@ class TestRunDirect:
         assert gens == 4
 
 
+def chain_of_triangles(n):
+    """Edges i~i+1 and i~i+2 on 1..n."""
+    return from_edges(n, [(i, i + 1) for i in range(1, n)] + [(i, i + 2) for i in range(1, n - 1)])
+
+
+class TestPushPullClosure:
+    """The direction-optimising closure against the per-edge sweep, on
+    inputs that push for many generations, pull at the end, pull in the
+    first generation and hinge on one hub."""
+
+    @staticmethod
+    def closure_and_pulls(monkeypatch, g, seeds, r):
+        pulls = []
+
+        def counting_row_entries(graph, vs):
+            # a pull reads the rows of the uninfected vertices, `rest` in _close
+            if vs is sys._getframe(1).f_locals.get("rest"):
+                pulls.append(len(vs))
+            return row_entries(graph, vs)
+
+        row_entries = engine._row_entries
+        monkeypatch.setattr(engine, "_row_entries", counting_row_entries)
+        got = run_direct(g, seeds, r)
+        monkeypatch.setattr(engine, "_row_entries", row_entries)
+        assert got == run_direct_per_edge(g, seeds, r)
+        return got, pulls
+
+    def test_chain_of_triangles(self, monkeypatch):
+        n = 2000
+        g = chain_of_triangles(n)
+        # one join per generation: pushes until the last two, whose rows
+        # outweigh the uninfected remainder
+        (final, gens), pulls = self.closure_and_pulls(monkeypatch, g, [1, 2], 2)
+        assert final == frozenset(range(1, n + 1)) and gens == n - 2
+        assert pulls == [1, 0]
+        # from both ends and from a stretch in the middle
+        for seeds in ([1, 2, n - 1, n], list(range(900, 1100))):
+            (final, gens), pulls = self.closure_and_pulls(monkeypatch, g, seeds, 2)
+            assert final == frozenset(range(1, n + 1)) and pulls
+
+    def test_pull_in_first_generation(self, monkeypatch):
+        # the odd vertices are seeds, so every even vertex but n joins at
+        # once, and their rows outweigh the one uninfected row left, n's;
+        # n (neighbours n - 2 and n - 1) joins by that pull
+        n = 2000
+        g = chain_of_triangles(n)
+        seeds = list(range(1, n + 1, 2))
+        (final, gens), pulls = self.closure_and_pulls(monkeypatch, g, seeds, 2)
+        assert final == frozenset(range(1, n + 1)) and gens == 2
+        assert pulls == [1, 0]
+
+    def test_star(self, monkeypatch):
+        # K_{1,m}: two infected leaves infect the hub, whose row holds every
+        # leaf; at r = 1 the hub then infects all the leaves
+        m = 500
+        g = from_edges(m + 1, [(1, v) for v in range(2, m + 2)])
+        (final, gens), _ = self.closure_and_pulls(monkeypatch, g, [2, 3], 2)
+        assert final == frozenset({1, 2, 3}) and gens == 1
+        (final, gens), pulls = self.closure_and_pulls(monkeypatch, g, [2], 1)
+        assert final == frozenset(range(1, m + 2)) and gens == 2
+        assert pulls  # the hub's row outweighs the leaves left
+        (final, gens), _ = self.closure_and_pulls(monkeypatch, g, [1], 1)
+        assert final == frozenset(range(1, m + 2)) and gens == 1
+
+
 class TestRunProcess:
     def test_no_seeds(self):
         params = ProcessParams(n=50, p=0.05, r=2)
@@ -191,15 +258,22 @@ class TestRunProcess:
         assert len(trace.infected_sizes) == 11
         assert trace.T is not None  # run completed despite short recording
 
-    def test_checkpoint_contents(self):
+    def test_examined_order(self):
         g = from_edges(6, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6)])
-        trace = run_process(g, SeedSpec.of([1, 2]), 2, TraceOptions(checkpoints=(2,)))
-        chk = trace.counters_at[2]
-        assert chk.t == 2
-        assert list(chk.examined) == [1, 2]
-        # counters vs hand count: neighbours of {1,2} among unexamined
-        assert chk.counters[3] == 2
-        assert chk.counters[4] == 0
+        # 1 and 2 reveal 3 twice, 3 reveals 4 once, and the run stops
+        trace = run_process(g, SeedSpec.of([2, 1]), 2)
+        assert trace.seeds == (1, 2) and trace.T == 3
+        assert trace.examined.tolist() == [1, 2, 3]
+        capped = run_process(g, SeedSpec.of([1, 2]), 2, TraceOptions(max_steps=2))
+        assert capped.examined.tolist() == [1, 2] and capped.T is None
+        implicit = run_process(ImplicitSource(ProcessParams(n=6, p=0.5, r=2), seed=1), SeedSpec.prefix(2), 2)
+        assert implicit.examined is None and implicit.seeds is None
+
+    def test_threshold_checked(self):
+        for bad in (0.0, -1.0, 5.0, 1.0000001, float("nan")):
+            with pytest.raises(ValueError, match=r"percolation_threshold must lie in \(0,1\]"):
+                TraceOptions(percolation_threshold=bad)
+        assert TraceOptions(percolation_threshold=1.0).percolation_threshold == 1.0
 
     def test_expected_trajectory(self):
         # mean |A(t)| over trials tracks a + (n-a) pi_hat(t) within 4 SE.
@@ -223,9 +297,8 @@ class TestRunProcess:
 
 
 class TestClosureTail:
-    """An uncapped explicit run past its size horizon and checkpoints
-    finishes by closure; the full one-vertex-per-step loop is the
-    reference."""
+    """An uncapped explicit run past its size horizon finishes by
+    closure; the full one-vertex-per-step loop is the reference."""
 
     def test_tail_matches_full_loop(self):
         rng = np.random.default_rng(14)
@@ -235,25 +308,18 @@ class TestClosureTail:
             T = full.T
             small = int(rng.integers(1, max(2, T // 2 + 1)))
             for horizon in (0, small, T + 3):
-                checkpoints = tuple(sorted({max(1, horizon // 2), horizon + 2}))
-                opts = TraceOptions(checkpoints=checkpoints, size_horizon=horizon)
-                ref = run_process(g, SeedSpec.of(seeds), r, TraceOptions(checkpoints=checkpoints))
-                got = run_process(g, SeedSpec.of(seeds), r, opts)
+                got = run_process(g, SeedSpec.of(seeds), r, TraceOptions(size_horizon=horizon))
                 assert (got.T, got.final_size, got.classification) == (
-                    ref.T,
-                    ref.final_size,
-                    ref.classification,
+                    full.T,
+                    full.final_size,
+                    full.classification,
                 )
-                assert np.array_equal(got.final_infected, ref.final_infected)
-                assert np.array_equal(got.infected_sizes, ref.infected_sizes[: horizon + 1])
-                assert got.counters_at.keys() == ref.counters_at.keys()
-                for t, chk in ref.counters_at.items():
-                    mine = got.counters_at[t]
-                    assert mine.t == chk.t
-                    assert np.array_equal(mine.counters, chk.counters)
-                    assert np.array_equal(mine.examined, chk.examined)
-                    assert np.array_equal(mine.infected, chk.infected)
-                tails += T > max(horizon, *checkpoints)
+                assert np.array_equal(got.final_infected, full.final_infected)
+                assert np.array_equal(got.infected_sizes, full.infected_sizes[: horizon + 1])
+                # the examination order covers the steps taken, up to the horizon
+                assert np.array_equal(got.examined, full.examined[:horizon])
+                assert got.seeds == full.seeds == tuple(sorted(seeds))
+                tails += T > horizon
         assert tails >= 100
 
     def test_capped_run_still_censored(self):
@@ -392,8 +458,7 @@ class TestSeedSpec:
             (SeedSpec.of([2, 3]), {}, "prefix seeds"),
             (SeedSpec.prefix(101), {}, "outside 0..100"),
             (SeedSpec.of([1, 101]), {}, "seed members outside"),
-            (SeedSpec.prefix(101), {"checkpoints": (2,)}, "outside 0..100"),
-            (SeedSpec.prefix(3), {"checkpoints": (2,)}, "no checkpoints"),
+            (SeedSpec.prefix(101), {"max_steps": 2}, "outside 0..100"),
         ]:
             with pytest.raises(ValueError, match=message):
                 run(seed, **opts)
@@ -461,12 +526,10 @@ class TestImplicitWalk:
         assert almost[a_values[1]][0] > 0.4 and almost[a_values[1]][1] > 0.4
 
     def test_counts_only(self):
-        # an implicit run holds no per-vertex state: it refuses checkpoints
-        # and seeds other than {1..a}, and reports no final set
+        # an implicit run holds no per-vertex state: it refuses seeds other
+        # than {1..a}, and reports neither an examination order nor a final set
         params = ProcessParams(n=2000, p=3e-3, r=2)
         src = ImplicitSource(params, seed=81)
-        with pytest.raises(ValueError, match="checkpoints"):
-            run_process(src, SeedSpec.prefix(40), 2, TraceOptions(checkpoints=(20,)))
         with pytest.raises(ValueError, match="prefix"):
             run_process(src, SeedSpec.of(range(7, 2000, 50)), 2)
         with pytest.raises(ValueError, match="prefix"):
@@ -476,7 +539,7 @@ class TestImplicitWalk:
         mem = run_process(ImplicitSource(params, seed=82), SeedSpec.of(range(1, 41)), 2)
         assert np.array_equal(pre.infected_sizes, mem.infected_sizes)
         assert (pre.T, pre.final_size) == (mem.T, mem.final_size)
-        assert pre.final_infected is None and pre.counters_at == {}
+        assert pre.final_infected is None and pre.examined is None and pre.seeds is None
 
     def test_billion_vertices_in_the_window(self):
         params = ProcessParams(n=10**9, p=1e-7, r=2)

@@ -6,12 +6,15 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from bootperc import graph
 from bootperc.graph import (
     MAX_N,
     ComponentSummary,
     ExplicitGraph,
+    _geometric_gaps,
+    _pair_rows,
+    _row_start,
     _sample_edge_indices,
-    _unrank_pairs,
     count_neighbors_in,
     from_edges,
     largest_component,
@@ -75,13 +78,30 @@ def reference_unrank_pairs(idxs: np.ndarray, n: int) -> tuple[np.ndarray, np.nda
     return u, u + 1 + (idxs - off(m))
 
 
+def reference_edge_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """The present pair indices from plain ``rng.geometric`` chunks, of
+    the sampler's documented sizes, and an exact running sum in Python
+    ints that stops at the first index past the last pair."""
+    total = n * (n - 1) // 2
+    idxs, pos = [], -1
+    mean_left = total * p
+    while True:
+        size = max(64, int(mean_left + 4.0 * math.sqrt(mean_left + 1.0)))
+        for gap in rng.geometric(p, size=size).tolist():
+            pos += gap
+            if pos >= total:
+                return np.array(idxs, dtype=np.int64)
+            idxs.append(pos)
+        mean_left = (total - pos) * p
+
+
 def reference_csr(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(indptr, indices) of sample_gnp(n, p, seed) from one sort of the
     keys src*(n+1) + dst over both copies of every edge, split by divmod."""
     indptr = np.zeros(n + 2, dtype=np.int64)
     if p <= 0.0 or n == 1:
         return indptr, np.empty(0, dtype=np.int64)
-    us, vs = reference_unrank_pairs(_sample_edge_indices(n, p, make_generator(seed)), n)
+    us, vs = reference_unrank_pairs(reference_edge_indices(n, p, make_generator(seed)), n)
     keys = np.concatenate([us * (n + 1) + vs, vs * (n + 1) + us])
     keys.sort()
     src, dst = np.divmod(keys, n + 1)
@@ -94,29 +114,108 @@ def pair_rank(u: int, v: int, n: int) -> int:
     return (u - 1) * (2 * n - u) // 2 + (v - u - 1)
 
 
+def graph_of_pair_indices(monkeypatch, n: int, idxs) -> list[tuple[int, int]]:
+    """The edges (u, v), u < v, of the graph that ``sample_gnp_with``
+    builds when the draws give the pair indices ``idxs``."""
+    monkeypatch.setattr(graph, "_sample_edge_indices", lambda *_: np.array(idxs, dtype=np.int64))
+    g = sample_gnp_with(n, 0.5, make_generator(0))
+    us = np.repeat(np.arange(n + 1), np.diff(g.indptr))
+    upper = us < g.indices
+    return list(zip(us[upper].tolist(), g.indices[upper].tolist()))
+
+
+# p on both sides of 1/3, where numpy's geometric switches from the
+# inversion of an exponential to a search; 1e-19 hits the 2^62 cap
+GAP_PS = [1e-19, 1e-7, 1.2e-5, 4e-4, 0.01, 0.2, 0.3, 0.3333, 1 / 3, 0.34, 0.5, 0.9, 1.0]
+
+
+class TestGapDraws:
+    """The sampler's gaps and pair indices against plain ``rng.geometric``:
+    the same values and the same generator state after."""
+
+    def test_gaps_match_numpy_geometric(self):
+        for p in GAP_PS:
+            for seed, size in ((0, 1), (1, 64), (2, 5000)):
+                got_rng, ref_rng = make_generator(seed), make_generator(seed)
+                got = _geometric_gaps(got_rng, p, size)
+                want = np.minimum(ref_rng.geometric(p, size=size), 2**62)
+                assert got.dtype == np.int64 and np.array_equal(got, want), (p, seed)
+                assert got_rng.random() == ref_rng.random(), (p, seed)
+
+    def test_edge_indices_match_reference(self):
+        for p in [1e-18, *GAP_PS[1:]]:
+            # about 2*10^4 edges at most; n = 10^6 at p = 1e-18 makes gaps
+            # whose running sum wraps int64 after passing the last pair
+            n = max(2, min(10**6, int(math.sqrt(4e4 / p))))
+            for seed in range(3):
+                got_rng, ref_rng = make_generator(seed), make_generator(seed)
+                got = _sample_edge_indices(n, p, got_rng)
+                assert np.array_equal(got, reference_edge_indices(n, p, ref_rng)), (n, p, seed)
+                assert got_rng.random() == ref_rng.random(), (n, p, seed)
+
+    def test_tiny_p_graph(self):
+        for seed in range(5):
+            g = sample_gnp_with(10**6, 1e-18, make_generator(seed))
+            assert g.edge_count == 0 and len(g.indptr) == 10**6 + 2
+
+
 class TestUnrank:
-    def test_bijection_small(self):
+    """The unranking inside ``sample_gnp_with``: with more pairs than rows,
+    each row's upper degree from a search of the exact row starts and u by
+    repeat; with fewer, u from ``_pair_rows``; v by subtraction."""
+
+    def test_bijection_small(self, monkeypatch):
+        rng = np.random.default_rng(8)
         for n in [2, 3, 5, 17, 40]:
             expected = list(itertools.combinations(range(1, n + 1), 2))
-            us, vs = _unrank_pairs(np.arange(n * (n - 1) // 2, dtype=np.int64), n)
-            assert list(zip(us.tolist(), vs.tolist())) == expected
+            total = len(expected)
+            assert graph_of_pair_indices(monkeypatch, n, range(total)) == expected
+            # both sides of the switch at n pairs
+            for size in {1, min(n, total), min(n + 1, total), total // 3}:
+                subset = np.sort(rng.choice(total, size=size, replace=False))
+                assert graph_of_pair_indices(monkeypatch, n, subset) == [expected[k] for k in subset]
 
-    def test_large_indices(self):
+    def test_large_indices(self, monkeypatch):
         n = 10**6
         total = n * (n - 1) // 2
-        us, vs = _unrank_pairs(np.array([total - 1, 0], dtype=np.int64), n)
-        assert list(zip(us.tolist(), vs.tolist())) == [(n - 1, n), (1, 2)]
+        idxs = [0, n - 2, n - 1, total // 2, total - 1]
+        pairs = graph_of_pair_indices(monkeypatch, n, idxs)
+        assert pairs[:3] == [(1, 2), (1, n), (2, 3)] and pairs[-1] == (n - 1, n)
+        assert [pair_rank(u, v, n) for u, v in pairs] == idxs
 
-    def test_beyond_float_exact_squares(self):
-        # (2n - 1)^2 overflows int64 here; the unranking never forms it
-        n = 1_600_000_000
+    def test_pair_rows_match_exact_search(self):
+        # every scale of n, with the ends of the index range included
+        rng = np.random.default_rng(9)
+        for n in [2, 3, 10, 1000, 10**6, 10**9, 2**31 + 11, MAX_N]:
+            total = n * (n - 1) // 2
+            idxs = [0, total - 1, *(int(x) for x in rng.integers(0, total, size=300))]
+
+            def exact_row(idx):
+                lo, hi = 1, n - 1  # the last u with off(u - 1) <= idx
+                while lo < hi:
+                    mid = (lo + hi + 1) // 2
+                    lo, hi = (mid, hi) if (mid - 1) * (2 * n - mid) // 2 <= idx else (lo, mid - 1)
+                return lo
+
+            got = _pair_rows(np.array(idxs, dtype=np.int64), n).tolist()
+            assert got == [exact_row(idx) for idx in idxs], n
+
+    def test_row_starts_near_max_n(self):
+        # the row starts, the rows of _pair_rows and v = idx - off(u - 1)
+        # + u + 1 are exact in int64 up to n = MAX_N, where (2n - 1)^2 is
+        # far beyond int64 and a float carries 53 bits of a 62-bit index
+        n = MAX_N
         total = n * (n - 1) // 2
-        idxs = [0, 1, n - 2, n - 1, total // 3, total // 2, total - 3, total - 2, total - 1]
-        us, vs = _unrank_pairs(np.array(idxs, dtype=np.int64), n)
-        pairs = list(zip(us.tolist(), vs.tolist()))
-        assert pairs[0] == (1, 2) and pairs[3] == (2, 3) and pairs[-1] == (n - 1, n)
-        for idx, (u, v) in zip(idxs, pairs):
-            assert 1 <= u < v <= n and pair_rank(u, v, n) == idx
+        rows = [1, 2, 3, n // 3, n // 2, n - 2, n - 1, n, n + 1]
+        starts = _row_start(np.array(rows, dtype=np.int64), n)
+        assert starts.tolist() == [(u - 1) * (2 * n - u) // 2 for u in rows]
+        assert starts[-1] == starts[-2] == total  # row n has no upper pairs
+        pairs = [(1, 2), (1, n), (2, 3), (2, n), (n // 3, n // 2), (n // 2, n // 2 + 1)]
+        pairs += [(n // 2, n), (n - 3, n - 2), (n - 2, n), (n - 1, n)]
+        idxs = np.array([pair_rank(u, v, n) for u, v in pairs], dtype=np.int64)
+        us = _pair_rows(idxs, n)
+        assert us.tolist() == [u for u, _ in pairs]
+        assert (idxs - _row_start(us, n) + us + 1).tolist() == [v for _, v in pairs]
 
 
 class TestSampling:
@@ -149,7 +248,7 @@ class TestSampling:
         # lists, each list then sorted
         for n, p, seed in [(2, 0.5, 1), (300, 0.03, 2), (2000, 2e-3, 3), (40, 1.0, 4)]:
             g = sample_gnp(n, p, seed=seed)
-            us, vs = _unrank_pairs(_sample_edge_indices(n, p, make_generator(seed)), n)
+            us, vs = reference_unrank_pairs(reference_edge_indices(n, p, make_generator(seed)), n)
             rows = [[] for _ in range(n + 1)]
             for u, v in zip(us.tolist(), vs.tolist()):
                 rows[u].append(v)

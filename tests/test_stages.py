@@ -1,3 +1,4 @@
+import heapq
 import json
 import math
 
@@ -11,7 +12,7 @@ from bootperc.engine import (
     TraceOptions,
     run_process,
 )
-from bootperc.graph import count_neighbors_in, sample_gnp, sample_gnp_with
+from bootperc.graph import count_neighbors_in, from_edges, sample_gnp, sample_gnp_with
 from bootperc.montecarlo import trial_sources
 from bootperc.rng import make_generator
 from bootperc.stages import (
@@ -22,6 +23,7 @@ from bootperc.stages import (
     giant_in_qualified,
     qualified_set,
     run_stage_pipeline,
+    state_at,
 )
 from bootperc.thresholds import ProcessParams, rho_fixed_point, stage_predictions
 from test_engine import two_sample_z
@@ -36,10 +38,9 @@ A_SUPER = round(CRIT.ac) + int(ALPHA)
 
 def capped_run(trial, mode="implicit"):
     """Trial ``trial`` of master seed 101 at the supercritical point, capped
-    at T1 (an explicit run with its checkpoint there), and its stage source."""
+    at T1, and its stage source."""
     src, stage_src = trial_sources(PARAMS, mode, 101, trial)
-    checkpoints = (T1,) if mode == "explicit" else ()
-    opts = TraceOptions(checkpoints=checkpoints, max_steps=T1)
+    opts = TraceOptions(max_steps=T1)
     return stage_src, run_process(src, SeedSpec.prefix(A_SUPER), PARAMS.r, opts)
 
 
@@ -71,7 +72,8 @@ class TestEarlyGrowth:
             T=None,
             final_size=trace.final_size,
             final_infected=trace.final_infected,
-            counters_at=trace.counters_at,
+            seeds=trace.seeds,
+            examined=trace.examined,
             classification=trace.classification,
             bernoulli_draws=trace.bernoulli_draws,
         )
@@ -102,26 +104,93 @@ class TestEarlyGrowth:
         assert hits / runs >= lower_bound - (hi - lo) / 2.0
 
 
+def step_loop(g, seeds, r, t):
+    """The examine-one-vertex process, one vertex and one edge at a time,
+    up to step t: (examined order, counters, sorted infected ids)."""
+    infected = set(seeds)
+    examined, done = [], set()
+    counters = [0] * (g.n + 1)
+    heap = sorted(infected)
+    while heap and len(examined) < t:
+        u = heapq.heappop(heap)
+        examined.append(u)
+        done.add(u)
+        for v in g.neighbors(u).tolist():
+            if v in done:
+                continue
+            counters[v] += 1
+            if counters[v] == r and v not in infected:
+                infected.add(v)
+                heapq.heappush(heap, v)
+    return examined, counters, sorted(infected)
+
+
+class TestStateAt:
+    """The state at step t that the explicit stages derive from a run's
+    examination order, against the step loop, on fixed graphs, from runs
+    capped at t, run with horizon t, and run to the end."""
+
+    def test_hand_counted_fixture(self):
+        g = from_edges(6, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6)])
+        trace = run_process(g, SeedSpec.of([1, 2]), 2)
+        examined, counters, infected = state_at(g, trace, 2)
+        assert examined.tolist() == [1, 2]
+        # neighbours of {1,2} among the unexamined: 3 has two, 4 none
+        assert counters[3] == 2 and counters[4] == 0
+        assert infected.tolist() == [1, 2, 3]
+
+    def test_matches_step_loop(self):
+        cases = []
+        for k, (n, p, r) in enumerate([(300, 0.02, 2), (400, 0.03, 3), (600, 0.01, 2), (250, 0.05, 1)]):
+            g = sample_gnp(n, p, seed=40 + k)
+            scattered = np.random.default_rng(k).choice(np.arange(1, n + 1), size=12, replace=False)
+            cases += [(g, list(range(1, 16)), r), (g, scattered.tolist(), r)]
+        checked = 0
+        for g, seeds, r in cases:
+            T = run_process(g, SeedSpec.of(seeds), r).T
+            for t in sorted({1, 2, T // 3, T // 2, T - 1, T}):
+                want_examined, want_counters, want_infected = step_loop(g, seeds, r, t)
+                for opts in (TraceOptions(max_steps=t), TraceOptions(size_horizon=t), TraceOptions()):
+                    trace = run_process(g, SeedSpec.of(seeds), r, opts)
+                    examined, counters, infected = state_at(g, trace, t)
+                    assert examined.tolist() == want_examined
+                    unexamined = np.setdiff1d(np.arange(1, g.n + 1), examined)
+                    assert counters[unexamined].tolist() == [want_counters[v] for v in unexamined]
+                    assert infected.tolist() == want_infected
+                    checked += 1
+        assert checked >= 100
+
+    def test_order_too_short(self):
+        g = sample_gnp(300, 0.02, seed=40)
+        trace = run_process(g, SeedSpec.prefix(15), 2, TraceOptions(max_steps=5))
+        assert len(state_at(g, trace, 5)[0]) == 5
+        with pytest.raises(TraceTooShort, match="t1=6"):
+            state_at(g, trace, 6)
+        implicit = run_process(ImplicitSource(PARAMS, seed=1), SeedSpec.prefix(A_SUPER), 2)
+        with pytest.raises(TraceTooShort):
+            state_at(g, implicit, 1)
+
+
 class TestQualifiedSet:
     def test_fresh_process_empty(self):
         # t1 = 0 edge case: no examined vertices, nobody qualifies at r = 2
         g = sample_gnp(100, 0.02, seed=5)
-        trace = run_process(g, SeedSpec.prefix(10), 2, TraceOptions(checkpoints=(1,), max_steps=1))
-        chk = trace.counters_at[1]
+        trace = run_process(g, SeedSpec.prefix(10), 2, TraceOptions(max_steps=1))
+        examined, counters, _ = state_at(g, trace, 1)
         witness = np.array([], dtype=np.int64)
-        bhat = qualified_set(chk, witness, r=3)  # needs 2 neighbours among 1 examined
+        bhat = qualified_set(counters, examined, witness, r=3)  # needs 2 neighbours among 1 examined
         assert len(bhat) == 0
 
     def test_matches_graph_oracle(self):
         # explicit fixture: counters at t1 must equal true neighbour counts
         # into Z(t1), so B-hat matches count_neighbors_in
         g = sample_gnp(600, 0.02, seed=33)
-        trace = run_process(g, SeedSpec.prefix(40), 2, TraceOptions(checkpoints=(25,), max_steps=25))
-        chk = trace.counters_at[25]
-        z = chk.examined.tolist()
+        trace = run_process(g, SeedSpec.prefix(40), 2, TraceOptions(max_steps=25))
+        examined, counters, infected = state_at(g, trace, 25)
+        z = examined.tolist()
         counts = count_neighbors_in(g, z)
-        witness = np.setdiff1d(chk.infected, chk.examined)[:3]
-        bhat = qualified_set(chk, witness, r=2)
+        witness = np.setdiff1d(infected, examined)[:3]
+        bhat = qualified_set(counters, examined, witness, r=2)
         expect = [
             v
             for v in range(1, 601)
@@ -198,9 +267,9 @@ class TestCountForm:
         a = round(crit.ac) + int(alpha) if seeds == "above" else t1 + 40
         reports = {"implicit": [], "explicit": []}
         for trial in range(300):
-            for mode, checkpoints in (("implicit", ()), ("explicit", (t1,))):
+            for mode in ("implicit", "explicit"):
                 src, stage_src = trial_sources(params, mode, 91, trial)
-                opts = TraceOptions(checkpoints=checkpoints, max_steps=t1)
+                opts = TraceOptions(max_steps=t1)
                 trace = run_process(src, SeedSpec.prefix(a), r, opts)
                 reports[mode].append(run_stage_pipeline(stage_src, trace, params, alpha))
         columns = {
@@ -250,20 +319,20 @@ class TestBridgeExpand:
 
     def test_exclusion_discipline(self):
         g, trace = capped_run(7, "explicit")
-        chk = trace.counters_at[T1]
-        witness = designated_witness(chk, PARAMS, ALPHA)
-        bhat = qualified_set(chk, witness, PARAMS.r)
+        examined, counters, infected = state_at(g, trace, T1)
+        witness = designated_witness(infected, examined, PARAMS, ALPHA)
+        bhat = qualified_set(counters, examined, witness, PARAMS.r)
         b = giant_in_qualified(g, bhat)
         res = bridge_and_expand(
             g,
             witness,
             b,
             PARAMS.r,
-            examined=chk.examined,
+            examined=examined,
             bhat=bhat,
             predictions=stage_predictions(PARAMS, ALPHA),
         )
-        z = set(chk.examined.tolist())
+        z = set(examined.tolist())
         w = set(witness.tolist())
         bh = set(bhat.tolist())
         bb = set(b.tolist())
@@ -317,16 +386,16 @@ class TestBridgeExpand:
     def test_truncation_flag(self):
         # force |B| below the designated subset target by shrinking B
         g, trace = capped_run(8, "explicit")
-        chk = trace.counters_at[T1]
-        witness = designated_witness(chk, PARAMS, ALPHA)
-        bhat = qualified_set(chk, witness, PARAMS.r)
+        examined, counters, infected = state_at(g, trace, T1)
+        witness = designated_witness(infected, examined, PARAMS, ALPHA)
+        bhat = qualified_set(counters, examined, witness, PARAMS.r)
         b = giant_in_qualified(g, bhat)[:5]
         res = bridge_and_expand(
             g,
             witness,
             b,
             PARAMS.r,
-            examined=chk.examined,
+            examined=examined,
             bhat=bhat,
             predictions=stage_predictions(PARAMS, ALPHA),
         )
