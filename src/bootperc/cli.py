@@ -1,10 +1,10 @@
 """Command-line surface.
 
-Commands: ``thresholds``, ``run``, ``sweep``, ``giant``, ``bounds`` and
-``stages`` (alias of ``run --stages``).  Output is machine readable: JSON
-by default, CSV for sweep curves.  All probabilities print with 12
-significant digits.  Exit codes: 0 success, 2 argument/validation error,
-3 degenerate-regime error, 1 unexpected internal failure.
+Commands: ``thresholds``, ``run``, ``stages``, ``sweep``, ``giant`` and
+``bounds``.  Output is machine readable: JSON by default, CSV for sweep
+curves.  All probabilities print with 12 significant digits.  Exit
+codes: 0 success, 2 argument/validation error, 3 degenerate-regime
+error, 1 unexpected internal failure.
 
 Each command imports the modules it runs when it is called, and parsing
 imports none of them, so ``--help`` and usage errors never load numpy.
@@ -60,26 +60,6 @@ def _load_config_file(path) -> dict[str, str]:
     return values
 
 
-# config-file keys are the long option names; values coerce like the flags
-_CONFIG_COERCE = {
-    "n": int,
-    "p": float,
-    "r": int,
-    "a": int,
-    "trials": int,
-    "seed": int,
-    "workers": int,
-    "mode": str,
-    "format": str,
-    "threshold": float,
-    "alpha": float,
-    "m": int,
-    "eps": float,
-    "a_list": str,
-    "alpha_list": str,
-}
-
-
 def _int_at_least(low: int, kind: str):
     """An argparse type: an integer >= low, described as a `kind` integer."""
 
@@ -130,35 +110,26 @@ def _cmd_thresholds(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from . import montecarlo, stages, thresholds
-    from .engine import SeedSpec, TraceOptions, run_process, write_trace_csv
+    """``run`` and ``stages``: trial 0 of an experiment with master seed --seed."""
+    from . import montecarlo, thresholds
+    from .engine import write_trace_csv
 
     params = _params_from(args)
-    if not (0 <= args.a <= params.n):
-        raise ValueError(f"a={args.a} outside 0..{params.n}")
-    alpha = args.alpha
-    if args.stages:
+    alpha = None
+    if args.command == "stages":
+        alpha = args.alpha
         if alpha is None:
-            crit = thresholds.critical_pair(params)
-            alpha = args.a - crit.ac
+            alpha = args.a - thresholds.critical_pair(params).ac
         if not alpha > 0:
             raise ValueError(
                 f"stage diagnostics need alpha > 0 (a={args.a} is not above the "
                 "critical seed count; pass --alpha explicitly)"
             )
-    # an explicit run steps only to t1, where its stages read it, and closes;
-    # an implicit run's horizon decides its walk's draws, so it keeps None
-    horizon = None
-    if args.mode == "explicit" and not args.trace_out:
-        horizon = thresholds.stage_predictions(params, alpha).t1 if args.stages else 0
-    opts = TraceOptions(size_horizon=horizon, percolation_threshold=args.threshold)
-    # the run draws on the streams of trial 0 of an experiment with master
-    # seed --seed.  An explicit run reads that trial's graph and ends as it
-    # does.  An implicit run records its whole trajectory, a trial only up
-    # to t0_int, and the walk's draws depend on that horizon, so the two
-    # can end differently
-    source, stage_source = montecarlo.trial_sources(params, args.mode, args.seed, 0)
-    trace = run_process(source, SeedSpec.prefix(args.a), params.r, opts)
+    # with no trace to write, a run records |A(t)| only as far as its stages read
+    horizon = None if args.trace_out else 0
+    trace, report = montecarlo.run_trial(
+        params, args.mode, args.seed, 0, args.a, horizon, args.threshold, alpha
+    )
     payload = {
         "n": params.n,
         "p": params.p,
@@ -174,8 +145,7 @@ def _cmd_run(args) -> int:
     if args.trace_out:
         write_trace_csv(trace, params, args.trace_out)
         payload["trace_csv"] = args.trace_out
-    if args.stages:
-        report = stages.run_stage_pipeline(stage_source, trace, params, alpha)
+    if report is not None:
         payload["stages"] = report.to_dict()
     _emit(payload, args)
     return EXIT_OK
@@ -312,11 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_thr, seed=False)
     p_thr.set_defaults(func=_cmd_thresholds)
 
-    for name, force_stages in (("run", False), ("stages", True)):
-        p_run = sub.add_parser(
-            name,
-            help="single seeded run" if name == "run" else "single run with stage diagnostics",
-        )
+    for name, help_text in (("run", "single seeded run"), ("stages", "single run with stage diagnostics")):
+        p_run = sub.add_parser(name, help=help_text)
         p_run.add_argument("--n", type=int, required=True)
         p_run.add_argument("--p", type=float, required=True)
         p_run.add_argument("--r", type=int, required=True)
@@ -324,11 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
         p_run.add_argument("--mode", choices=["implicit", "explicit"], default="implicit")
         p_run.add_argument("--threshold", type=float, default=0.9)
         p_run.add_argument("--trace-out", type=str, default=None)
-        p_run.add_argument("--alpha", type=float, default=None)
-        if force_stages:
-            p_run.set_defaults(stages=True)
-        else:
-            p_run.add_argument("--stages", action="store_true")
+        if name == "stages":
+            p_run.add_argument("--alpha", type=float, default=None)
         _add_common(p_run)
         p_run.set_defaults(func=_cmd_run)
 
@@ -381,47 +345,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_overlay(argv: list[str]) -> list[str]:
-    """Pre-scan for --config and append file values as flags.
-
-    Values from the file apply only where the command line did not set the
-    flag, as ``--key value`` or ``--key=value``.
-    """
+def _config_path(argv: list[str]) -> str | None:
+    """The last --config path on the command line, if any."""
     path = None
     for k, tok in enumerate(argv):
-        if tok == "--config":
-            if k + 1 >= len(argv):
-                raise ValueError("--config needs a path")
+        if tok == "--config" and k + 1 < len(argv):
             path = argv[k + 1]
         elif tok.startswith("--config="):
             path = tok.split("=", 1)[1]
-    if path is None:
-        return argv
-    overlay = _load_config_file(path)
-    present = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
-    extra: list[str] = []
-    for key, raw in overlay.items():
-        coerce = _CONFIG_COERCE.get(key)
-        if coerce is None:
-            raise ValueError(f"unknown config key {key!r}")
-        flag = "--" + key.replace("_", "-")
-        if flag in present:
-            continue  # explicit flags win
-        try:
-            coerce(raw)  # validate early so errors name the config file value
-        except ValueError as exc:
-            raise ValueError(f"{path}: {key}={raw!r}: {exc}") from None
-        extra.extend([flag, raw])
-    return argv + extra
+    return path
 
 
 def _parse(argv: list[str]):
-    """The parsed arguments, or the exit code when parsing ends the run."""
-    argv = _apply_config_overlay(argv)
+    """The parsed arguments, or the exit code when parsing ends the run.
+
+    A config file's lines go in as ``--key=value`` right after the command
+    name, so argparse checks each with the flag's own type and a flag
+    given later on the command line wins.
+    """
+    path = _config_path(argv)
+    flags = []
+    if path is not None:
+        flags = [f"--{key.replace('_', '-')}={val}" for key, val in _load_config_file(path).items()]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(argv[:1] + flags + argv[1:])
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        if exc.code in (0, None):
+            return EXIT_OK
+        if flags:
+            print(f"bootperc: config file {path} gave {' '.join(flags)}", file=sys.stderr)
+        return EXIT_USAGE
     return args
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .graph import ExplicitGraph, _neighbor_counts, _row_entries, _vertex_mask
 from .rng import make_generator
-from .thresholds import DegenerateRegime, ProcessParams, binom_tail_geq, log_binom_lower
+from .thresholds import DegenerateRegime, ProcessParams, log_binom_lower
 
 # a run's classification, the one vocabulary of runs and experiment counts
 CLASS_STOPPED = "Stopped"  # stopped below the almost-percolation threshold
@@ -104,10 +104,12 @@ class TraceOptions:
     """Instrumentation knobs for :func:`run_process`.
 
     max_steps: hard cap on examined steps; a capped run is "Censored".
-    size_horizon: record |A(t)| only for t <= horizon (the run itself
-        continues); None records the whole trajectory.  An uncapped
-        explicit run with a horizon stops stepping once it is past the
-        horizon, and finishes by closure.
+    size_horizon: record |A(t)| only for t <= horizon; None records the
+        whole trajectory.  It sets what is recorded, never how a run
+        ends: T, the final size and the sizes up to the horizon are the
+        same for every horizon.  An uncapped explicit run with a horizon
+        stops stepping once it is past the horizon, and finishes by
+        closure.
     percolation_threshold: fraction of n in (0, 1] at which a finished
         run counts as almost-percolated.
     """
@@ -134,19 +136,15 @@ class PercolationTrace:
     seeds: tuple[int, ...] | None  # sorted seed ids; None for implicit runs (seeds {1..a})
     examined: np.ndarray | None  # u(1..t) for the steps taken; None for implicit runs
     classification: str
-    bernoulli_draws: int  # implicit mode: pairs accounted, sum over steps of (n - t), plus stage draws
+    bernoulli_draws: int  # implicit mode: this run's pairs, sum over its steps t of (n - t); else 0
 
 
 class ImplicitSource:
-    """An implicit G(n,p): a generator plus the count of pairs accounted.
+    """An implicit G(n,p): its parameters and a generator.
 
     :func:`run_process` walks infection times with ``rng`` instead of
-    revealing pairs (see the module docstring); it adds the pairs the
-    examine-one-vertex process would have revealed, sum over steps t of
-    (n - t), to ``bernoulli_draws``.  The stage pipeline draws pairs the
-    process never reveals through :meth:`pair_block_has_edge` and
-    :meth:`count_into`, which take set sizes, return counts and count
-    their pairs as well.
+    revealing pairs (see the module docstring), and the implicit stage
+    pipeline draws its sizes from the same generator.
     """
 
     def __init__(
@@ -157,31 +155,10 @@ class ImplicitSource:
     ):
         self.params = params
         self.rng = rng if rng is not None else make_generator(seed)
-        self.bernoulli_draws = 0
 
     @property
     def n(self) -> int:
         return self.params.n
-
-    # --- fresh draws for the stage pipeline (pairs never touched by the
-    # --- engine, which only reveals pairs with an examined endpoint)
-
-    def pair_block_has_edge(self, size_a: int, size_b: int) -> bool:
-        """Whether any of the size_a * size_b pairs between two disjoint
-        sets is an edge."""
-        k = size_a * size_b
-        if k == 0:
-            return False
-        self.bernoulli_draws += k
-        return bool(self.rng.binomial(k, self.params.p) > 0)
-
-    def count_into(self, pool: int, targets: int, r: int) -> int:
-        """How many of ``pool`` vertices have at least r neighbours among
-        ``targets`` other vertices."""
-        if pool == 0 or targets == 0:
-            return 0
-        self.bernoulli_draws += pool * targets
-        return int(self.rng.binomial(pool, binom_tail_geq(targets, self.params.p, r)))
 
 
 EdgeSource = ExplicitGraph | ImplicitSource
@@ -246,8 +223,7 @@ def run_process(
         a = seed._prefix_size()
         steps, sizes, final_size = _walk_infection_times(source, a, r, opts)
         seeds = final_infected = examined = None
-        source.bernoulli_draws += steps * n - steps * (steps + 1) // 2
-        draws = source.bernoulli_draws
+        draws = steps * n - steps * (steps + 1) // 2
     else:
         seeds = seed.resolve(n)
         a = len(seeds)
@@ -337,8 +313,12 @@ def _walk_infection_times(source: ImplicitSource, a: int, r: int, opts: TraceOpt
     step |A(H)|, so the walk jumps from H to H' = min(|A(H)|, cap) and
     draws the infections in (H, H'] as one binomial over the uninfected
     non-seeds, each of which survives to step s with P[Bin(s, p) < r].
-    Infection steps inside a block are drawn (by inverse CDF) only while
-    the size record needs them.
+    The walk draws every block's count first; only then does it draw (by
+    inverse CDF) the infection steps of the blocks that start before the
+    size horizon, in block order.  Given the counts, each block's steps
+    are independent of the later counts, so the law is that of the
+    process, and T, the final size and the common prefix of the size
+    record are the same whatever the horizon.
 
     Returns (steps taken, recorded sizes, final size).
     """
@@ -346,22 +326,24 @@ def _walk_infection_times(source: ImplicitSource, a: int, r: int, opts: TraceOpt
     cap = source.n if opts.max_steps is None else opts.max_steps
     timed_until = source.n if opts.size_horizon is None else opts.size_horizon
     live = source.n - a  # uninfected non-seeds
-    steps_drawn: list[np.ndarray] = []  # infection steps of timed blocks
+    blocks: list[tuple[int, np.ndarray, int]] = []  # (h, log survivals, m) of timed blocks
     h, size = 0, a
     while size > h and h < cap:
         h2 = min(size, cap)
         if live:
             # survival to each step of the block when its steps are drawn,
-            # else to its two ends only
+            # else to its two ends only; log_binom_lower is elementwise, so
+            # the ends, and with them the count, are the same either way
             timed = h < timed_until
             log_s = log_binom_lower(np.arange(h, h2 + 1) if timed else np.array([h, h2]), p, r)
             m = int(rng.binomial(live, -math.expm1(log_s[-1] - log_s[0])))
             if m and timed:
-                steps_drawn.append(_infection_steps(rng, h, log_s, m))
+                blocks.append((h, log_s, m))
             live -= m
             size += m
         h = h2
     last = h if opts.size_horizon is None else min(h, opts.size_horizon)
+    steps_drawn = [_infection_steps(rng, h, log_s, m) for h, log_s, m in blocks]
     drawn = np.concatenate(steps_drawn) if steps_drawn else np.empty(0, dtype=np.int64)
     sizes = a + np.cumsum(np.bincount(drawn, minlength=last + 1)[: last + 1])
     return h, sizes, size

@@ -21,6 +21,7 @@ from .engine import (
     CLASS_STOPPED,
     EdgeSource,
     ImplicitSource,
+    PercolationTrace,
     SeedSpec,
     TraceOptions,
     run_process,
@@ -43,6 +44,8 @@ class SeedSizeSpec:
             raise ValueError("specify exactly one of a or offset_c")
         if self.a is not None and self.a < 0:
             raise ValueError(f"a must be >= 0, got {self.a}")
+        if self.offset_c is not None and not math.isfinite(self.offset_c):
+            raise ValueError(f"offset_c must be finite, got {self.offset_c}")
 
     def resolve(self, critical: CriticalValues, n: int) -> int:
         if self.a is not None:
@@ -194,16 +197,41 @@ def trial_sources(
     return graph, graph
 
 
-def _run_trial(args) -> _TrialResult:
-    config, a, trial, horizon, t1, alpha = args
-    params = config.params
-    threshold = config.percolation_threshold
-    opts = TraceOptions(size_horizon=max(horizon, t1), percolation_threshold=threshold)
-    source, stage_source = trial_sources(params, config.mode, config.master_seed, trial)
+def run_trial(
+    params: ProcessParams,
+    mode: str,
+    seed: int,
+    trial: int,
+    a: int,
+    horizon: int | None,
+    threshold: float,
+    alpha: float | None = None,
+) -> tuple[PercolationTrace, stages.StageReport | None]:
+    """Trial ``trial`` of master seed ``seed``: its trace, and its stage
+    report when ``alpha`` is given.
+
+    The trace records |A(t)| up to ``horizon`` (None: all of it), raised
+    to t1 for the stages.  The horizon decides only what is recorded, so
+    ``bootperc run --seed s`` is trial 0 of an experiment with master
+    seed s in both modes.
+    """
+    if alpha is not None and horizon is not None:
+        horizon = max(horizon, thresholds.stage_predictions(params, alpha).t1)
+    opts = TraceOptions(size_horizon=horizon, percolation_threshold=threshold)
+    source, stage_source = trial_sources(params, mode, seed, trial)
     trace = run_process(source, SeedSpec.prefix(a), params.r, opts)
     report = None
-    if config.stage_diagnostics:
+    if alpha is not None:
         report = stages.run_stage_pipeline(stage_source, trace, params, alpha)
+    return trace, report
+
+
+def _run_trial(args) -> _TrialResult:
+    config, a, trial, horizon, alpha = args
+    trace, report = run_trial(
+        config.params, config.mode, config.master_seed, trial, a, horizon,
+        config.percolation_threshold, alpha if config.stage_diagnostics else None,
+    )
     return _TrialResult(
         outcome=TrialOutcome(trial, trace.final_size, trace.T, trace.classification),
         sizes_prefix=trace.infected_sizes[: horizon + 1].copy(),
@@ -223,9 +251,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
     a = config.seed_size.resolve(critical, params.n)
     alpha = 4.0 * math.ceil(math.sqrt(max(critical.ac, 1.0)))
     horizon = critical.t0_int  # the mean trajectory covers the critical window
-    t1 = thresholds.stage_predictions(params, alpha).t1 if config.stage_diagnostics else 0
 
-    tasks = [(config, a, trial, horizon, t1, alpha) for trial in range(config.trials)]
+    tasks = [(config, a, trial, horizon, alpha) for trial in range(config.trials)]
     workers = min(config.workers, config.trials, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -314,7 +341,6 @@ class SweepPoint:
 @dataclass(frozen=True)
 class SweepResult:
     points: tuple[SweepPoint, ...]
-    summaries: tuple[ExperimentSummary, ...]
 
     def to_csv(self) -> str:
         """One row per point, columns in field order; floats to 12
@@ -332,10 +358,8 @@ def sweep(config: ExperimentConfig, a_values) -> SweepResult:
     if not a_values:
         raise ValueError("a_values must be nonempty")
     points = []
-    summaries = []
     for a in a_values:
         summary = run_experiment(replace(config, seed_size=SeedSizeSpec(a=a)))
-        summaries.append(summary)
         points.append(
             SweepPoint(
                 a=a,
@@ -348,4 +372,4 @@ def sweep(config: ExperimentConfig, a_values) -> SweepResult:
                 theorem_bound=summary.theorem_bound,
             )
         )
-    return SweepResult(points=tuple(points), summaries=tuple(summaries))
+    return SweepResult(points=tuple(points))

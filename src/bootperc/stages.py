@@ -298,10 +298,12 @@ def _implicit_stages(
     b = bhat
     if bhat > 1:
         b = largest_component(sample_gnp_with(bhat, p, rng)).largest_size
-    bridge = source.pair_block_has_edge(w, b)
+    # a binomial with no trials or a zero chance draws nothing
+    bridge = bool(rng.binomial(w * b, p) > 0)
     b1_want = math.ceil(pred.b1_target)
-    c = source.count_into(n - t1 - w - bhat, min(b1_want, b), r)
-    d = source.count_into(n - t1 - w - b - c, min(math.ceil(pred.pred_c), c), r)
+    c = int(rng.binomial(n - t1 - w - bhat, thresholds.binom_tail_geq(min(b1_want, b), p, r)))
+    c1 = min(math.ceil(pred.pred_c), c)
+    d = int(rng.binomial(n - t1 - w - b - c, thresholds.binom_tail_geq(c1, p, r)))
     return dict(
         size_Bhat=bhat, size_B=b, bridge_AB=bridge, size_C=c, size_D=d, truncated=b < b1_want
     )

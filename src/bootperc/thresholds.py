@@ -351,8 +351,8 @@ def stage_predictions(params: ProcessParams, alpha: float) -> StagePredictions:
     follows the closing count n - |C| - |W| - 1/p of the final expansion
     step, expressed as a fraction of n and clamped to [0,1].
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     r = params.r
     p = params.p
     d = delta(params)

@@ -155,6 +155,50 @@ class TestRunCommand:
         assert payload["percolation_threshold"] == 1.0
         assert payload["classification"] == ("AlmostPercolated" if payload["final_size"] == 500 else "Stopped")
 
+    @pytest.mark.parametrize("flag", [["--alpha", "7"], ["--stages"]])
+    def test_run_takes_no_stage_flags(self, capsys, flag):
+        argv = ["run", "--n", "2000", "--p", "0.003", "--r", "2", "--a", "40", *flag]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+    def test_stages_alpha(self, capsys):
+        argv = ["stages", "--n", "20000", "--p", "0.001", "--r", "2", "--a", "80", "--seed", "3"]
+        code, payload = main_json(capsys, *argv, "--alpha", "12")
+        assert code == 0
+        assert payload["stages"]["alpha"] == 12.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--n", "2000", "--p", "0.003", "--r", "2", "--trials", "2", "--alpha-list", "inf"],
+            ["sweep", "--n", "2000", "--p", "0.003", "--r", "2", "--trials", "2", "--alpha-list=-inf"],
+            ["stages", "--n", "20000", "--p", "0.001", "--r", "2", "--a", "80", "--alpha", "inf"],
+        ],
+    )
+    def test_non_finite_alpha_rejected(self, capsys, argv):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "must be finite" in err and "internal error" not in err
+
+    def test_implicit_run_is_trial_zero_of_an_experiment(self, capsys):
+        # the walk's horizon decides only what is recorded, so an implicit
+        # run --seed s ends as trial 0 of master seed s; a = 80, seed 12
+        # once ended at 49999 against trial 0's 50000
+        from bootperc.montecarlo import ExperimentConfig, SeedSizeSpec, run_experiment
+
+        params = thresholds.ProcessParams(n=50_000, p=4e-4, r=2)
+        for a in (55, 62, 70, 80):
+            for seed in (*range(6), 12):
+                argv = ["run", "--n", "50000", "--p", "0.0004", "--r", "2", "--a", str(a), "--seed", str(seed)]
+                code, payload = main_json(capsys, *argv)
+                trial = run_experiment(
+                    ExperimentConfig(params=params, seed_size=SeedSizeSpec(a=a), trials=1, master_seed=seed)
+                ).outcomes[0]
+                assert code == 0
+                assert (payload["T"], payload["final_size"]) == (trial.T, trial.final_size), (a, seed)
+
     def test_explicit_graph_is_trial_zero_of_an_experiment(self, capsys):
         # one stream layout: run --seed s samples the graph trial 0 of an
         # experiment with master seed s samples
@@ -375,7 +419,20 @@ class TestConfigOverlay:
         code = cli.main(["sweep", "--n", "1500", "--p", "0.004", "--r", "2", "--a-list", "5", "--config", str(cfg)])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"{cfg}: trials='x': invalid literal for int()" in err
+        assert "argument --trials: invalid int value: 'x'" in err
+        assert f"config file {cfg} gave --trials=x" in err
+
+    def test_any_flag_is_a_key(self, capsys, tmp_path):
+        # keys are the parser's own flags, so bounds' lam and every
+        # command's out work as keys too
+        cfg = tmp_path / "b.cfg"
+        target = tmp_path / "bound.json"
+        cfg.write_text(f"mean=50\nlam=10\nout={target}\n")
+        assert cli.main(["bounds", "--chernoff", "lower", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == ""
+        payload = json.loads(target.read_text())
+        assert (payload["mean"], payload["lam"]) == (50.0, 10.0)
+        assert payload["bound"] == pytest.approx(0.3678794, rel=1e-6)
 
     def test_missing_file(self, capsys):
         assert cli.main(["thresholds", "--config", "/nonexistent.cfg", "--n", "10", "--p", "0.1", "--r", "2"]) == 2

@@ -534,12 +534,50 @@ class TestImplicitWalk:
             run_process(src, SeedSpec.of(range(7, 2000, 50)), 2)
         with pytest.raises(ValueError, match="prefix"):
             run_process(src, SeedSpec.of([1, 2, 4]), 2)
-        assert src.bernoulli_draws == 0
+        # the rejected runs drew nothing
+        assert src.rng.random() == ImplicitSource(params, seed=81).rng.random()
         pre = run_process(ImplicitSource(params, seed=82), SeedSpec.prefix(40), 2)
         mem = run_process(ImplicitSource(params, seed=82), SeedSpec.of(range(1, 41)), 2)
         assert np.array_equal(pre.infected_sizes, mem.infected_sizes)
         assert (pre.T, pre.final_size) == (mem.T, mem.final_size)
         assert pre.final_infected is None and pre.examined is None and pre.seeds is None
+
+    def test_pairs_per_run(self):
+        # two runs on one source each report their own pairs
+        params = ProcessParams(n=2000, p=3e-3, r=2)
+        src = ImplicitSource(params, seed=83)
+        for a in (40, 60):
+            trace = run_process(src, SeedSpec.prefix(a), 2)
+            steps = trace.T
+            assert trace.bernoulli_draws == steps * params.n - steps * (steps + 1) // 2
+
+    def test_horizon_only_sets_the_record(self):
+        # every block count is drawn before any infection step, so the
+        # horizon changes what is recorded, never how the run ends
+        params = ProcessParams(n=50_000, p=4e-4, r=2)
+        crit = critical_pair(params)
+        t1 = stage_predictions(params, 4.0 * math.ceil(math.sqrt(crit.ac))).t1
+        horizons = (0, 5, t1, crit.t0_int, None)
+        differs = 0
+        for a in (55, 70, 80, 100):
+            for seed in range(8):
+                for cap in (None, 150):
+                    runs = [
+                        run_process(
+                            ImplicitSource(params, seed=seed), SeedSpec.prefix(a), 2,
+                            TraceOptions(max_steps=cap, size_horizon=h),
+                        )
+                        for h in horizons
+                    ]
+                    whole = runs[-1]  # horizon None records everything
+                    steps = cap if whole.T is None else whole.T
+                    assert len(whole.infected_sizes) == steps + 1
+                    for tr in runs[:-1]:
+                        assert (tr.T, tr.final_size) == (whole.T, whole.final_size), (a, seed, cap)
+                        recorded = len(tr.infected_sizes)
+                        assert np.array_equal(tr.infected_sizes, whole.infected_sizes[:recorded])
+                        differs += recorded != len(whole.infected_sizes)
+        assert differs  # the records themselves do differ in length
 
     def test_billion_vertices_in_the_window(self):
         params = ProcessParams(n=10**9, p=1e-7, r=2)
