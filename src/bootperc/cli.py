@@ -2,9 +2,13 @@
 
 Commands: ``thresholds``, ``run``, ``stages``, ``sweep``, ``giant`` and
 ``bounds``.  Output is machine readable: JSON by default, CSV for sweep
-curves.  All probabilities print with 12 significant digits.  Exit
-codes: 0 success, 2 argument/validation error, 3 degenerate-regime
-error, 1 unexpected internal failure.
+curves, never NaN or Infinity.  All probabilities print with 12
+significant digits.  Exit codes: 0 success, 2 argument/validation error,
+3 degenerate-regime error, 1 unexpected internal failure.
+
+argparse checks the shape of every command line: flags and config keys
+are spelled in full, ``sweep`` takes exactly one a-list, and ``bounds``
+exactly one kind, plus only the flags that ``_BOUND_FLAGS`` says it reads.
 
 Each command imports the modules it runs when it is called, and parsing
 imports none of them, so ``--help`` and usage errors never load numpy.
@@ -37,7 +41,7 @@ def _emit(payload, args) -> None:
     if isinstance(payload, str):
         text = payload
     else:
-        text = json.dumps(_sig12(payload), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(_sig12(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -75,12 +79,40 @@ def _int_at_least(low: int, kind: str):
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
-    """--out and --config on every command; --seed on those that draw."""
+def _comma_list(convert, kind: str):
+    """An argparse type: a nonempty comma-separated list of `kind` values."""
+
+    def parse(text: str) -> list:
+        try:
+            return [convert(tok) for tok in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {kind}s, got {text!r}") from None
+
+    return parse
+
+
+def _flag(dest: str) -> str:
+    """The long flag of an argparse dest (or config key): `_` reads as `-`."""
+    return "--" + dest.replace("_", "-")
+
+
+def _add_point(parser: argparse.ArgumentParser) -> None:
+    """--n, --p and --r, the parameter triple, each required."""
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--p", type=float, required=True)
+    parser.add_argument("--r", type=int, required=True)
+
+
+def _add_command(sub, name: str, help_text: str, func, seed: bool = True) -> argparse.ArgumentParser:
+    """A command that reads its flags only when spelled in full, with --out
+    and --config; --seed on those that draw."""
+    cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
+    cmd.set_defaults(func=func)
     if seed:
-        parser.add_argument("--seed", type=_int_at_least(0, "non-negative"), default=0, help="master seed")
-    parser.add_argument("--out", type=str, default=None, help="write output to this path")
-    parser.add_argument("--config", type=str, default=None, help="key=value overlay file")
+        cmd.add_argument("--seed", type=_int_at_least(0, "non-negative"), default=0, help="master seed")
+    cmd.add_argument("--out", type=str, default=None, help="write output to this path")
+    cmd.add_argument("--config", type=str, default=None, help="key=value overlay file")
+    return cmd
 
 
 def _params_from(args):
@@ -158,16 +190,10 @@ def _cmd_sweep(args) -> int:
     from .montecarlo import ExperimentConfig, SeedSizeSpec
 
     params = _params_from(args)
-    crit = thresholds.critical_pair(params)
-    if args.a_list:
-        a_values = [int(tok) for tok in args.a_list.split(",") if tok.strip()]
-    elif args.alpha_list:
-        offsets = [float(tok) for tok in args.alpha_list.split(",") if tok.strip()]
-        a_values = [
-            SeedSizeSpec(offset_c=c).resolve(crit, params.n) for c in offsets
-        ]
-    else:
-        raise ValueError("sweep needs --a-list or --alpha-list")
+    a_values = args.a_list
+    if a_values is None:
+        crit = thresholds.critical_pair(params)
+        a_values = [SeedSizeSpec(offset_c=c).resolve(crit, params.n) for c in args.alpha_list]
     config = ExperimentConfig(
         params=params,
         seed_size=SeedSizeSpec(a=a_values[0]),
@@ -178,10 +204,7 @@ def _cmd_sweep(args) -> int:
         workers=args.workers,
     )
     result = montecarlo.sweep(config, a_values)
-    if args.format == "csv":
-        _emit(result.to_csv(), args)
-    else:
-        _emit([asdict(pt) for pt in result.points], args)
+    _emit(result.to_csv() if args.format == "csv" else [asdict(pt) for pt in result.points], args)
     return EXIT_OK
 
 
@@ -213,58 +236,42 @@ def _cmd_giant(args) -> int:
     return EXIT_OK
 
 
+# each bounds kind and the dests of the value flags it reads
+_BOUND_FLAGS = {
+    "chernoff": ("mean", "lam"),
+    "martingale": ("lam", "max_step", "var_sum"),
+    "theorem1": ("n", "p", "r", "alpha"),
+    "theorem2": ("n", "p", "r", "alpha"),
+}
+
+
 def _cmd_bounds(args) -> int:
     from . import thresholds
 
-    chosen = [
-        name
-        for name, flag in [
-            ("chernoff", args.chernoff),
-            ("martingale", args.martingale),
-            ("theorem1", args.theorem1),
-            ("theorem2", args.theorem2),
-        ]
-        if flag
-    ]
-    if len(chosen) != 1:
-        raise ValueError("pass exactly one of --chernoff lower|upper, --martingale, --theorem1, --theorem2")
-    kind = chosen[0]
+    kind = next(k for k in _BOUND_FLAGS if getattr(args, k))
+    reads = _BOUND_FLAGS[kind]
+    others = set().union(*_BOUND_FLAGS.values()) - set(reads)
+    stray = [_flag(d) for d in sorted(others) if getattr(args, d) is not None]
+    if stray:
+        raise ValueError(f"--{kind} does not read {', '.join(stray)}")
+    if any(getattr(args, d) is None for d in reads):
+        names = [_flag(d) for d in reads]
+        raise ValueError(f"--{kind} needs {', '.join(names[:-1])} and {names[-1]}")
+    values = {d: getattr(args, d) for d in reads}
     if kind == "chernoff":
-        if args.mean is None or args.lam is None:
-            raise ValueError("--chernoff needs --mean and --lam")
         fn = thresholds.chernoff_lower if args.chernoff == "lower" else thresholds.chernoff_upper
-        value = fn(args.mean, args.lam)
-        payload = {"bound": value, "kind": f"chernoff_{args.chernoff}", "mean": args.mean, "lam": args.lam}
+        bound = fn(**values)
+        kind = f"chernoff_{args.chernoff}"
     elif kind == "martingale":
-        if args.lam is None or args.max_step is None or args.var_sum is None:
-            raise ValueError("--martingale needs --lam, --max-step and --var-sum")
-        b = thresholds.BoundInputs(lam=args.lam, max_step=args.max_step, var_sum=args.var_sum)
-        payload = {
-            "bound": thresholds.martingale_tail_bound(b),
-            "kind": "martingale",
-            "lam": args.lam,
-            "max_step": args.max_step,
-            "var_sum": args.var_sum,
-        }
+        bound = thresholds.martingale_tail_bound(thresholds.BoundInputs(**values))
     else:
-        if args.n is None or args.p is None or args.r is None or args.alpha is None:
-            raise ValueError(f"--{kind} needs --n, --p, --r and --alpha")
         params = _params_from(args)
-        fn = (
-            thresholds.theorem_subcritical_bound
-            if kind == "theorem1"
-            else thresholds.theorem_supercritical_bound
-        )
-        payload = {
-            "bound": fn(params, args.alpha),
-            "kind": kind,
-            "n": params.n,
-            "p": params.p,
-            "r": params.r,
-            "alpha": args.alpha,
-            "t0": thresholds.t_zero(params),
-        }
-    _emit(payload, args)
+        fn = thresholds.theorem_supercritical_bound
+        if kind == "theorem1":
+            fn = thresholds.theorem_subcritical_bound
+        bound = fn(params, args.alpha)
+        values["t0"] = thresholds.t_zero(params)
+    _emit({"bound": bound, "kind": kind, **values}, args)
     return EXIT_OK
 
 
@@ -272,40 +279,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bootperc",
         description="Bootstrap percolation on G(n,p): thresholds, runs, sweeps, bounds.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_thr = sub.add_parser("thresholds", help="critical values for (n, p, r)")
-    p_thr.add_argument("--n", type=int, required=True)
-    p_thr.add_argument("--p", type=float, required=True)
-    p_thr.add_argument("--r", type=int, required=True)
-    _add_common(p_thr, seed=False)
-    p_thr.set_defaults(func=_cmd_thresholds)
+    p_thr = _add_command(sub, "thresholds", "critical values for (n, p, r)", _cmd_thresholds, seed=False)
+    _add_point(p_thr)
 
     for name, help_text in (("run", "single seeded run"), ("stages", "single run with stage diagnostics")):
-        p_run = sub.add_parser(name, help=help_text)
-        p_run.add_argument("--n", type=int, required=True)
-        p_run.add_argument("--p", type=float, required=True)
-        p_run.add_argument("--r", type=int, required=True)
+        p_run = _add_command(sub, name, help_text, _cmd_run)
+        _add_point(p_run)
         p_run.add_argument("--a", type=int, required=True)
         p_run.add_argument("--mode", choices=["implicit", "explicit"], default="implicit")
         p_run.add_argument("--threshold", type=float, default=0.9)
         p_run.add_argument("--trace-out", type=str, default=None)
         if name == "stages":
             p_run.add_argument("--alpha", type=float, default=None)
-        _add_common(p_run)
-        p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="phase-transition curve over seed sizes")
-    p_sweep.add_argument("--n", type=int, required=True)
-    p_sweep.add_argument("--p", type=float, required=True)
-    p_sweep.add_argument("--r", type=int, required=True)
+    p_sweep = _add_command(sub, "sweep", "phase-transition curve over seed sizes", _cmd_sweep)
+    _add_point(p_sweep)
     p_sweep.add_argument("--trials", type=int, required=True)
-    p_sweep.add_argument("--a-list", type=str, default=None, help="comma-separated absolute a values")
-    p_sweep.add_argument(
+    a_lists = p_sweep.add_mutually_exclusive_group(required=True)
+    a_lists.add_argument("--a-list", type=_comma_list(int, "integer"), help="comma-separated a values")
+    a_lists.add_argument(
         "--alpha-list",
-        type=str,
-        default=None,
+        type=_comma_list(float, "number"),
         help="comma-separated offsets c; a = round(ac + c*sqrt(ac))",
     )
     p_sweep.add_argument("--mode", choices=["implicit", "explicit"], default="implicit")
@@ -317,36 +315,24 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes, at most the trial and core counts; never changes output",
     )
-    _add_common(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_giant = sub.add_parser("giant", help="largest component of G(m, (1+eps)/m) vs rho*m")
+    p_giant = _add_command(sub, "giant", "largest component of G(m, (1+eps)/m) vs rho*m", _cmd_giant)
     p_giant.add_argument("--m", type=int, required=True)
     p_giant.add_argument("--eps", type=float, required=True)
-    _add_common(p_giant)
-    p_giant.set_defaults(func=_cmd_giant)
 
-    p_bounds = sub.add_parser("bounds", help="evaluate a closed-form bound")
-    p_bounds.add_argument("--chernoff", choices=["lower", "upper"], default=None)
-    p_bounds.add_argument("--martingale", action="store_true")
-    p_bounds.add_argument("--theorem1", action="store_true")
-    p_bounds.add_argument("--theorem2", action="store_true")
-    p_bounds.add_argument("--mean", type=float, default=None)
-    p_bounds.add_argument("--lam", type=float, default=None)
-    p_bounds.add_argument("--max-step", type=float, default=None)
-    p_bounds.add_argument("--var-sum", type=float, default=None)
-    p_bounds.add_argument("--n", type=int, default=None)
-    p_bounds.add_argument("--p", type=float, default=None)
-    p_bounds.add_argument("--r", type=int, default=None)
-    p_bounds.add_argument("--alpha", type=float, default=None)
-    _add_common(p_bounds, seed=False)
-    p_bounds.set_defaults(func=_cmd_bounds)
+    p_bounds = _add_command(sub, "bounds", "evaluate a closed-form bound", _cmd_bounds, seed=False)
+    kinds = p_bounds.add_mutually_exclusive_group(required=True)
+    kinds.add_argument("--chernoff", choices=["lower", "upper"])
+    for kind in ("martingale", "theorem1", "theorem2"):
+        kinds.add_argument(f"--{kind}", action="store_true")
+    for dest in dict.fromkeys(d for dests in _BOUND_FLAGS.values() for d in dests):
+        p_bounds.add_argument(_flag(dest), type=int if dest in ("n", "r") else float)
 
     return parser
 
 
 def _config_path(argv: list[str]) -> str | None:
-    """The last --config path on the command line, if any."""
+    """The last --config path on the command line, if any (no parser takes abbreviations)."""
     path = None
     for k, tok in enumerate(argv):
         if tok == "--config" and k + 1 < len(argv):
@@ -366,7 +352,7 @@ def _parse(argv: list[str]):
     path = _config_path(argv)
     flags = []
     if path is not None:
-        flags = [f"--{key.replace('_', '-')}={val}" for key, val in _load_config_file(path).items()]
+        flags = [f"{_flag(key)}={val}" for key, val in _load_config_file(path).items()]
     try:
         args = build_parser().parse_args(argv[:1] + flags + argv[1:])
     except SystemExit as exc:

@@ -145,10 +145,8 @@ class ExperimentSummary:
         }
 
 
-def wilson_interval(
-    successes: int, trials: int, confidence: float = 0.95
-) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion.
 
     Behaves sensibly at 0 and full counts, which plain normal intervals
     do not: those occur routinely in the deep sub/supercritical tails.
@@ -157,11 +155,9 @@ def wilson_interval(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not (0 <= successes <= trials):
         raise ValueError(f"successes={successes} outside 0..{trials}")
-    if not (0.0 < confidence < 1.0):
-        raise ValueError(f"confidence must lie in (0,1), got {confidence}")
     from statistics import NormalDist
 
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    z = NormalDist().inv_cdf(0.975)  # 0.5 + 0.95 / 2, exactly
     phat = successes / trials
     denom = 1.0 + z * z / trials
     centre = (phat + z * z / (2 * trials)) / denom

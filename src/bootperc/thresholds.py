@@ -93,12 +93,12 @@ class BoundInputs:
     var_sum: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
-        if not self.max_step > 0:
-            raise ValueError(f"max_step must be > 0, got {self.max_step}")
-        if self.var_sum < 0:
-            raise ValueError(f"var_sum must be >= 0, got {self.var_sum}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
+        if not 0 < self.max_step < math.inf:
+            raise ValueError(f"max_step must be finite and > 0, got {self.max_step}")
+        if not 0 <= self.var_sum < math.inf:
+            raise ValueError(f"var_sum must be finite and >= 0, got {self.var_sum}")
 
 
 def log_binom_lower(t, p: float, k: int) -> np.ndarray:
@@ -153,9 +153,17 @@ def delta(params: ProcessParams) -> float:
 
 
 def t_zero(params: ProcessParams) -> float:
-    """Scan horizon t0 = ((1+delta) (r-1)! / (n p^r))^(1/(r-1))."""
+    """Scan horizon t0 = ((1+delta) (r-1)! / (n p^r))^(1/(r-1)).
+
+    DegenerateRegime when (r-1)! (r > 171), n p^r (an underflow to 0) or
+    their quotient leaves the float range."""
     r = params.r
-    return ((1.0 + delta(params)) * math.factorial(r - 1) / params.npr) ** (1.0 / (r - 1))
+    base = math.inf
+    if r <= 171 and params.npr > 0.0:
+        base = (1.0 + delta(params)) * math.factorial(r - 1) / params.npr
+    if base == math.inf:
+        raise DegenerateRegime(f"(r-1)!/(n p^r) is not a finite float at n={params.n}, p={params.p}, r={r}")
+    return base ** (1.0 / (r - 1))
 
 
 def t_zero_int(params: ProcessParams) -> int:
@@ -206,7 +214,7 @@ def critical_pair(params: ProcessParams) -> CriticalValues:
             "lie outside the analysed regime",
             stacklevel=2,
         )
-    tc_asym = (math.factorial(r - 1) / params.npr) ** (1.0 / (r - 1))
+    tc_asym = (math.factorial(r - 1) / params.npr) ** (1.0 / (r - 1))  # finite, as t0 is
     return CriticalValues(
         delta=d,
         t0=t0,
@@ -220,12 +228,13 @@ def critical_pair(params: ProcessParams) -> CriticalValues:
     )
 
 
-def rho_fixed_point(eps: float, tol: float = 1e-12, max_iter: int = 200) -> float:
+def rho_fixed_point(eps: float) -> float:
     """Unique positive solution of 1 - rho = exp(-(1+eps) rho) for eps > 0.
 
     Bisection on the residual -expm1(-(1+eps) x) - x, which is positive
     below the root and negative above it; expm1 keeps the bracket sound
-    even for tiny eps, where the root is close to 2 eps.
+    even for tiny eps, where the root is close to 2 eps.  200 bisections
+    must bring the residual below 1e-12.
     """
     if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0.0):
         raise NoConvergence(f"fixed point requires eps > 0, got {eps}")
@@ -241,22 +250,22 @@ def rho_fixed_point(eps: float, tol: float = 1e-12, max_iter: int = 200) -> floa
     else:
         raise NoConvergence(f"could not bracket the root for eps={eps}")
     hi = 1.0
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if resid(mid) > 0.0:
             lo = mid
         else:
             hi = mid
     rho = 0.5 * (lo + hi)
-    if abs(1.0 - rho - math.exp(-(1.0 + eps) * rho)) >= tol:
-        raise NoConvergence(f"residual above {tol} after {max_iter} bisections (eps={eps})")
+    if abs(1.0 - rho - math.exp(-(1.0 + eps) * rho)) >= 1e-12:
+        raise NoConvergence(f"residual above 1e-12 after 200 bisections (eps={eps})")
     return rho
 
 
 def chernoff_lower(mean: float, lam: float) -> float:
     """Lower-tail bound P[X - E[X] <= -lambda] <= exp(-lambda^2 / (2 E[X]))."""
-    if mean < 0 or lam < 0:
-        raise ValueError("mean and lambda must be >= 0")
+    if not (0 <= mean < math.inf and 0 <= lam < math.inf):
+        raise ValueError(f"mean and lambda must be finite and >= 0, got mean={mean}, lambda={lam}")
     if lam == 0.0:
         return 1.0
     if mean == 0.0:
@@ -266,8 +275,8 @@ def chernoff_lower(mean: float, lam: float) -> float:
 
 def chernoff_upper(mean: float, lam: float) -> float:
     """Upper-tail bound P[X - E[X] >= lambda] <= exp(-lambda^2 / (2(E[X] + lambda/3)))."""
-    if mean < 0 or lam < 0:
-        raise ValueError("mean and lambda must be >= 0")
+    if not (0 <= mean < math.inf and 0 <= lam < math.inf):
+        raise ValueError(f"mean and lambda must be finite and >= 0, got mean={mean}, lambda={lam}")
     if lam == 0.0:
         return 1.0
     return math.exp(-(lam * lam) / (2.0 * (mean + lam / 3.0)))
@@ -284,8 +293,8 @@ def martingale_tail_bound(b: BoundInputs) -> float:
 def theorem_subcritical_bound(params: ProcessParams, alpha: float) -> float:
     """Failure-probability bound for the subcritical statement:
     exp(-r alpha^2 / (2 (t0 + r alpha / 3))), with (1+o(1)) set to 1."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     r = params.r
     t0 = t_zero(params)
     return min(1.0, math.exp(-r * alpha * alpha / (2.0 * (t0 + r * alpha / 3.0))))
@@ -295,8 +304,8 @@ def theorem_supercritical_bound(params: ProcessParams, alpha: float) -> float:
     """Failure-probability bound for the supercritical statement: the sum
     of exp(-r alpha^2 / (8 (t0 + r alpha/3))) and
     exp(-(r-1) alpha^2 / (8 (t0 + (r-1) alpha/2))), with (1+o(1)) set to 1."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     r = params.r
     t0 = t_zero(params)
     first = math.exp(-r * alpha * alpha / (8.0 * (t0 + r * alpha / 3.0)))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -77,6 +78,21 @@ class TestThresholdsCommand:
         )
         assert code == 0
         assert bnd["t0"] == thr["t0"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["thresholds", "--n", "10", "--p", "1e-300", "--r", "2"],  # n p^r underflows to 0
+            ["thresholds", "--n", "1000", "--p", "0.01", "--r", "500"],  # (r-1)! is past the float range
+            ["thresholds", "--n", "100000", "--p", "0.5", "--r", "200"],
+            ["bounds", "--theorem1", "--n", "10", "--p", "1e-300", "--r", "2", "--alpha", "1"],
+        ],
+    )
+    def test_float_range_is_a_degenerate_regime(self, capsys, argv):
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "(r-1)!/(n p^r) is not a finite float" in captured.err and "internal error" not in captured.err
 
 
 class TestRunCommand:
@@ -327,6 +343,61 @@ class TestBoundsCommand:
     def test_missing_value_flags(self, capsys):
         assert cli.main(["bounds", "--martingale", "--lam", "3"]) == 2
 
+    THEOREM = ["--n", "1000000", "--p", "0.0001", "--r", "2", "--alpha", "30"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--theorem1", *THEOREM, "--lam", "5"], "--theorem1 does not read --lam"),
+            (["--theorem2", *THEOREM, "--mean", "1", "--var-sum", "2"], "--theorem2 does not read --mean, --var-sum"),
+            (["--chernoff", "lower", "--mean", "50", "--lam", "10", "--n", "7"], "--chernoff does not read --n"),
+            (["--martingale", "--lam", "1", "--max-step", "1", "--var-sum", "1", "--alpha", "3"],
+             "--martingale does not read --alpha"),
+        ],
+    )
+    def test_flags_of_another_kind_rejected(self, capsys, argv, message):
+        # each kind reads only its own flags; another kind's flag once passed unread
+        assert cli.main(["bounds", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_config_key_of_another_kind_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text("lam=5\n")
+        assert cli.main(["bounds", "--theorem1", *self.THEOREM, "--config", str(cfg)]) == 2
+        assert "--theorem1 does not read --lam" in capsys.readouterr().err
+
+    def test_missing_flags_named_from_the_table(self, capsys):
+        assert cli.main(["bounds", "--martingale", "--lam", "3"]) == 2
+        assert "--martingale needs --lam, --max-step and --var-sum" in capsys.readouterr().err
+        assert cli.main(["bounds", "--theorem2", "--n", "1000"]) == 2
+        assert "--theorem2 needs --n, --p, --r and --alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--theorem1", *THEOREM[:-1], "inf"], "alpha must be finite and > 0, got inf"),
+            (["--theorem2", *THEOREM[:-1], "inf"], "alpha must be finite and > 0, got inf"),
+            (["--martingale", "--lam", "inf", "--max-step", "1", "--var-sum", "1"], "lambda must be finite"),
+            (["--chernoff", "upper", "--mean", "inf", "--lam", "1"], "mean and lambda must be finite"),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, capsys, argv, message):
+        # these once printed "alpha": Infinity, "bound": NaN or "mean": Infinity
+        assert cli.main(["bounds", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_no_nan_reaches_stdout(self, capsys, monkeypatch):
+        # the backstop: a NaN that gets past the checks is an error, not output
+        monkeypatch.setattr(thresholds, "chernoff_lower", lambda mean, lam: math.nan)
+        assert cli.main(["bounds", "--chernoff", "lower", "--mean", "50", "--lam", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Out of range float values are not JSON compliant" in captured.err
+
 
 class TestSweepCommand:
     def test_csv_output(self, capsys):
@@ -366,6 +437,28 @@ class TestSweepCommand:
         assert (
             cli.main(["sweep", "--n", "2000", "--p", "0.004", "--r", "2", "--trials", "5"]) == 2
         )
+
+    SWEEP = ["sweep", "--n", "2000", "--p", "0.003", "--r", "2", "--trials", "2"]
+
+    def test_one_list_only(self, capsys):
+        # --a-list once won and the offsets were dropped without a word
+        assert cli.main([*self.SWEEP, "--a-list", "5", "--alpha-list", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --alpha-list: not allowed with argument --a-list" in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, text, kind",
+        [("--a-list", ",", "integers"), ("--a-list", "5,,40", "integers"), ("--a-list", "x", "integers"),
+         ("--alpha-list", "", "numbers"), ("--alpha-list", "1,", "numbers")],
+    )
+    def test_malformed_list_rejected(self, capsys, flag, text, kind):
+        # `--a-list ,` once ended in "internal error: list index out of range"
+        assert cli.main([*self.SWEEP, f"{flag}={text}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: expected comma-separated {kind}, got {text!r}" in captured.err
+        assert "internal error" not in captured.err
 
 
 class TestConfigOverlay:
@@ -436,6 +529,30 @@ class TestConfigOverlay:
 
     def test_missing_file(self, capsys):
         assert cli.main(["thresholds", "--config", "/nonexistent.cfg", "--n", "10", "--p", "0.1", "--r", "2"]) == 2
+
+    RUN = ["run", "--n", "2000", "--p", "0.003", "--r", "2", "--a", "40"]
+
+    def test_abbreviated_config_rejected(self, capsys, tmp_path):
+        # `--conf` once parsed as --config, but its file was never read
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("seed=5\n")
+        for argv in ([*self.RUN, "--conf", str(cfg)], [*self.RUN, f"--conf={cfg}"]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unrecognized arguments: --conf" in captured.err
+        code, payload = main_json(capsys, *self.RUN, "--config", str(cfg))
+        assert code == 0 and payload["seed"] == 5
+
+    def test_abbreviated_flag_rejected(self, capsys, tmp_path):
+        # `--thr 0.5`, or `thr=0.5` in a file, once set --threshold
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("thr=0.5\n")
+        assert cli.main([*self.RUN, "--thr", "0.5"]) == 2
+        assert "unrecognized arguments: --thr 0.5" in capsys.readouterr().err
+        assert cli.main([*self.RUN, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --thr=0.5" in err and f"config file {cfg} gave --thr=0.5" in err
 
 
 class TestDeterminism:

@@ -50,8 +50,6 @@ class TestWilson:
             wilson_interval(5, 0)
         with pytest.raises(ValueError):
             wilson_interval(11, 10)
-        with pytest.raises(ValueError):
-            wilson_interval(1, 10, confidence=1.5)
 
 
 class TestSeedSizeSpec:

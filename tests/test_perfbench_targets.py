@@ -47,3 +47,17 @@ def test_tracer_count_attributes_exist():
         assert hasattr(trace, name), name
     assert hasattr(sample_gnp(100, 0.05, seed=1), "edge_count")
     assert hasattr(thresholds.critical_pair(params), "t0_int")
+
+
+def test_cli_session_commands_parse(tmp_path):
+    # every argv the cli_session workload runs parses with the real parser,
+    # and its config-overlay command keeps the command line's n = 2000
+    from bootperc import cli
+
+    session = runpy.run_path(str(PERFBENCH / "workloads.py"))["CliSession"](0, PERFBENCH.parent, tmp_path)
+    commands = session.commands(0)
+    for _, argv in commands:
+        assert cli.build_parser().parse_args(argv).command == argv[0]
+    overlay = [argv for _, argv in commands if "--config" in argv]
+    assert len(overlay) == 1
+    assert cli._parse(overlay[0]).n == 2000

@@ -146,6 +146,24 @@ class TestDeltaT0:
         d = delta(params)
         assert t_zero(params) == pytest.approx(math.sqrt((1 + d) * 2.0 / 1e-3), rel=1e-12)
 
+    def test_t0_outside_float_range(self):
+        # n p^r underflowing to 0, or (r-1)! past the float range, once
+        # divided by zero or overflowed into an internal error
+        for n, p, r in ((10, 1e-300, 2), (1000, 0.01, 500), (10**5, 0.5, 200), (1000, 0.9, 171)):
+            params = ProcessParams(n=n, p=p, r=r)
+            with pytest.raises(DegenerateRegime, match="not a finite float"):
+                t_zero(params)
+            with pytest.raises(DegenerateRegime):
+                critical_pair(params)
+
+    def test_t0_formula_kept_at_the_float_edge(self):
+        # r = 171 holds 170!, the largest factorial a float holds
+        params = ProcessParams(n=10**6, p=0.99, r=171)
+        assert t_zero(params) == ((1 + delta(params)) * math.factorial(170) / params.npr) ** (1 / 170)
+        with pytest.warns(UserWarning, match="not positive"):  # far outside the regime
+            crit = critical_pair(params)
+        assert crit.tc_asym == (math.factorial(170) / params.npr) ** (1 / 170)
+
 
 def scan_oracle(params):
     """Exhaustive scan of the deficit over [r, ceil(t0)] using the plain
@@ -391,6 +409,21 @@ class TestBounds:
             BoundInputs(lam=1.0, max_step=0.0, var_sum=0.0)
         with pytest.raises(ValueError):
             BoundInputs(lam=1.0, max_step=1.0, var_sum=-2.0)
+
+    def test_non_finite_inputs_rejected(self):
+        params = ProcessParams(n=10**6, p=1e-4, r=2)
+        for bad in (math.inf, math.nan):
+            for bound in (theorem_subcritical_bound, theorem_supercritical_bound):
+                with pytest.raises(ValueError, match="finite"):
+                    bound(params, bad)
+            for chernoff in (chernoff_lower, chernoff_upper):
+                with pytest.raises(ValueError, match="finite"):
+                    chernoff(bad, 1.0)
+                with pytest.raises(ValueError, match="finite"):
+                    chernoff(1.0, bad)
+            for fields in ({"lam": bad}, {"max_step": bad}, {"var_sum": bad}):
+                with pytest.raises(ValueError, match="finite"):
+                    BoundInputs(**{"lam": 1.0, "max_step": 1.0, "var_sum": 1.0, **fields})
 
     def test_chernoff_dominates_empirical_tails(self):
         # both tails of Bin(1000, 0.3), 1e5 samples, lambda in {10, 20, 30}
