@@ -60,6 +60,8 @@ def _load_config_file(path) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, _, val = line.partition("=")
+            if key.strip() == "config":
+                raise ValueError(f"{path}:{lineno}: a config file cannot load another, got {raw.strip()!r}")
             values[key.strip()] = val.strip()
     return values
 
@@ -159,8 +161,8 @@ def _cmd_run(args) -> int:
             )
     # with no trace to write, a run records |A(t)| only as far as its stages read
     horizon = None if args.trace_out else 0
-    trace, report = montecarlo.run_trial(
-        params, args.mode, args.seed, 0, args.a, horizon, args.threshold, alpha
+    [(trace, report)] = montecarlo.run_trial(
+        params, args.mode, args.seed, 0, [args.a], horizon, args.threshold, alpha
     )
     payload = {
         "n": params.n,
@@ -186,24 +188,24 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     from dataclasses import asdict
 
-    from . import montecarlo, thresholds
+    from . import montecarlo
     from .montecarlo import ExperimentConfig, SeedSizeSpec
 
     params = _params_from(args)
-    a_values = args.a_list
-    if a_values is None:
-        crit = thresholds.critical_pair(params)
-        a_values = [SeedSizeSpec(offset_c=c).resolve(crit, params.n) for c in args.alpha_list]
+    if args.a_list is not None:
+        seed_sizes = [SeedSizeSpec(a=a) for a in args.a_list]
+    else:
+        seed_sizes = [SeedSizeSpec(offset_c=c) for c in args.alpha_list]
     config = ExperimentConfig(
         params=params,
-        seed_size=SeedSizeSpec(a=a_values[0]),
+        seed_size=seed_sizes[0],
         trials=args.trials,
         master_seed=args.seed,
         mode=args.mode,
         percolation_threshold=args.threshold,
         workers=args.workers,
     )
-    result = montecarlo.sweep(config, a_values)
+    result = montecarlo.sweep(config, seed_sizes)
     _emit(result.to_csv() if args.format == "csv" else [asdict(pt) for pt in result.points], args)
     return EXIT_OK
 

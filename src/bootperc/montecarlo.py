@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class SeedSizeSpec:
                 raise ValueError(f"a={self.a} exceeds n={n}")
             return self.a
         raw = critical.ac + self.offset_c * math.sqrt(max(critical.ac, 0.0))
-        return min(n, max(0, round(raw)))
+        return round(min(max(raw, 0.0), n))  # clamped first: raw may be +-inf
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,6 @@ class TrialOutcome:
 class ExperimentSummary:
     """Deterministic aggregate of one experiment.
 
-    ``mean_trajectory`` covers t = 0..min(horizon, min over trials of T);
-    on that prefix every trial contributes, so the empirical mean of
-    |A(t)| is an unbiased estimate of a + (n-a) pi_hat(t).
-
     ``class_counts`` counts the trials by the engine's classification:
     Stopped, AlmostPercolated (final size >= threshold * n) and Censored.
     Trials run uncapped, so Censored stays 0.  The subcritical event of
@@ -114,7 +110,6 @@ class ExperimentSummary:
     wilson_high: float
     theorem_bound: float
     theorem_used: str  # "subcritical" | "supercritical"
-    mean_trajectory: np.ndarray  # rows (t, mean, standard error)
     stage_quantiles: dict[str, float] | None = None
 
     def to_dict(self) -> dict:
@@ -137,10 +132,6 @@ class ExperimentSummary:
             "theorem_bound": self.theorem_bound,
             "theorem_used": self.theorem_used,
             "outcomes": [asdict(o) for o in self.outcomes],
-            "mean_trajectory": [
-                {"t": int(t), "mean": float(m), "se": float(se)}
-                for t, m, se in self.mean_trajectory
-            ],
             "stage_quantiles": self.stage_quantiles,
         }
 
@@ -167,13 +158,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class _TrialResult:
-    outcome: TrialOutcome
-    sizes_prefix: np.ndarray
-    stage_report: stages.StageReport | None
-
-
 def trial_sources(
     params: ProcessParams, mode: str, seed: int, trial: int
 ) -> tuple[EdgeSource, EdgeSource]:
@@ -198,13 +182,18 @@ def run_trial(
     mode: str,
     seed: int,
     trial: int,
-    a: int,
+    a_values: list[int],
     horizon: int | None,
     threshold: float,
     alpha: float | None = None,
-) -> tuple[PercolationTrace, stages.StageReport | None]:
-    """Trial ``trial`` of master seed ``seed``: its trace, and its stage
-    report when ``alpha`` is given.
+) -> list[tuple[PercolationTrace, stages.StageReport | None]]:
+    """Trial ``trial`` of master seed ``seed`` at each seed count of
+    ``a_values``: its trace, and its stage report when ``alpha`` is given.
+
+    An explicit trial samples its graph once and runs every count on it.
+    A walk consumes its streams, so an implicit trial draws its sources
+    afresh for each count.  Either way a count draws exactly what it
+    would draw alone.
 
     The trace records |A(t)| up to ``horizon`` (None: all of it), raised
     to t1 for the stages.  The horizon decides only what is recorded, so
@@ -214,53 +203,58 @@ def run_trial(
     if alpha is not None and horizon is not None:
         horizon = max(horizon, thresholds.stage_predictions(params, alpha).t1)
     opts = TraceOptions(size_horizon=horizon, percolation_threshold=threshold)
-    source, stage_source = trial_sources(params, mode, seed, trial)
-    trace = run_process(source, SeedSpec.prefix(a), params.r, opts)
-    report = None
-    if alpha is not None:
-        report = stages.run_stage_pipeline(stage_source, trace, params, alpha)
-    return trace, report
+    runs = []
+    for a in a_values:
+        if mode == "implicit" or not runs:
+            source, stage_source = trial_sources(params, mode, seed, trial)
+        trace = run_process(source, SeedSpec.prefix(a), params.r, opts)
+        report = None
+        if alpha is not None:
+            report = stages.run_stage_pipeline(stage_source, trace, params, alpha)
+        runs.append((trace, report))
+    return runs
 
 
-def _run_trial(args) -> _TrialResult:
-    config, a, trial, horizon, alpha = args
-    trace, report = run_trial(
-        config.params, config.mode, config.master_seed, trial, a, horizon,
+def _run_trial(args) -> list[tuple[TrialOutcome, stages.StageReport | None]]:
+    config, a_values, trial, alpha = args
+    # no trajectory is kept, so a run records sizes only as far as its stages read
+    runs = run_trial(
+        config.params, config.mode, config.master_seed, trial, a_values, 0,
         config.percolation_threshold, alpha if config.stage_diagnostics else None,
     )
-    return _TrialResult(
-        outcome=TrialOutcome(trial, trace.final_size, trace.T, trace.classification),
-        sizes_prefix=trace.infected_sizes[: horizon + 1].copy(),
-        stage_report=report,
-    )
+    return [(TrialOutcome(trial, tr.final_size, tr.T, tr.classification), rep) for tr, rep in runs]
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
-    """Execute ``config.trials`` independent runs and aggregate.
+def _experiments(config: ExperimentConfig, seed_sizes) -> list[ExperimentSummary]:
+    """One summary per seed size, from one pass over ``config.trials``
+    trials: one critical scan, one pool, and one row of results per trial.
 
-    Per-trial seeds derive from hash(master_seed, trial); aggregation is
-    sequential over sorted trial indices, so the summary does not depend
-    on worker count or completion order.
+    Per-trial seeds derive from hash(master_seed, trial), and the pool's
+    map keeps trial order, so the summaries do not depend on worker count
+    or completion order.
     """
     params = config.params
     critical = thresholds.critical_pair(params)
-    a = config.seed_size.resolve(critical, params.n)
+    a_values = [spec.resolve(critical, params.n) for spec in seed_sizes]
     alpha = 4.0 * math.ceil(math.sqrt(max(critical.ac, 1.0)))
-    horizon = critical.t0_int  # the mean trajectory covers the critical window
 
-    tasks = [(config, a, trial, horizon, alpha) for trial in range(config.trials)]
+    tasks = [(config, a_values, trial, alpha) for trial in range(config.trials)]
     workers = min(config.workers, config.trials, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, config.trials // (workers * 4))
-            results = list(pool.map(_run_trial, tasks, chunksize=chunk))
+            rows = list(pool.map(_run_trial, tasks, chunksize=chunk))
     else:
-        results = [_run_trial(t) for t in tasks]
-    results.sort(key=lambda res: res.outcome.trial)
+        rows = [_run_trial(t) for t in tasks]
+    return [_summary(config, critical, a, alpha, [row[k] for row in rows]) for k, a in enumerate(a_values)]
 
-    outcomes = tuple(res.outcome for res in results)
+
+def _summary(config, critical, a, alpha, results) -> ExperimentSummary:
+    """The summary of one seed count's (outcome, stage report) pairs, in trial order."""
+    params = config.params
+    outcomes = tuple(outcome for outcome, _ in results)
     counts: dict[str, int] = {CLASS_STOPPED: 0, CLASS_ALMOST: 0, CLASS_CENSORED: 0}
     for o in outcomes:
         counts[o.classification] += 1
@@ -280,15 +274,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
             thresholds.theorem_supercritical_bound(params, alpha_eff) if alpha_eff > 0 else 1.0
         )
 
-    prefix = min(len(res.sizes_prefix) for res in results)
-    stacked = np.stack([res.sizes_prefix[:prefix] for res in results]).astype(np.float64)
-    means = stacked.mean(axis=0)
-    ses = stacked.std(axis=0, ddof=1) / math.sqrt(config.trials) if config.trials > 1 else np.zeros(prefix)
-    trajectory = np.column_stack([np.arange(prefix, dtype=np.float64), means, ses])
-
     quantiles = None
     if config.stage_diagnostics:
-        reports = [res.stage_report for res in results]
+        reports = [report for _, report in results]
         quantiles = {
             "early_ok_fraction": float(np.mean([rep.early_ok for rep in reports])),
             "bridge_fraction": float(np.mean([rep.bridge_AB for rep in reports])),
@@ -317,9 +305,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
         wilson_high=hi,
         theorem_bound=bound,
         theorem_used=used,
-        mean_trajectory=trajectory,
         stage_quantiles=quantiles,
     )
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
+    """Execute ``config.trials`` independent runs at ``config.seed_size``
+    and aggregate: the one-point case of :func:`sweep`."""
+    return _experiments(config, [config.seed_size])[0]
 
 
 @dataclass(frozen=True)
@@ -348,24 +341,23 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def sweep(config: ExperimentConfig, a_values) -> SweepResult:
-    """One experiment per seed size; raw estimates, no smoothing."""
-    a_values = [int(a) for a in a_values]
-    if not a_values:
-        raise ValueError("a_values must be nonempty")
-    points = []
-    for a in a_values:
-        summary = run_experiment(replace(config, seed_size=SeedSizeSpec(a=a)))
-        points.append(
-            SweepPoint(
-                a=a,
-                alpha_offset=a - summary.critical.ac,
-                p_hat=summary.empirical_percolation_probability,
-                wilson_lo=summary.wilson_low,
-                wilson_hi=summary.wilson_high,
-                mean_final_size=float(np.mean([o.final_size for o in summary.outcomes])),
-                mean_T=float(np.mean([o.T for o in summary.outcomes])),
-                theorem_bound=summary.theorem_bound,
-            )
+def sweep(config: ExperimentConfig, seed_sizes) -> SweepResult:
+    """One experiment per ``SeedSizeSpec`` (``config.seed_size`` is not
+    read), all from one pass over the trials; raw estimates, no smoothing."""
+    seed_sizes = list(seed_sizes)
+    if not seed_sizes:
+        raise ValueError("seed_sizes must be nonempty")
+    points = [
+        SweepPoint(
+            a=s.a,
+            alpha_offset=s.a - s.critical.ac,
+            p_hat=s.empirical_percolation_probability,
+            wilson_lo=s.wilson_low,
+            wilson_hi=s.wilson_high,
+            mean_final_size=float(np.mean([o.final_size for o in s.outcomes])),
+            mean_T=float(np.mean([o.T for o in s.outcomes])),
+            theorem_bound=s.theorem_bound,
         )
+        for s in _experiments(config, seed_sizes)
+    ]
     return SweepResult(points=tuple(points))

@@ -338,9 +338,10 @@ class StagePredictions:
     """Predicted sizes for the supercritical stage pipeline, all real
     valued, recomputable from (params, alpha) alone.
 
-    ``witness_target``, ``b1_target`` and ``c1_target`` are the designated
-    subset sizes the pipeline carves out of the measured sets; the pred_*
-    fields are the lower bounds the measured sets are compared against.
+    ``witness_target`` and ``b1_target`` are the designated subset sizes
+    the pipeline carves out of the measured sets, and C1 is carved to
+    ``pred_c``; the pred_* fields are the lower bounds the measured sets
+    are compared against.
     """
 
     t1: int

@@ -460,6 +460,29 @@ class TestSweepCommand:
         assert f"argument {flag}: expected comma-separated {kind}, got {text!r}" in captured.err
         assert "internal error" not in captured.err
 
+    def test_huge_offsets_clamp(self, capsys):
+        # a = ac + 1e308 sqrt(ac) once overflowed to "cannot convert float infinity to integer"
+        code, rows = main_json(capsys, *self.SWEEP, "--alpha-list=1e308,-1e308", "--format", "json")
+        assert code == 0
+        assert [row["a"] for row in rows] == [2000, 0]
+
+    @pytest.mark.parametrize("a_list", ["--a-list=10,40,70", "--alpha-list=-2,0,2"])
+    def test_one_critical_scan(self, capsys, monkeypatch, a_list):
+        calls = []
+        scan = thresholds.critical_pair
+        monkeypatch.setattr(thresholds, "critical_pair", lambda params: calls.append(params) or scan(params))
+        assert cli.main([*self.SWEEP, a_list]) == 0
+        assert len(calls) == 1
+
+    def test_explicit_sweep_samples_one_graph_per_trial(self, capsys, monkeypatch):
+        from bootperc import montecarlo
+
+        calls = []
+        sample = montecarlo.sample_gnp_with
+        monkeypatch.setattr(montecarlo, "sample_gnp_with", lambda *a: calls.append(a) or sample(*a))
+        assert cli.main([*self.SWEEP, "--a-list=10,40,70", "--mode", "explicit"]) == 0
+        assert len(calls) == 2
+
 
 class TestConfigOverlay:
     def test_file_values_used(self, capsys, tmp_path):
@@ -543,6 +566,16 @@ class TestConfigOverlay:
             assert "unrecognized arguments: --conf" in captured.err
         code, payload = main_json(capsys, *self.RUN, "--config", str(cfg))
         assert code == 0 and payload["seed"] == 5
+
+    def test_nested_config_rejected(self, capsys, tmp_path):
+        # a `config=` line once went in as --config=... and its file was never read
+        (tmp_path / "f.cfg").write_text("seed=5\n")
+        nested = tmp_path / "nested.cfg"
+        nested.write_text(f"config={tmp_path / 'f.cfg'}\n")
+        assert cli.main([*self.RUN, "--config", str(nested)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{nested}:1: a config file cannot load another" in captured.err
 
     def test_abbreviated_flag_rejected(self, capsys, tmp_path):
         # `--thr 0.5`, or `thr=0.5` in a file, once set --threshold

@@ -1,7 +1,9 @@
 import concurrent.futures
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from bootperc import montecarlo, thresholds
@@ -171,21 +173,6 @@ class TestRunExperiment:
         assert s2.theorem_used == "supercritical"
         assert s2.theorem_bound == thresholds.theorem_supercritical_bound(PARAMS, alpha_eff2)
 
-    def test_mean_trajectory_tracks_expectation(self):
-        cfg = ExperimentConfig(
-            params=PARAMS,
-            seed_size=SeedSizeSpec(offset_c=0.0),
-            trials=400,
-            master_seed=21,
-        )
-        s = run_experiment(cfg)
-        a = s.a
-        for t, mean, se in s.mean_trajectory[1:].tolist():
-            predicted = a + (PARAMS.n - a) * thresholds.binom_tail_geq(
-                int(t), PARAMS.p, PARAMS.r
-            )
-            assert abs(mean - predicted) <= 4 * max(se, 1e-9)
-
     def test_explicit_mode(self):
         cfg = ExperimentConfig(
             params=ProcessParams(n=500, p=8e-3, r=2),
@@ -229,12 +216,16 @@ class TestRunExperiment:
             ExperimentConfig(params=PARAMS, seed_size=SeedSizeSpec(a=1), trials=1, master_seed=-1)
 
 
+def specs(*a_values):
+    return [SeedSizeSpec(a=a) for a in a_values]
+
+
 class TestSweep:
     def test_endpoints(self):
         cfg = ExperimentConfig(
             params=PARAMS, seed_size=SeedSizeSpec(a=0), trials=12, master_seed=7
         )
-        result = sweep(cfg, [0, PARAMS.n])
+        result = sweep(cfg, specs(0, PARAMS.n))
         assert result.points[0].p_hat == 0.0
         assert result.points[1].p_hat == 1.0
 
@@ -242,20 +233,33 @@ class TestSweep:
         cfg = ExperimentConfig(
             params=PARAMS, seed_size=SeedSizeSpec(a=0), trials=5, master_seed=7
         )
-        text = sweep(cfg, [0, 10]).to_csv()
+        text = sweep(cfg, specs(0, 10)).to_csv()
         header = text.splitlines()[0]
         assert header == "a,alpha_offset,p_hat,wilson_lo,wilson_hi,mean_final_size,mean_T,theorem_bound"
         assert len(text.splitlines()) == 3
 
-    def test_determinism_across_workers(self):
-        cfg1 = ExperimentConfig(
-            params=PARAMS, seed_size=SeedSizeSpec(a=0), trials=16, master_seed=7, workers=1
-        )
-        cfg2 = ExperimentConfig(
-            params=PARAMS, seed_size=SeedSizeSpec(a=0), trials=16, master_seed=7, workers=3
-        )
-        a_values = [10, 40, 70]
+    @pytest.mark.parametrize("mode", ["implicit", "explicit"])
+    def test_determinism_across_workers(self, mode):
+        base = dict(params=PARAMS, seed_size=SeedSizeSpec(a=0), trials=16, master_seed=7, mode=mode)
+        cfg1 = ExperimentConfig(workers=1, **base)
+        cfg2 = ExperimentConfig(workers=3, **base)
+        a_values = specs(10, 40, 70)
         assert sweep(cfg1, a_values).to_csv() == sweep(cfg2, a_values).to_csv()
+
+    @pytest.mark.parametrize("mode", ["implicit", "explicit"])
+    def test_points_match_single_experiments(self, mode):
+        # one pass over the trials draws, for each seed size, what an
+        # experiment at that size alone draws
+        cfg = ExperimentConfig(
+            params=PARAMS, seed_size=SeedSizeSpec(a=0), trials=10, master_seed=11, mode=mode
+        )
+        seed_sizes = [SeedSizeSpec(a=20), SeedSizeSpec(offset_c=0.0), SeedSizeSpec(offset_c=4.0)]
+        points = sweep(cfg, seed_sizes).points
+        for spec, point in zip(seed_sizes, points):
+            s = run_experiment(replace(cfg, seed_size=spec))
+            assert point.a == s.a
+            assert point.p_hat == s.empirical_percolation_probability
+            assert point.mean_final_size == np.mean([o.final_size for o in s.outcomes])
 
     def test_requires_values(self):
         cfg = ExperimentConfig(

@@ -61,3 +61,27 @@ def test_cli_session_commands_parse(tmp_path):
     overlay = [argv for _, argv in commands if "--config" in argv]
     assert len(overlay) == 1
     assert cli._parse(overlay[0]).n == 2000
+
+
+def test_explicit_stages_summary_attributes():
+    # the ExperimentSummary attributes ExplicitStages.round reads
+    from bootperc.montecarlo import ExperimentConfig, SeedSizeSpec
+
+    summary = montecarlo.run_experiment(
+        ExperimentConfig(
+            params=ProcessParams(n=2000, p=3e-3, r=2),
+            seed_size=SeedSizeSpec(a=60),
+            trials=2,
+            master_seed=1,
+            mode="explicit",
+            stage_diagnostics=True,
+        )
+    )
+    for key in ("median_size_B", "median_size_Bhat"):
+        assert isinstance(summary.stage_quantiles[key], float), key
+    assert isinstance(summary.class_counts[montecarlo.CLASS_ALMOST], int)
+    for name in ("empirical_percolation_probability", "wilson_low", "wilson_high"):
+        assert isinstance(getattr(summary, name), float), name
+    assert len(summary.outcomes) == 2
+    for outcome in summary.outcomes:
+        assert isinstance(outcome.T, int) and isinstance(outcome.final_size, int)
