@@ -380,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
         except (DegenerateRegime, NoConvergence) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DEGENERATE
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive

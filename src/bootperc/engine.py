@@ -119,6 +119,10 @@ class TraceOptions:
     percolation_threshold: float = 0.9
 
     def __post_init__(self):
+        for name in ("max_steps", "size_horizon"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be None or >= 0, got {value}")
         threshold = self.percolation_threshold
         if not 0.0 < threshold <= 1.0:
             raise ValueError(f"percolation_threshold must lie in (0,1], got {threshold}")

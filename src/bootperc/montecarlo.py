@@ -112,29 +112,6 @@ class ExperimentSummary:
     theorem_used: str  # "subcritical" | "supercritical"
     stage_quantiles: dict[str, float] | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.params.n,
-            "p": self.params.p,
-            "r": self.params.r,
-            "regime_ok": self.params.regime_ok,
-            "a": self.a,
-            "alpha": self.alpha,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "mode": self.mode,
-            "percolation_threshold": self.percolation_threshold,
-            "critical": asdict(self.critical),
-            "class_counts": dict(sorted(self.class_counts.items())),
-            "empirical_percolation_probability": self.empirical_percolation_probability,
-            "wilson_low": self.wilson_low,
-            "wilson_high": self.wilson_high,
-            "theorem_bound": self.theorem_bound,
-            "theorem_used": self.theorem_used,
-            "outcomes": [asdict(o) for o in self.outcomes],
-            "stage_quantiles": self.stage_quantiles,
-        }
-
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion.

@@ -3,8 +3,8 @@
 Decomposes the cascade past the critical window into the measured
 quantities of the expansion pipeline:
 
-* early growth: did the run survive past t1 = ceil(t0 + alpha/4) with
-  surplus at least (1 - 2 pi_hat(t0)) alpha / 4;
+* early growth: the run is alive past t1 = ceil(t0 + alpha/4) with
+  |A(t1)| - t1 >= the witness target, max(0, (1 - 2 pi_hat(t0)) alpha / 4);
 * B-hat: vertices outside the examined set (and outside a designated
   witness subset A of the infected surplus) with at least r-1 revealed
   neighbours among the examined;
@@ -14,9 +14,10 @@ quantities of the expansion pipeline:
   designated subset of B;
 * D: vertices outside the prior sets with at least r neighbours in C.
 
-All of these are measurements; the matching predictions recompute from
-(params, alpha) via :func:`bootperc.thresholds.stage_predictions` and are
-reported side by side, never asserted on a single run.
+All of these are measurements.  The stage plan, t1 and every target and
+prediction, is :func:`bootperc.thresholds.stage_predictions` of (params,
+alpha), derived once per pipeline call and handed to each stage; the
+predictions are reported side by side, never asserted on a single run.
 
 An explicit run is measured on its :class:`ExplicitGraph`: the pipeline
 derives the state at t1 from the run's examination order (:func:`state_at`)
@@ -49,7 +50,6 @@ therefore cost a few binomials and one G(|B-hat|, p) sample, not O(n).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -85,7 +85,7 @@ def state_at(graph: ExplicitGraph, trace: PercolationTrace, t: int):
 class StageReport:
     """Measured vs. predicted sizes of the expansion pipeline on one run.
 
-    Field names are the serialisation contract; ``to_json`` emits exactly
+    Field names are the serialisation contract; ``to_dict`` emits exactly
     these.  ``truncated`` is set when the giant component was smaller than
     the designated subset the C stage wants, in which case the full
     component was used and the pipeline's inequality chain is not
@@ -109,59 +109,31 @@ class StageReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
+def early_growth_check(trace: PercolationTrace, pred: StagePredictions) -> bool:
+    """The early-growth event on a recorded trace: the run is alive past t1
+    and |A(t1)| - t1 >= the witness target.
 
-@dataclass(frozen=True)
-class EarlyGrowth:
-    ok: bool
-    surplus: int
-    t1: int
-    threshold: float
-
-
-def early_growth_check(
-    trace: PercolationTrace, params: ProcessParams, alpha: float
-) -> EarlyGrowth:
-    """Evaluate the early-growth event on a recorded trace: the run kept
-    going past t1 and carried surplus |A(t1)| - t1 of at least
-    (1 - 2 pi_hat(t0)) alpha / 4.
-
-    When the run stopped at T <= t1 the event is simply false (surplus
-    reported from the frozen final size).  Raises TraceTooShort only when
-    the recording cannot answer the question: the trace was cut before t1
-    while the run was still alive.
+    A run that stopped at T <= t1 fails the event.  Raises TraceTooShort
+    only when the recording cannot answer the question: the trace was cut
+    before t1 while the run was still alive.
     """
-    pred = thresholds.stage_predictions(params, alpha)
     t1 = pred.t1
-    pi_t0 = thresholds.binom_tail_geq(thresholds.t_zero_int(params), params.p, params.r)
-    threshold = t1 + (1.0 - 2.0 * pi_t0) * alpha / 4.0
     if trace.T is not None and trace.T <= t1:
-        return EarlyGrowth(ok=False, surplus=trace.final_size - t1, t1=t1, threshold=threshold)
+        return False
     if len(trace.infected_sizes) <= t1:
         raise TraceTooShort(
             f"run alive past t1={t1} but only {len(trace.infected_sizes) - 1} steps recorded"
         )
-    size_t1 = int(trace.infected_sizes[t1])
-    return EarlyGrowth(
-        ok=size_t1 >= threshold,
-        surplus=size_t1 - t1,
-        t1=t1,
-        threshold=threshold,
-    )
+    return int(trace.infected_sizes[t1]) - t1 >= pred.witness_target
 
 
 def designated_witness(
-    infected: np.ndarray, examined: np.ndarray, params: ProcessParams, alpha: float
+    infected: np.ndarray, examined: np.ndarray, pred: StagePredictions
 ) -> np.ndarray:
-    """The designated witness subset A: the smallest-id members of
-    A(t1) \\ Z(t1), ceil((1 - 2 pi_hat(t0)) alpha / 4) of them (capped at
-    the available surplus)."""
-    pred = thresholds.stage_predictions(params, alpha)
-    want = math.ceil(pred.witness_target)
-    pool = np.setdiff1d(infected, examined)  # sorted
-    return pool[: max(0, want)]
+    """The designated witness subset A: the ceil(witness_target)
+    smallest-id members of A(t1) \\ Z(t1), capped at the available surplus."""
+    return np.setdiff1d(infected, examined)[: math.ceil(pred.witness_target)]
 
 
 def qualified_set(
@@ -208,55 +180,34 @@ def bridge_and_expand(
     truncated to ceil(pred_C) when C is larger.  Each stage reads only
     pairs no earlier stage (or the engine) touched.
     """
-    n = graph.n
     bridge = bool(count_neighbors_in(graph, witness)[b_component].any())
-
     b1_want = math.ceil(predictions.b1_target)
-    truncated = len(b_component) < b1_want
-    b1 = np.sort(b_component)[: min(b1_want, len(b_component))]
+    b1 = np.sort(b_component)[:b1_want]
 
-    exclude = np.zeros(n + 1, dtype=bool)
-    exclude[0] = True
-    exclude[examined] = True
-    exclude[witness] = True
-    exclude[bhat] = True
-    pool_c = np.flatnonzero(~exclude).astype(np.int64)
-    c_set = _expand_once(graph, pool_c, b1, r)
+    free = np.ones(graph.n + 1, dtype=bool)  # held by no earlier stage
+    free[0] = False
+    free[examined] = False
+    free[witness] = False
+    pool_c = free.copy()
+    pool_c[bhat] = False
+    c_set = np.flatnonzero(pool_c & (count_neighbors_in(graph, b1) >= r))
 
-    c1_want = math.ceil(predictions.pred_c)
-    c1 = c_set[: min(c1_want, len(c_set))]
+    free[b_component] = False
+    free[c_set] = False
+    c1 = c_set[: math.ceil(predictions.pred_c)]
+    d_set = np.flatnonzero(free & (count_neighbors_in(graph, c1) >= r))
 
-    exclude_d = np.zeros(n + 1, dtype=bool)
-    exclude_d[0] = True
-    exclude_d[examined] = True
-    exclude_d[witness] = True
-    exclude_d[b_component] = True
-    exclude_d[c_set] = True
-    pool_d = np.flatnonzero(~exclude_d).astype(np.int64)
-    d_set = _expand_once(graph, pool_d, c1, r)
-
-    return BridgeExpansion(bridge_AB=bridge, C=c_set, D=d_set, truncated=truncated)
-
-
-def _expand_once(
-    graph: ExplicitGraph, pool: np.ndarray, targets: np.ndarray, r: int
-) -> np.ndarray:
-    """Vertices of ``pool`` with at least r neighbours in ``targets``."""
-    if len(pool) == 0 or len(targets) == 0:
-        return np.empty(0, dtype=np.int64)
-    return pool[count_neighbors_in(graph, targets)[pool] >= r]
+    return BridgeExpansion(
+        bridge_AB=bridge, C=c_set, D=d_set, truncated=len(b_component) < b1_want
+    )
 
 
 def _explicit_stages(
-    graph: ExplicitGraph,
-    trace: PercolationTrace,
-    params: ProcessParams,
-    alpha: float,
-    pred: StagePredictions,
+    graph: ExplicitGraph, trace: PercolationTrace, params: ProcessParams, pred: StagePredictions
 ) -> dict:
     """Stage sizes measured on the graph, from the state at t1."""
     examined, counters, infected = state_at(graph, trace, pred.t1)
-    witness = designated_witness(infected, examined, params, alpha)
+    witness = designated_witness(infected, examined, pred)
     bhat = qualified_set(counters, examined, witness, params.r)
     b_comp = giant_in_qualified(graph, bhat)
     expansion = bridge_and_expand(
@@ -324,11 +275,10 @@ def run_stage_pipeline(
     early growth.
     """
     pred = thresholds.stage_predictions(params, alpha)
-    early = early_growth_check(trace, params, alpha)
     base = dict(
         alpha=alpha,
         t1=pred.t1,
-        early_ok=early.ok,
+        early_ok=early_growth_check(trace, pred),
         pred_Bhat=pred.pred_bhat,
         pred_B=pred.pred_b,
         pred_C=pred.pred_c,
@@ -342,5 +292,5 @@ def run_stage_pipeline(
     if isinstance(source, ImplicitSource):
         sizes = _implicit_stages(source, trace, params, pred)
     else:
-        sizes = _explicit_stages(source, trace, params, alpha, pred)
+        sizes = _explicit_stages(source, trace, params, pred)
     return StageReport(**sizes, **base)

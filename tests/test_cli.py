@@ -269,6 +269,23 @@ def test_workers_rejected(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["thresholds", "--n", "1000", "--p", "0.01", "--r", "2", "--out"],
+        ["run", "--n", "500", "--p", "0.005", "--r", "2", "--a", "3", "--trace-out"],
+        ["thresholds", "--n", "1000", "--p", "0.01", "--r", "2", "--config"],
+    ],
+    ids=lambda argv: argv[-1],
+)
+def test_directory_path_is_a_usage_error(capsys, tmp_path, argv):
+    # a directory where a file belongs is a bad path like a missing one
+    assert cli.main([*argv, str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("thresholds", "--n", "2000", "--p", "0.003", "--r", "2"),
         ("run", "--n", "2000", "--p", "0.003", "--r", "2", "--a", "40"),
         ("stages", "--n", "2000", "--p", "0.003", "--r", "2", "--a", "40"),

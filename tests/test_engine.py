@@ -275,6 +275,17 @@ class TestRunProcess:
                 TraceOptions(percolation_threshold=bad)
         assert TraceOptions(percolation_threshold=1.0).percolation_threshold == 1.0
 
+    @pytest.mark.parametrize("field", ["max_steps", "size_horizon"])
+    def test_negative_step_options_rejected(self, field):
+        # both engines refuse a negative cap or horizon alike, and read 0
+        # the same way: |A(0)| is the only size recorded
+        params = ProcessParams(n=200, p=0.02, r=2)
+        for source in (ImplicitSource(params, seed=3), sample_gnp(200, 0.02, seed=3)):
+            with pytest.raises(ValueError, match=f"{field} must be None or >= 0, got -1"):
+                run_process(source, SeedSpec.prefix(5), 2, TraceOptions(**{field: -1}))
+            zero = run_process(source, SeedSpec.prefix(5), 2, TraceOptions(**{field: 0}))
+            assert zero.infected_sizes.tolist() == [5]
+
     def test_expected_trajectory(self):
         # mean |A(t)| over trials tracks a + (n-a) pi_hat(t) within 4 SE.
         # |A(t)| - a is Bin(n - a, pi(t)), so the SE is the model's; the

@@ -1,7 +1,7 @@
 import concurrent.futures
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -21,8 +21,8 @@ PARAMS = ProcessParams(n=3000, p=3e-3, r=2)
 
 
 def summary_json(summary) -> str:
-    # to_dict must be plain JSON types: no default= fallback
-    return json.dumps(summary.to_dict(), sort_keys=True)
+    # every field, as plain JSON types: no default= fallback
+    return json.dumps(asdict(summary), sort_keys=True)
 
 
 class TestWilson:

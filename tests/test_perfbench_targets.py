@@ -85,3 +85,25 @@ def test_explicit_stages_summary_attributes():
     assert len(summary.outcomes) == 2
     for outcome in summary.outcomes:
         assert isinstance(outcome.T, int) and isinstance(outcome.final_size, int)
+
+
+def test_explicit_stage_report_calls_each_traced_stage_once(monkeypatch):
+    # the tracer times stages.* by wrapping these module attributes, so a
+    # stage inlined into its caller would read 0 there instead of failing
+    from bootperc import stages
+
+    calls = {}
+    for name in ("giant_in_qualified", "bridge_and_expand"):
+        real = getattr(stages, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(stages, name, counted)
+    params = ProcessParams(n=2000, p=3e-3, r=2)
+    alpha = 8.0
+    a = thresholds.stage_predictions(params, alpha).t1 + 40  # alive past t1
+    [(_, report)] = montecarlo.run_trial(params, "explicit", 1, 0, [a], 0, 0.9, alpha)
+    assert report.early_ok
+    assert calls == {"giant_in_qualified": 1, "bridge_and_expand": 1}

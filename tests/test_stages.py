@@ -49,17 +49,17 @@ class TestEarlyGrowth:
         params = ProcessParams(n=300, p=0.01, r=2)
         src = ImplicitSource(params, seed=1)
         trace = run_process(src, SeedSpec.prefix(300), 2)
-        res = early_growth_check(trace, params, alpha=8.0)
-        assert res.ok
-        assert res.surplus == 300 - res.t1
+        pred = stage_predictions(params, 8.0)
+        assert early_growth_check(trace, pred)
+        assert trace.infected_sizes[pred.t1] - pred.t1 == 300 - pred.t1
 
     def test_subcritical_run_fails_event(self):
         params = ProcessParams(n=5000, p=1e-3, r=2)
         src = ImplicitSource(params, seed=2)
         trace = run_process(src, SeedSpec.prefix(5), 2)  # far below critical
-        res = early_growth_check(trace, params, alpha=40.0)
-        assert trace.T <= res.t1
-        assert not res.ok
+        pred = stage_predictions(params, 40.0)
+        assert trace.T <= pred.t1
+        assert not early_growth_check(trace, pred)
 
     def test_too_short_recording_raises(self):
         _, trace = capped_run(0)
@@ -78,13 +78,13 @@ class TestEarlyGrowth:
             bernoulli_draws=trace.bernoulli_draws,
         )
         with pytest.raises(TraceTooShort):
-            early_growth_check(short, PARAMS, ALPHA)
+            early_growth_check(short, stage_predictions(PARAMS, ALPHA))
 
     def test_supercritical_run_passes(self):
         _, trace = capped_run(1)
-        res = early_growth_check(trace, PARAMS, ALPHA)
-        assert res.ok
-        assert res.surplus >= (1 - 2 * thresholds.binom_tail_geq(CRIT.t0_int, PARAMS.p, 2)) * ALPHA / 4
+        assert early_growth_check(trace, stage_predictions(PARAMS, ALPHA))
+        surplus = trace.infected_sizes[T1] - T1
+        assert surplus >= (1 - 2 * thresholds.binom_tail_geq(CRIT.t0_int, PARAMS.p, 2)) * ALPHA / 4
 
     def test_event_frequency_clears_bound(self):
         # the early-growth event should occur at least as often as
@@ -92,16 +92,34 @@ class TestEarlyGrowth:
         # Wilson slack on the empirical frequency
         from bootperc.montecarlo import wilson_interval
 
+        pred = stage_predictions(PARAMS, ALPHA)
         runs = 200
         hits = 0
         for trial in range(runs):
             _, trace = capped_run(trial + 2000)
-            hits += early_growth_check(trace, PARAMS, ALPHA).ok
+            hits += early_growth_check(trace, pred)
         lower_bound = 1.0 - math.exp(
             -PARAMS.r * ALPHA**2 / (8.0 * (CRIT.t0 + PARAMS.r * ALPHA / 3.0))
         )
         lo, hi = wilson_interval(hits, runs)
         assert hits / runs >= lower_bound - (hi - lo) / 2.0
+
+
+@pytest.mark.parametrize("mode", ["implicit", "explicit"])
+def test_stage_plan_derived_once(monkeypatch, mode):
+    # every stage reads the one StagePredictions the pipeline derives
+    stage_src, trace = capped_run(5, mode)
+    calls = []
+    real = thresholds.stage_predictions
+
+    def counted(params, alpha):
+        calls.append(alpha)
+        return real(params, alpha)
+
+    monkeypatch.setattr(thresholds, "stage_predictions", counted)
+    rep = run_stage_pipeline(stage_src, trace, PARAMS, ALPHA)
+    assert rep.early_ok and rep.size_Bhat > 0  # every stage ran
+    assert calls == [ALPHA]
 
 
 def step_loop(g, seeds, r, t):
@@ -320,7 +338,7 @@ class TestBridgeExpand:
     def test_exclusion_discipline(self):
         g, trace = capped_run(7, "explicit")
         examined, counters, infected = state_at(g, trace, T1)
-        witness = designated_witness(infected, examined, PARAMS, ALPHA)
+        witness = designated_witness(infected, examined, stage_predictions(PARAMS, ALPHA))
         bhat = qualified_set(counters, examined, witness, PARAMS.r)
         b = giant_in_qualified(g, bhat)
         res = bridge_and_expand(
@@ -346,7 +364,7 @@ class TestBridgeExpand:
     def test_pipeline_report_fields(self):
         stage_src, trace = capped_run(3)
         rep = run_stage_pipeline(stage_src, trace, PARAMS, ALPHA)
-        payload = json.loads(rep.to_json())
+        payload = json.loads(json.dumps(rep.to_dict()))
         assert set(payload.keys()) == {
             "alpha",
             "t1",
@@ -387,7 +405,7 @@ class TestBridgeExpand:
         # force |B| below the designated subset target by shrinking B
         g, trace = capped_run(8, "explicit")
         examined, counters, infected = state_at(g, trace, T1)
-        witness = designated_witness(infected, examined, PARAMS, ALPHA)
+        witness = designated_witness(infected, examined, stage_predictions(PARAMS, ALPHA))
         bhat = qualified_set(counters, examined, witness, PARAMS.r)
         b = giant_in_qualified(g, bhat)[:5]
         res = bridge_and_expand(
