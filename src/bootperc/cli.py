@@ -149,7 +149,7 @@ def _cmd_run(args) -> int:
     from .engine import write_trace_csv
 
     params = _params_from(args)
-    alpha = None
+    plan = None
     if args.command == "stages":
         alpha = args.alpha
         if alpha is None:
@@ -159,10 +159,11 @@ def _cmd_run(args) -> int:
                 f"stage diagnostics need alpha > 0 (a={args.a} is not above the "
                 "critical seed count; pass --alpha explicitly)"
             )
+        plan = thresholds.stage_predictions(params, alpha)
     # with no trace to write, a run records |A(t)| only as far as its stages read
     horizon = None if args.trace_out else 0
     [(trace, report)] = montecarlo.run_trial(
-        params, args.mode, args.seed, 0, [args.a], horizon, args.threshold, alpha
+        params, args.mode, args.seed, 0, [args.a], horizon, args.threshold, plan
     )
     payload = {
         "n": params.n,

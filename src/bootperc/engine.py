@@ -7,28 +7,28 @@ Two interchangeable forms of the same process:
   each pushes its joins' rows into the neighbour counts, or pulls the
   counts from the uninfected rows when those weigh less.  The oracle form.
 
-* :func:`run_process`: the examine-one-vertex reformulation: at step t
-  the smallest unexamined infected vertex is examined and its edges to
-  all not-yet-examined vertices are revealed.  A vertex outside the seed
-  set becomes infected once its revealed-neighbour counter reaches r.
-  The run stops at the first step T where the examined set has caught the
-  infected set.  On an explicit graph (an :class:`ExplicitGraph`) the
-  edges are read one examined vertex at a time, as a row of its CSR
-  arrays.  The examination order only matters for what a run records
-  (|A(t)| up to its size horizon, and the order, which the stages read);
-  the final set is the r-closure of the seeds whatever the order.  So an
-  uncapped explicit run with a size horizon steps only through its
-  recorded window and then finishes with the generation sweep of
-  :func:`run_direct`, started from A(t).  On an implicit G(n,p) (an
-  :class:`ImplicitSource`) the process is not stepped at all: an
-  uninfected vertex meets one fresh Bernoulli(p) pair per step, so
-  infection steps are i.i.d. r-th success times (the reduction of
-  Janson, Luczak, Turova and Vallier), and the engine walks them in
-  blocks.  An implicit run keeps counts only, no per-vertex state: its
-  seeds are the prefix {1..a}, and it reports the final size but neither
-  the examination order nor the final set.  A capped or subcritical
-  implicit run does no O(n) work, which is what lets n reach 10^9 in the
-  critical window.
+* :func:`run_process`: the examine-one-vertex reformulation, from the
+  seeds {1..a} (a :class:`SeedSpec`; on G(n,p) the process depends on
+  its seeds only through a): at step t the smallest unexamined infected
+  vertex is examined and its edges to all not-yet-examined vertices are
+  revealed.  A non-seed becomes infected once its revealed-neighbour
+  counter reaches r.  The run stops at the first step T where the
+  examined set has caught the infected set.  On an explicit graph (an
+  :class:`ExplicitGraph`) the edges are read one examined vertex at a
+  time, as a row of its CSR arrays.  The examination order only matters
+  for what a run records (|A(t)| up to its size horizon, and the order,
+  which the stages read); the final set is the r-closure of the seeds
+  whatever the order.  So an uncapped explicit run with a size horizon
+  steps only through its recorded window and then finishes with the
+  generation sweep of :func:`run_direct`, started from A(t).  On an
+  implicit G(n,p) (an :class:`ImplicitSource`) the process is not
+  stepped at all: an uninfected vertex meets one fresh Bernoulli(p) pair
+  per step, so infection steps are i.i.d. r-th success times (the
+  reduction of Janson, Luczak, Turova and Vallier), and the engine walks
+  them in blocks.  An implicit run keeps counts only, no per-vertex
+  state: it reports the final size but neither the examination order
+  nor the final set.  A capped or subcritical implicit run does no O(n)
+  work, which is what lets n reach 10^9 in the critical window.
 """
 
 from __future__ import annotations
@@ -51,52 +51,21 @@ CLASS_CENSORED = "Censored"  # run hit a step cap before stopping
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Initially infected vertices.  By default the a smallest ids
-    {1,...,a}; explicit membership is allowed for fixture graphs."""
+    """Initially infected vertices: the a smallest ids {1,...,a}.
+
+    On G(n,p) the process depends on its seeds only through a, so both
+    engines, their traces and the stages start from this prefix; the
+    oracle :func:`run_direct` takes any seed set."""
 
     a: int
-    members: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.members is None:
-            return
-        members = tuple(sorted(set(int(v) for v in self.members)))
-        if members and members[0] < 1:
-            raise ValueError("seed members outside 1..n")
-        if self.a != len(members):
-            raise ValueError(f"seed count a={self.a} but {len(members)} distinct members")
-        # the engine takes the members as a sorted heap of distinct ids
-        object.__setattr__(self, "members", members)
+        if self.a < 0:
+            raise ValueError(f"seed count a must be >= 0, got {self.a}")
 
     @classmethod
     def prefix(cls, a: int) -> "SeedSpec":
         return cls(a=a)
-
-    @classmethod
-    def of(cls, members) -> "SeedSpec":
-        ms = set(int(v) for v in members)
-        return cls(a=len(ms), members=tuple(ms))
-
-    def _check(self, n: int) -> None:
-        if not (0 <= self.a <= n):
-            raise ValueError(f"seed count a={self.a} outside 0..{n}")
-        if self.members and self.members[-1] > n:
-            raise ValueError("seed members outside 1..n")
-
-    def resolve(self, n: int) -> tuple[int, ...]:
-        self._check(n)
-        if self.members is None:
-            return tuple(range(1, self.a + 1))
-        return self.members
-
-    def _prefix_size(self) -> int:
-        """a for the seeds {1..a}, without building them; ValueError for
-        any other seed set."""
-        if self.members is None:
-            return self.a
-        if any(v != k for k, v in enumerate(self.members, 1)):
-            raise ValueError("implicit runs take the prefix seeds {1..a} only")
-        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -137,7 +106,6 @@ class PercolationTrace:
     T: int | None  # None when max_steps hit before the process stopped
     final_size: int
     final_infected: np.ndarray | None  # sorted infected ids when the run ended; None for implicit runs
-    seeds: tuple[int, ...] | None  # sorted seed ids; None for implicit runs (seeds {1..a})
     examined: np.ndarray | None  # u(1..t) for the steps taken; None for implicit runs
     classification: str
     bernoulli_draws: int  # implicit mode: this run's pairs, sum over its steps t of (n - t); else 0
@@ -214,24 +182,18 @@ def run_process(
     r: int,
     opts: TraceOptions = TraceOptions(),
 ) -> PercolationTrace:
-    """Examine-one-vertex process; see the module docstring.
-
-    An implicit run raises ValueError for seeds other than the prefix
-    {1..a}.
-    """
+    """Examine-one-vertex process from the seeds {1..a}; see the module docstring."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    n = source.n
+    n, a = source.n, seed.a
+    if a > n:
+        raise ValueError(f"seed count a={a} outside 0..{n}")
     if isinstance(source, ImplicitSource):
-        seed._check(n)
-        a = seed._prefix_size()
         steps, sizes, final_size = _walk_infection_times(source, a, r, opts)
-        seeds = final_infected = examined = None
+        final_infected = examined = None
         draws = steps * n - steps * (steps + 1) // 2
     else:
-        seeds = seed.resolve(n)
-        a = len(seeds)
-        steps, sizes, final_infected, examined = _examine_graph(source, seeds, r, opts)
+        steps, sizes, final_infected, examined = _examine_graph(source, a, r, opts)
         final_size, draws = len(final_infected), 0
     censored = final_size > steps
     if censored:
@@ -248,19 +210,18 @@ def run_process(
         T=None if censored else steps,
         final_size=final_size,
         final_infected=final_infected,
-        seeds=seeds,
         examined=examined,
         classification=classification,
         bernoulli_draws=draws,
     )
 
 
-def _examine_graph(g: ExplicitGraph, seeds, r: int, opts: TraceOptions):
+def _examine_graph(g: ExplicitGraph, a: int, r: int, opts: TraceOptions):
     """The process on a materialised graph, one examined vertex per step.
 
     An uncapped run with a size horizon steps only until it has recorded
     |A(t)| up to the horizon, then finishes with :func:`_close` on A(t):
-    closure(A(t)) = closure(seeds), and an uncapped run stops at
+    closure(A(t)) = closure({1..a}), and an uncapped run stops at
     T = |final set|.  A capped run steps to its cap, since the set
     infected at the cap depends on the order.
 
@@ -270,17 +231,16 @@ def _examine_graph(g: ExplicitGraph, seeds, r: int, opts: TraceOptions):
     n, indptr, indices = g.n, g.indptr, g.indices
     # hot loop works on plain lists and bytearrays; numpy only for rows
     infected = bytearray(n + 1)
-    for v in seeds:
-        infected[v] = 1
+    infected[1 : a + 1] = b"\x01" * a
     counters = [0] * (n + 1)
-    heap = list(seeds)  # already sorted, a valid min-heap
+    heap = list(range(1, a + 1))  # already sorted, a valid min-heap
 
     examined_order: list[int] = []
     horizon = opts.size_horizon
     max_steps = opts.max_steps
     stop = horizon if max_steps is None else max_steps
-    sizes = [len(seeds)]
-    infected_count = len(seeds)
+    sizes = [a]
+    infected_count = a
     t = 0
     heappop, heappush = heapq.heappop, heapq.heappush
 

@@ -42,7 +42,7 @@ class ExplicitGraph:
 class ComponentSummary:
     component_count: int
     largest_size: int
-    largest_members: tuple[int, ...] | None = None
+    largest_members: np.ndarray  # sorted int64 ids; empty when there is no vertex
 
 
 def from_edges(n: int, edges) -> ExplicitGraph:
@@ -222,11 +222,7 @@ def _neighbor_counts(g: ExplicitGraph, vs: np.ndarray) -> np.ndarray:
     return np.bincount(_row_entries(g, vs)[0], minlength=g.n + 1)
 
 
-def largest_component(
-    g: ExplicitGraph,
-    subset=None,
-    include_members: bool = False,
-) -> ComponentSummary:
+def largest_component(g: ExplicitGraph, subset=None) -> ComponentSummary:
     """Largest connected component, optionally restricted to the induced
     subgraph on ``subset`` (edges with both endpoints inside).
 
@@ -243,7 +239,7 @@ def largest_component(
         inside = _vertex_mask(subset, g.n, "subset vertex")
     verts = np.flatnonzero(inside)
     if not len(verts):
-        return ComponentSummary(0, 0, () if include_members else None)
+        return ComponentSummary(0, 0, verts)
     ws, lens = _row_entries(g, verts)
     us = np.repeat(verts, lens)
     keep = (us < ws) & inside[ws]
@@ -266,13 +262,10 @@ def largest_component(
     labels = root[verts]
     sizes = np.bincount(labels)
     best = int(np.argmax(sizes))  # the first maximum: smallest label
-    members = None
-    if include_members:
-        members = tuple(verts[labels == best].tolist())
     return ComponentSummary(
         component_count=int(np.count_nonzero(sizes)),
         largest_size=int(sizes[best]),
-        largest_members=members,
+        largest_members=verts[labels == best],
     )
 
 

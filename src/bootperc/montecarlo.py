@@ -28,7 +28,7 @@ from .engine import (
 )
 from .graph import sample_gnp_with
 from .rng import STREAM_GRAPH, STREAM_RUN, STREAM_STAGES, make_generator
-from .thresholds import CriticalValues, ProcessParams
+from .thresholds import CriticalValues, ProcessParams, StagePredictions
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,8 @@ class ExperimentConfig:
         TraceOptions(percolation_threshold=self.percolation_threshold)  # checks (0, 1]
         if self.mode not in ("implicit", "explicit"):
             raise ValueError(f"mode must be implicit or explicit, got {self.mode!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,10 @@ class ExperimentSummary:
     Stopped, AlmostPercolated (final size >= threshold * n) and Censored.
     Trials run uncapped, so Censored stays 0.  The subcritical event of
     the paper, a run that stops before t_c, is ``final_size < critical.tc``.
+
+    With ``stage_diagnostics`` every seed count's stages follow one plan,
+    at alpha = 4 ceil(sqrt(max(a_c, 1))) (the ``alpha`` field), whatever
+    a is; ``bootperc stages`` plans at alpha = a - a_c instead.
     """
 
     params: ProcessParams
@@ -162,10 +168,11 @@ def run_trial(
     a_values: list[int],
     horizon: int | None,
     threshold: float,
-    alpha: float | None = None,
+    plan: StagePredictions | None = None,
 ) -> list[tuple[PercolationTrace, stages.StageReport | None]]:
     """Trial ``trial`` of master seed ``seed`` at each seed count of
-    ``a_values``: its trace, and its stage report when ``alpha`` is given.
+    ``a_values``: its trace, and its stage report when the stage plan
+    ``plan`` is given.
 
     An explicit trial samples its graph once and runs every count on it.
     A walk consumes its streams, so an implicit trial draws its sources
@@ -177,8 +184,8 @@ def run_trial(
     ``bootperc run --seed s`` is trial 0 of an experiment with master
     seed s in both modes.
     """
-    if alpha is not None and horizon is not None:
-        horizon = max(horizon, thresholds.stage_predictions(params, alpha).t1)
+    if plan is not None and horizon is not None:
+        horizon = max(horizon, plan.t1)
     opts = TraceOptions(size_horizon=horizon, percolation_threshold=threshold)
     runs = []
     for a in a_values:
@@ -186,18 +193,18 @@ def run_trial(
             source, stage_source = trial_sources(params, mode, seed, trial)
         trace = run_process(source, SeedSpec.prefix(a), params.r, opts)
         report = None
-        if alpha is not None:
-            report = stages.run_stage_pipeline(stage_source, trace, params, alpha)
+        if plan is not None:
+            report = stages.run_stage_pipeline(stage_source, trace, params, plan)
         runs.append((trace, report))
     return runs
 
 
 def _run_trial(args) -> list[tuple[TrialOutcome, stages.StageReport | None]]:
-    config, a_values, trial, alpha = args
+    config, a_values, trial, plan = args
     # no trajectory is kept, so a run records sizes only as far as its stages read
     runs = run_trial(
         config.params, config.mode, config.master_seed, trial, a_values, 0,
-        config.percolation_threshold, alpha if config.stage_diagnostics else None,
+        config.percolation_threshold, plan,
     )
     return [(TrialOutcome(trial, tr.final_size, tr.T, tr.classification), rep) for tr, rep in runs]
 
@@ -214,8 +221,9 @@ def _experiments(config: ExperimentConfig, seed_sizes) -> list[ExperimentSummary
     critical = thresholds.critical_pair(params)
     a_values = [spec.resolve(critical, params.n) for spec in seed_sizes]
     alpha = 4.0 * math.ceil(math.sqrt(max(critical.ac, 1.0)))
+    plan = thresholds.stage_predictions(params, alpha) if config.stage_diagnostics else None
 
-    tasks = [(config, a_values, trial, alpha) for trial in range(config.trials)]
+    tasks = [(config, a_values, trial, plan) for trial in range(config.trials)]
     workers = min(config.workers, config.trials, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

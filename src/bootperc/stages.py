@@ -14,22 +14,23 @@ quantities of the expansion pipeline:
   designated subset of B;
 * D: vertices outside the prior sets with at least r neighbours in C.
 
-All of these are measurements.  The stage plan, t1 and every target and
-prediction, is :func:`bootperc.thresholds.stage_predictions` of (params,
-alpha), derived once per pipeline call and handed to each stage; the
+All of these are measurements.  The stage plan, alpha, t1 and every
+target and prediction, is :func:`bootperc.thresholds.stage_predictions`
+of (params, alpha): the caller derives it once and hands it to the
+pipeline, which passes it to each stage and derives nothing itself.  The
 predictions are reported side by side, never asserted on a single run.
 
+In both modes the seeds are the prefix {1..a} and are examined first.
 An explicit run is measured on its :class:`ExplicitGraph`: the pipeline
 derives the state at t1 from the run's examination order (:func:`state_at`)
 and builds each set.  This is the oracle.
 
 An implicit run keeps no per-vertex state, so the pipeline draws the
 sizes alone from |A(t1)| in the size record (the reduction of Janson,
-Luczak, Turova and Vallier).  Seeds are the prefix {1..a} and are
-examined first.  So at t1 there are K = |A(t1)| - t1 infected vertices
-not yet examined, s = max(0, a - t1) of them seeds, and the witness set
-W holds the |W| = min(ceil(witness_target), K) smallest of them,
-w_s = min(|W|, s) of them seeds.  The laws at t1 are: an unexamined
+Luczak, Turova and Vallier).  At t1 there are K = |A(t1)| - t1 infected
+vertices not yet examined, s = max(0, a - t1) of them seeds, and the
+witness set W holds the |W| = min(ceil(witness_target), K) smallest of
+them, w_s = min(|W|, s) of them seeds.  The laws at t1 are: an unexamined
 seed's counter is Bin(t1, p), an infected non-seed's is at least r, an
 uninfected counter is Bin(t1, p) conditioned below r, and every pair
 between unexamined vertices is unrevealed.  Hence
@@ -69,15 +70,15 @@ class TraceTooShort(Exception):
 def state_at(graph: ExplicitGraph, trace: PercolationTrace, t: int):
     """(Z(t), counters, A(t)) of an explicit run after step t, from its
     examination order: Z(t) = u(1..t); the neighbour counts in Z(t), an
-    unexamined vertex's revealed-neighbour counter; and the seeds plus every
-    vertex with r neighbours in Z(t) (an examined non-seed had r before its
-    turn)."""
+    unexamined vertex's revealed-neighbour counter; and the seeds {1..a}
+    plus every vertex with r neighbours in Z(t) (an examined non-seed had r
+    before its turn)."""
     if trace.examined is None or len(trace.examined) < t:
         raise TraceTooShort(f"no examination order up to t1={t}; pass size_horizon >= {t}")
     examined = trace.examined[:t]
     counters = count_neighbors_in(graph, examined)
     infected = counters >= trace.r
-    infected[np.array(trace.seeds, dtype=np.int64)] = True
+    infected[1 : trace.a + 1] = True
     return examined, counters, np.flatnonzero(infected)
 
 
@@ -151,8 +152,7 @@ def qualified_set(
 def giant_in_qualified(graph: ExplicitGraph, bhat: np.ndarray) -> np.ndarray:
     """Largest connected component of the subgraph induced on B-hat, as
     sorted vertex ids."""
-    summary = largest_component(graph, bhat, include_members=True)
-    return np.array(summary.largest_members, dtype=np.int64)
+    return largest_component(graph, bhat).largest_members
 
 
 @dataclass(frozen=True)
@@ -264,9 +264,9 @@ def run_stage_pipeline(
     source: EdgeSource,
     trace: PercolationTrace,
     params: ProcessParams,
-    alpha: float,
+    pred: StagePredictions,
 ) -> StageReport:
-    """Run every stage on one finished (or t1-capped) trace.
+    """Run every stage of the plan ``pred`` on one finished (or t1-capped) trace.
 
     An explicit trace must carry its examination order up to t1 (run with
     ``size_horizon`` or a cap >= t1); an implicit one needs only its size
@@ -274,9 +274,8 @@ def run_stage_pipeline(
     with all stage sets empty: the pipeline is only defined conditional on
     early growth.
     """
-    pred = thresholds.stage_predictions(params, alpha)
     base = dict(
-        alpha=alpha,
+        alpha=pred.alpha,
         t1=pred.t1,
         early_ok=early_growth_check(trace, pred),
         pred_Bhat=pred.pred_bhat,

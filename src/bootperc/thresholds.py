@@ -335,8 +335,9 @@ def g_function(x: float) -> float:
 
 @dataclass(frozen=True)
 class StagePredictions:
-    """Predicted sizes for the supercritical stage pipeline, all real
-    valued, recomputable from (params, alpha) alone.
+    """The plan of the supercritical stage pipeline at offset ``alpha``:
+    t1 and the predicted sizes (real valued), recomputable from (params,
+    alpha) alone.
 
     ``witness_target`` and ``b1_target`` are the designated subset sizes
     the pipeline carves out of the measured sets, and C1 is carved to
@@ -344,6 +345,7 @@ class StagePredictions:
     are compared against.
     """
 
+    alpha: float
     t1: int
     witness_target: float
     pred_bhat: float
@@ -376,6 +378,7 @@ def stage_predictions(params: ProcessParams, alpha: float) -> StagePredictions:
     pred_c = params.mean_degree ** (1.0 / (4 * (r - 1))) / p
     pred_d = 1.0 - (t1 + witness + pred_bhat + pred_c + 1.0 / p) / params.n
     return StagePredictions(
+        alpha=alpha,
         t1=t1,
         witness_target=witness,
         pred_bhat=pred_bhat,

@@ -29,6 +29,7 @@ from bootperc.montecarlo import (
 )
 from bootperc.rng import make_generator
 from bootperc.thresholds import ProcessParams, binom_tail_geq
+from test_engine import seeds_first
 
 # --- pilot-calibrated phase-transition point (criterion 7) -----------------
 # np = 20, np^2 = 0.008: inside the regime, and a full supercritical cascade
@@ -61,8 +62,10 @@ def test_01_engine_oracle_equivalence():
         k = int(rng.integers(0, n // 2 + 1))
         seeds = rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist()
         oracle, _ = run_direct(g, seeds, r)
-        trace = run_process(g, SeedSpec.of(seeds), r)
-        if frozenset(trace.final_infected.tolist()) != oracle:
+        # the engine starts from {1..k}: run it on g renumbered to seed those
+        relabelled, old = seeds_first(g, seeds)
+        trace = run_process(relabelled, SeedSpec.prefix(k), r)
+        if frozenset(old[trace.final_infected].tolist()) != oracle:
             mismatches += 1
     _criterion(1, "engine oracle equivalence", mismatches == 0, f"{mismatches}/200 mismatches")
 

@@ -185,6 +185,24 @@ class TestRunCommand:
         assert code == 0
         assert payload["stages"]["alpha"] == 12.0
 
+    def test_stages_derive_the_plan_once(self, capsys, monkeypatch, tmp_path):
+        from bootperc import thresholds
+
+        calls = []
+        real = thresholds.stage_predictions
+
+        def counted(params, alpha):
+            calls.append(alpha)
+            return real(params, alpha)
+
+        monkeypatch.setattr(thresholds, "stage_predictions", counted)
+        argv = ["stages", "--n", "20000", "--p", "0.001", "--r", "2", "--a", "80", "--alpha", "12"]
+        for extra in ([], ["--trace-out", str(tmp_path / "t.csv")]):
+            calls.clear()
+            code, payload = main_json(capsys, *argv, *extra)
+            assert code == 0 and payload["stages"]["alpha"] == 12.0
+            assert calls == [12.0]
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -55,6 +55,21 @@ def run_direct_per_edge(g, seed_set, r):
     return frozenset(np.flatnonzero(infected).tolist()), generations
 
 
+def seeds_first(g, seeds):
+    """g renumbered so that the seeds are 1..k, the seeds and the other
+    vertices each keeping their order, and the old id of each new id
+    (entry 0 is 0).  The engines start from {1..k}; this carries any
+    seed set there."""
+    is_seed = np.zeros(g.n + 1, dtype=bool)
+    is_seed[np.asarray(seeds, dtype=np.int64)] = True
+    old = np.concatenate([[0], np.flatnonzero(is_seed), np.flatnonzero(~is_seed[1:]) + 1])
+    new = np.empty_like(old)
+    new[old] = np.arange(g.n + 1)
+    us = np.repeat(np.arange(g.n + 1), np.diff(g.indptr))
+    upper = us < g.indices
+    return from_edges(g.n, np.stack([new[us[upper]], new[g.indices[upper]]], axis=1)), old
+
+
 def sampled_cases(seed, count):
     """(graph, r, seeds) over r in {1, 2, 3}, with prefix, scattered and
     empty seed sets."""
@@ -207,8 +222,9 @@ class TestRunProcess:
             k = int(rng.integers(0, n // 2 + 1))
             seeds = rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist()
             oracle, _ = run_direct(g, seeds, r)
-            trace = run_process(g, SeedSpec.of(seeds), r)
-            assert frozenset(trace.final_infected.tolist()) == oracle
+            relabelled, old = seeds_first(g, seeds)
+            trace = run_process(relabelled, SeedSpec.prefix(k), r)
+            assert frozenset(old[trace.final_infected].tolist()) == oracle
 
     def test_seed_monotonicity(self):
         rng = np.random.default_rng(12)
@@ -261,13 +277,13 @@ class TestRunProcess:
     def test_examined_order(self):
         g = from_edges(6, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6)])
         # 1 and 2 reveal 3 twice, 3 reveals 4 once, and the run stops
-        trace = run_process(g, SeedSpec.of([2, 1]), 2)
-        assert trace.seeds == (1, 2) and trace.T == 3
+        trace = run_process(g, SeedSpec.prefix(2), 2)
+        assert trace.a == 2 and trace.T == 3
         assert trace.examined.tolist() == [1, 2, 3]
-        capped = run_process(g, SeedSpec.of([1, 2]), 2, TraceOptions(max_steps=2))
+        capped = run_process(g, SeedSpec.prefix(2), 2, TraceOptions(max_steps=2))
         assert capped.examined.tolist() == [1, 2] and capped.T is None
         implicit = run_process(ImplicitSource(ProcessParams(n=6, p=0.5, r=2), seed=1), SeedSpec.prefix(2), 2)
-        assert implicit.examined is None and implicit.seeds is None
+        assert implicit.examined is None
 
     def test_threshold_checked(self):
         for bad in (0.0, -1.0, 5.0, 1.0000001, float("nan")):
@@ -309,17 +325,19 @@ class TestRunProcess:
 
 class TestClosureTail:
     """An uncapped explicit run past its size horizon finishes by
-    closure; the full one-vertex-per-step loop is the reference."""
+    closure; the full one-vertex-per-step loop is the reference.  A
+    scattered seed set runs on the graph renumbered to seed it first."""
 
     def test_tail_matches_full_loop(self):
         rng = np.random.default_rng(14)
         tails = 0
         for g, r, seeds in sampled_cases(15, 150):
-            full = run_process(g, SeedSpec.of(seeds), r)
+            g, seed = seeds_first(g, seeds)[0], SeedSpec.prefix(len(seeds))
+            full = run_process(g, seed, r)
             T = full.T
             small = int(rng.integers(1, max(2, T // 2 + 1)))
             for horizon in (0, small, T + 3):
-                got = run_process(g, SeedSpec.of(seeds), r, TraceOptions(size_horizon=horizon))
+                got = run_process(g, seed, r, TraceOptions(size_horizon=horizon))
                 assert (got.T, got.final_size, got.classification) == (
                     full.T,
                     full.final_size,
@@ -329,7 +347,7 @@ class TestClosureTail:
                 assert np.array_equal(got.infected_sizes, full.infected_sizes[: horizon + 1])
                 # the examination order covers the steps taken, up to the horizon
                 assert np.array_equal(got.examined, full.examined[:horizon])
-                assert got.seeds == full.seeds == tuple(sorted(seeds))
+                assert got.a == full.a == len(seeds)
                 tails += T > horizon
         assert tails >= 100
 
@@ -428,62 +446,35 @@ class TestMartingale:
 
 class TestSeedSpec:
     def test_prefix(self):
-        assert SeedSpec.prefix(3).resolve(10) == (1, 2, 3)
-
-    def test_members(self):
-        assert SeedSpec.of([7, 3, 5]).resolve(10) == (3, 5, 7)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SeedSpec.prefix(11).resolve(10)
-        with pytest.raises(ValueError):
-            SeedSpec.of([0, 2]).resolve(10)
-
-    def test_constructor_sorts_and_checks_members(self):
+        # both engines start from the seeds {1..a}
         path = from_edges(6, [(v, v + 1) for v in range(1, 6)])
-        # members out of order are sorted, so the range check sees them all
-        with pytest.raises(ValueError, match="seed members outside"):
-            run_process(path, SeedSpec(a=2, members=(5, 0)), 1)
-        with pytest.raises(ValueError, match="seed members outside"):
-            run_process(path, SeedSpec(a=2, members=(7, 1)), 1)
-        # a counts the distinct members
-        with pytest.raises(ValueError, match="a=3 but 1 distinct"):
-            SeedSpec(a=3, members=(2, 2))
-        spec = SeedSpec(a=2, members=(5, 1, 5))
-        assert spec.members == (1, 5) and spec == SeedSpec.of([1, 5])
-        trace = run_process(path, spec, 1)
-        assert trace.a == 2 and trace.final_size == 6
-        assert np.array_equal(np.sort(trace.final_infected), np.arange(1, 7))
-
-    def test_implicit_prefix_check(self, monkeypatch):
-        params = ProcessParams(n=100, p=0.02, r=2)
-
-        def run(seed, **opts):
-            return run_process(ImplicitSource(params, seed=3), seed, 2, TraceOptions(**opts))
-
-        as_members, as_prefix = run(SeedSpec.of([3, 1, 2])), run(SeedSpec.prefix(3))
-        assert np.array_equal(as_members.infected_sizes, as_prefix.infected_sizes)
-        assert run(SeedSpec.of([])).a == 0
-        for seed, opts, message in [
-            (SeedSpec.of([1, 3]), {}, "prefix seeds"),
-            (SeedSpec.of([2, 3]), {}, "prefix seeds"),
-            (SeedSpec.prefix(101), {}, "outside 0..100"),
-            (SeedSpec.of([1, 101]), {}, "seed members outside"),
-            (SeedSpec.prefix(101), {"max_steps": 2}, "outside 0..100"),
-        ]:
-            with pytest.raises(ValueError, match=message):
-                run(seed, **opts)
-
-        # a prefix run never builds the seed tuple
-        def no_resolve(self, n):
-            raise AssertionError("resolve called")
-
-        monkeypatch.setattr(SeedSpec, "resolve", no_resolve)
+        trace = run_process(path, SeedSpec.prefix(2), 1)
+        assert trace.a == 2 and trace.infected_sizes[0] == 2
+        assert trace.examined.tolist() == [1, 2, 3, 4, 5, 6] and trace.final_size == 6
+        assert run_process(path, SeedSpec.prefix(0), 1).final_infected.tolist() == []
+        # an implicit run takes a large prefix at n = 10^9 as a count
         big = ProcessParams(n=10**9, p=1e-7, r=2)
         trace = run_process(
             ImplicitSource(big, seed=1), SeedSpec.prefix(50_000), 2, TraceOptions(max_steps=10)
         )
         assert trace.a == 50_000 and trace.infected_sizes[0] == 50_000
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="seed count a must be >= 0, got -1"):
+            SeedSpec.prefix(-1)
+        # a > n is refused by both engines, with and without a cap
+        params = ProcessParams(n=100, p=0.02, r=2)
+        for source in (ImplicitSource(params, seed=3), sample_gnp(100, 0.02, seed=3)):
+            for opts in (TraceOptions(), TraceOptions(max_steps=2)):
+                with pytest.raises(ValueError, match=r"seed count a=101 outside 0\.\.100"):
+                    run_process(source, SeedSpec.prefix(101), 2, opts)
+            assert run_process(source, SeedSpec.prefix(100), 2).final_size == 100
+        # the refused implicit runs drew nothing
+        fresh = ImplicitSource(params, seed=3)
+        refused = ImplicitSource(params, seed=3)
+        with pytest.raises(ValueError):
+            run_process(refused, SeedSpec.prefix(101), 2)
+        assert refused.rng.random() == fresh.rng.random()
 
 
 def two_sample_z(xs, ys) -> float:
@@ -537,21 +528,12 @@ class TestImplicitWalk:
         assert almost[a_values[1]][0] > 0.4 and almost[a_values[1]][1] > 0.4
 
     def test_counts_only(self):
-        # an implicit run holds no per-vertex state: it refuses seeds other
-        # than {1..a}, and reports neither an examination order nor a final set
+        # an implicit run holds no per-vertex state: it reports neither an
+        # examination order nor a final set
         params = ProcessParams(n=2000, p=3e-3, r=2)
-        src = ImplicitSource(params, seed=81)
-        with pytest.raises(ValueError, match="prefix"):
-            run_process(src, SeedSpec.of(range(7, 2000, 50)), 2)
-        with pytest.raises(ValueError, match="prefix"):
-            run_process(src, SeedSpec.of([1, 2, 4]), 2)
-        # the rejected runs drew nothing
-        assert src.rng.random() == ImplicitSource(params, seed=81).rng.random()
         pre = run_process(ImplicitSource(params, seed=82), SeedSpec.prefix(40), 2)
-        mem = run_process(ImplicitSource(params, seed=82), SeedSpec.of(range(1, 41)), 2)
-        assert np.array_equal(pre.infected_sizes, mem.infected_sizes)
-        assert (pre.T, pre.final_size) == (mem.T, mem.final_size)
-        assert pre.final_infected is None and pre.examined is None and pre.seeds is None
+        assert pre.infected_sizes[0] == 40 and pre.final_size >= 40
+        assert pre.final_infected is None and pre.examined is None
 
     def test_pairs_per_run(self):
         # two runs on one source each report their own pairs

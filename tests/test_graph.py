@@ -9,7 +9,6 @@ from scipy.sparse.csgraph import connected_components
 from bootperc import graph
 from bootperc.graph import (
     MAX_N,
-    ComponentSummary,
     ExplicitGraph,
     _geometric_gaps,
     _pair_rows,
@@ -316,16 +315,16 @@ class TestComponents:
 
     def test_path_fixture(self):
         g = from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
-        summary = largest_component(g, include_members=True)
+        summary = largest_component(g)
         assert summary.largest_size == 5
-        assert summary.largest_members == (1, 2, 3, 4, 5)
+        assert summary.largest_members.tolist() == [1, 2, 3, 4, 5]
         assert summary.component_count == 1
 
     def test_two_components(self):
         g = from_edges(6, [(1, 2), (2, 3), (4, 5)])
-        summary = largest_component(g, include_members=True)
+        summary = largest_component(g)
         assert summary.largest_size == 3
-        assert summary.largest_members == (1, 2, 3)
+        assert summary.largest_members.tolist() == [1, 2, 3]
         assert summary.component_count == 3  # {1,2,3}, {4,5}, {6}
 
     def test_subset_restriction(self):
@@ -339,16 +338,17 @@ class TestComponents:
         # {4,5,6} and {1,2,3} are equally large; the one holding vertex 1
         # wins, whatever the edge order
         g = from_edges(7, [(5, 6), (4, 5), (3, 2), (2, 1)])
-        summary = largest_component(g, include_members=True)
-        assert summary.largest_members == (1, 2, 3)
+        summary = largest_component(g)
+        assert summary.largest_members.tolist() == [1, 2, 3]
         assert summary.component_count == 3
-        sub = largest_component(g, subset=[6, 5, 4, 3, 2], include_members=True)
-        assert sub.largest_members == (4, 5, 6)  # {2,3} is smaller now
+        sub = largest_component(g, subset=[6, 5, 4, 3, 2])
+        assert sub.largest_members.tolist() == [4, 5, 6]  # {2,3} is smaller now
 
     def test_empty_subset(self):
         g = from_edges(4, [(1, 2)])
         summary = largest_component(g, subset=[])
-        assert summary == ComponentSummary(0, 0, None)
+        assert (summary.component_count, summary.largest_size) == (0, 0)
+        assert summary.largest_members.dtype == np.int64 and summary.largest_members.tolist() == []
 
     def test_matches_bfs_on_random_graphs(self):
         rng = np.random.default_rng(4)
@@ -357,10 +357,10 @@ class TestComponents:
             p = float(rng.choice([0.002, 0.01, 0.05]))
             g = sample_gnp(n, p, seed=int(rng.integers(0, 2**60)))
             comps = bfs_components(g)
-            summary = largest_component(g, include_members=True)
+            summary = largest_component(g)
             assert summary.component_count == len(comps)
             assert summary.largest_size == max(len(c) for c in comps)
-            assert set(summary.largest_members) in [
+            assert set(summary.largest_members.tolist()) in [
                 c for c in comps if len(c) == summary.largest_size
             ]
             # scipy's connected components, on the full graph and on a subset

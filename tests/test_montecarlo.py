@@ -197,6 +197,28 @@ class TestRunExperiment:
         assert 0.0 <= s.stage_quantiles["early_ok_fraction"] <= 1.0
         assert s.stage_quantiles["median_size_B"] <= s.stage_quantiles["median_size_Bhat"]
 
+    def test_stage_plan_derived_once_per_experiment(self, monkeypatch):
+        # one plan serves every trial: the horizon and the pipeline read it
+        calls = []
+        real = thresholds.stage_predictions
+
+        def counted(params, alpha):
+            calls.append(alpha)
+            return real(params, alpha)
+
+        monkeypatch.setattr(thresholds, "stage_predictions", counted)
+        cfg = ExperimentConfig(
+            params=ProcessParams(n=50_000, p=4e-4, r=2),
+            seed_size=SeedSizeSpec(offset_c=4.0),
+            trials=4,
+            master_seed=2,
+            mode="explicit",
+            stage_diagnostics=True,
+        )
+        s = run_experiment(cfg)
+        assert calls == [s.alpha]
+        assert s.stage_quantiles["early_ok_fraction"] > 0  # the stages ran
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(params=PARAMS, seed_size=SeedSizeSpec(a=1), trials=0, master_seed=0)
@@ -214,6 +236,13 @@ class TestRunExperiment:
             )
         with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
             ExperimentConfig(params=PARAMS, seed_size=SeedSizeSpec(a=1), trials=1, master_seed=-1)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            ExperimentConfig(
+                params=PARAMS, seed_size=SeedSizeSpec(a=1), trials=2, master_seed=0, workers=workers
+            )
 
 
 def specs(*a_values):

@@ -102,8 +102,8 @@ def test_explicit_stage_report_calls_each_traced_stage_once(monkeypatch):
 
         monkeypatch.setattr(stages, name, counted)
     params = ProcessParams(n=2000, p=3e-3, r=2)
-    alpha = 8.0
-    a = thresholds.stage_predictions(params, alpha).t1 + 40  # alive past t1
-    [(_, report)] = montecarlo.run_trial(params, "explicit", 1, 0, [a], 0, 0.9, alpha)
+    plan = thresholds.stage_predictions(params, 8.0)
+    a = plan.t1 + 40  # alive past t1
+    [(_, report)] = montecarlo.run_trial(params, "explicit", 1, 0, [a], 0, 0.9, plan)
     assert report.early_ok
     assert calls == {"giant_in_qualified": 1, "bridge_and_expand": 1}

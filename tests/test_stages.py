@@ -26,13 +26,14 @@ from bootperc.stages import (
     state_at,
 )
 from bootperc.thresholds import ProcessParams, rho_fixed_point, stage_predictions
-from test_engine import two_sample_z
+from test_engine import seeds_first, two_sample_z
 
 # pilot-calibrated supercritical point reused across the stage tests
 PARAMS = ProcessParams(n=50_000, p=4e-4, r=2)
 CRIT = thresholds.critical_pair(PARAMS)
 ALPHA = float(4 * math.ceil(math.sqrt(CRIT.ac)))
-T1 = stage_predictions(PARAMS, ALPHA).t1
+PLAN = stage_predictions(PARAMS, ALPHA)
+T1 = PLAN.t1
 A_SUPER = round(CRIT.ac) + int(ALPHA)
 
 
@@ -72,7 +73,6 @@ class TestEarlyGrowth:
             T=None,
             final_size=trace.final_size,
             final_infected=trace.final_infected,
-            seeds=trace.seeds,
             examined=trace.examined,
             classification=trace.classification,
             bernoulli_draws=trace.bernoulli_draws,
@@ -107,7 +107,7 @@ class TestEarlyGrowth:
 
 @pytest.mark.parametrize("mode", ["implicit", "explicit"])
 def test_stage_plan_derived_once(monkeypatch, mode):
-    # every stage reads the one StagePredictions the pipeline derives
+    # every stage reads the plan it is handed; the pipeline derives none
     stage_src, trace = capped_run(5, mode)
     calls = []
     real = thresholds.stage_predictions
@@ -117,9 +117,10 @@ def test_stage_plan_derived_once(monkeypatch, mode):
         return real(params, alpha)
 
     monkeypatch.setattr(thresholds, "stage_predictions", counted)
-    rep = run_stage_pipeline(stage_src, trace, PARAMS, ALPHA)
+    rep = run_stage_pipeline(stage_src, trace, PARAMS, PLAN)
     assert rep.early_ok and rep.size_Bhat > 0  # every stage ran
-    assert calls == [ALPHA]
+    assert rep.alpha == ALPHA and rep.t1 == T1
+    assert calls == []
 
 
 def step_loop(g, seeds, r, t):
@@ -146,11 +147,12 @@ def step_loop(g, seeds, r, t):
 class TestStateAt:
     """The state at step t that the explicit stages derive from a run's
     examination order, against the step loop, on fixed graphs, from runs
-    capped at t, run with horizon t, and run to the end."""
+    capped at t, run with horizon t, and run to the end.  A scattered seed
+    set runs on the graph renumbered to seed it first."""
 
     def test_hand_counted_fixture(self):
         g = from_edges(6, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6)])
-        trace = run_process(g, SeedSpec.of([1, 2]), 2)
+        trace = run_process(g, SeedSpec.prefix(2), 2)
         examined, counters, infected = state_at(g, trace, 2)
         assert examined.tolist() == [1, 2]
         # neighbours of {1,2} among the unexamined: 3 has two, 4 none
@@ -162,14 +164,14 @@ class TestStateAt:
         for k, (n, p, r) in enumerate([(300, 0.02, 2), (400, 0.03, 3), (600, 0.01, 2), (250, 0.05, 1)]):
             g = sample_gnp(n, p, seed=40 + k)
             scattered = np.random.default_rng(k).choice(np.arange(1, n + 1), size=12, replace=False)
-            cases += [(g, list(range(1, 16)), r), (g, scattered.tolist(), r)]
+            cases += [(g, 15, r), (seeds_first(g, scattered)[0], 12, r)]
         checked = 0
-        for g, seeds, r in cases:
-            T = run_process(g, SeedSpec.of(seeds), r).T
+        for g, a, r in cases:
+            T = run_process(g, SeedSpec.prefix(a), r).T
             for t in sorted({1, 2, T // 3, T // 2, T - 1, T}):
-                want_examined, want_counters, want_infected = step_loop(g, seeds, r, t)
+                want_examined, want_counters, want_infected = step_loop(g, range(1, a + 1), r, t)
                 for opts in (TraceOptions(max_steps=t), TraceOptions(size_horizon=t), TraceOptions()):
-                    trace = run_process(g, SeedSpec.of(seeds), r, opts)
+                    trace = run_process(g, SeedSpec.prefix(a), r, opts)
                     examined, counters, infected = state_at(g, trace, t)
                     assert examined.tolist() == want_examined
                     unexamined = np.setdiff1d(np.arange(1, g.n + 1), examined)
@@ -224,7 +226,7 @@ class TestQualifiedSet:
         trials = 60
         for trial in range(trials):
             stage_src, trace = capped_run(trial + 500)
-            hits += run_stage_pipeline(stage_src, trace, PARAMS, ALPHA).size_Bhat >= pred.pred_bhat
+            hits += run_stage_pipeline(stage_src, trace, PARAMS, PLAN).size_Bhat >= pred.pred_bhat
         assert hits > trials / 2
 
 
@@ -281,7 +283,8 @@ class TestCountForm:
         params = ProcessParams(n=n, p=p, r=r)
         crit = thresholds.critical_pair(params)
         alpha = float(4 * math.ceil(math.sqrt(crit.ac)))
-        t1 = stage_predictions(params, alpha).t1
+        plan = stage_predictions(params, alpha)
+        t1 = plan.t1
         a = round(crit.ac) + int(alpha) if seeds == "above" else t1 + 40
         reports = {"implicit": [], "explicit": []}
         for trial in range(300):
@@ -289,7 +292,7 @@ class TestCountForm:
                 src, stage_src = trial_sources(params, mode, 91, trial)
                 opts = TraceOptions(max_steps=t1)
                 trace = run_process(src, SeedSpec.prefix(a), r, opts)
-                reports[mode].append(run_stage_pipeline(stage_src, trace, params, alpha))
+                reports[mode].append(run_stage_pipeline(stage_src, trace, params, plan))
         columns = {
             mode: {f: [getattr(rep, f) for rep in reps] for f in STAGE_FIELDS}
             for mode, reps in reports.items()
@@ -363,7 +366,7 @@ class TestBridgeExpand:
 
     def test_pipeline_report_fields(self):
         stage_src, trace = capped_run(3)
-        rep = run_stage_pipeline(stage_src, trace, PARAMS, ALPHA)
+        rep = run_stage_pipeline(stage_src, trace, PARAMS, PLAN)
         payload = json.loads(json.dumps(rep.to_dict()))
         assert set(payload.keys()) == {
             "alpha",
@@ -386,7 +389,7 @@ class TestBridgeExpand:
 
     def test_pred_fields_recompute(self):
         stage_src, trace = capped_run(4)
-        rep = run_stage_pipeline(stage_src, trace, PARAMS, ALPHA)
+        rep = run_stage_pipeline(stage_src, trace, PARAMS, PLAN)
         pred = stage_predictions(PARAMS, ALPHA)
         assert rep.pred_Bhat == pred.pred_bhat
         assert rep.pred_B == pred.pred_b
@@ -397,7 +400,7 @@ class TestBridgeExpand:
         params = ProcessParams(n=5000, p=1e-3, r=2)
         src = ImplicitSource(params, seed=6)
         trace = run_process(src, SeedSpec.prefix(3), 2)
-        rep = run_stage_pipeline(src, trace, params, alpha=30.0)
+        rep = run_stage_pipeline(src, trace, params, stage_predictions(params, 30.0))
         assert not rep.early_ok
         assert rep.size_Bhat == 0 and rep.size_D == 0
 
@@ -432,7 +435,7 @@ def test_median_d_fraction_reaches_09():
     fracs = []
     for trial in range(30):
         stage_src, trace = capped_run(trial + 900)
-        rep = run_stage_pipeline(stage_src, trace, PARAMS, ALPHA)
+        rep = run_stage_pipeline(stage_src, trace, PARAMS, PLAN)
         if rep.bridge_AB:
             fracs.append(rep.size_D / PARAMS.n)
     assert np.median(fracs) >= 0.9
