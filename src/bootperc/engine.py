@@ -152,7 +152,8 @@ def _close(g: ExplicitGraph, infected: np.ndarray, r: int) -> int:
     returns the productive generations.  Each generation takes the cheaper
     direction (Beamer, Asanovic and Patterson, SC 2012): it pushes its
     joins' rows into the neighbour counts while their degree sum is below
-    the uninfected vertices', else pulls each uninfected count from its row."""
+    the uninfected vertices', else pulls each uninfected count from its row
+    by one ``reduceat`` over the infected flags of the rows' entries."""
     counts = _neighbor_counts(g, np.flatnonzero(infected))
     joins = np.flatnonzero((counts >= r) & ~infected)
     degrees = np.diff(g.indptr)
@@ -168,10 +169,12 @@ def _close(g: ExplicitGraph, infected: np.ndarray, r: int) -> int:
             np.add.at(counts, _row_entries(g, joins)[0], 1)
             joins = np.flatnonzero((counts >= r) & ~infected)
         else:
-            rest = np.flatnonzero(~infected[1:]) + 1
+            # nonempty rows only: reduceat gives an empty row the next row's first entry
+            rest = np.flatnonzero(~infected[1:] & (degrees[1:] > 0)) + 1
             entries, lens = _row_entries(g, rest)
-            owners = np.repeat(rest, lens)[infected[entries]]  # of each infected neighbour
-            counts[rest] = np.bincount(owners, minlength=g.n + 1)[rest]
+            hits = infected[entries]
+            del entries
+            counts[rest] = np.add.reduceat(hits, np.cumsum(lens) - lens)
             joins = rest[counts[rest] >= r]
     return generations
 

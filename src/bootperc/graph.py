@@ -111,8 +111,9 @@ def _sample_edge_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarr
 
 def _row_start(u, n: int):
     """off(u - 1) = (u - 1)(2n - u) / 2: the number of pairs (x, y),
-    x < y, with x < u, so the index of the pair (u, u + 1)."""
-    return ((u - 1) * (2 * n - u)) >> 1
+    x < y, with x < u, so the index of the pair (u, u + 1).  Written
+    (u (2n + 1 - u) - 2n) / 2, it takes one temporary array of u's size."""
+    return (u * (2 * n + 1 - u) - 2 * n) >> 1
 
 
 def _pair_rows(idxs: np.ndarray, n: int) -> np.ndarray:
@@ -126,6 +127,13 @@ def _pair_rows(idxs: np.ndarray, n: int) -> np.ndarray:
     return us
 
 
+def _upper_key_offset(u: np.ndarray, n: int, shift: int) -> np.ndarray:
+    """(u << shift) - off(u - 1) + u + 1 in uint64: added to the index of
+    a pair (u, v), it gives the pair's upper key (u << shift) | v."""
+    u = u.view(np.uint64)  # int64 rows, all positive
+    return (u << shift) - _row_start(u, n) + u + 1
+
+
 # (n + 1)^2 < 2^63 keeps the pair indices below 2^62, the gap cap, and n below 2^32
 MAX_N = math.isqrt(2**63 - 1) - 1
 
@@ -135,12 +143,15 @@ def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> ExplicitGraph
 
     Row u's upper neighbours are the ascending pair indices between the
     exact row starts off(u - 1) and off(u): with more pairs than rows, a
-    ``searchsorted`` of the n + 1 row starts gives every upper degree and
-    u follows by ``repeat``; with fewer, :func:`_pair_rows` finds each
-    row.  v follows by subtraction.  The rows come from the uint64 keys
-    (src << s) | dst, s = n.bit_length(), over both copies of every edge:
-    the upper copies already ascend, so only the lower copies are sorted,
-    and a stable sort (timsort) merges the two runs.  n is at most
+    ``searchsorted`` of the n + 1 row starts gives every upper degree,
+    and ``repeat`` spreads each row's :func:`_upper_key_offset` over its
+    pairs; with fewer, :func:`_pair_rows` finds each row.  Adding it makes
+    each pair index its uint64 upper key (u << s) | v, s = n.bit_length().  The lower keys (v << s) | u, whose v's
+    give the lower degrees, and then the upper keys fill one buffer over
+    both copies of every edge, and the pair indices are freed.  The upper
+    keys already ascend, so only the lower ones are sorted, and a stable
+    sort (timsort) merges the two runs.  The graph holds 16 bytes per
+    edge, and building it peaks at 24 plus O(n).  n is at most
     ``MAX_N`` = 3037000498 (where indptr alone takes 24 GB); a larger n
     raises ValueError before anything is drawn.
     """
@@ -152,31 +163,29 @@ def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> ExplicitGraph
         return from_edges(n, [])
     idxs = _sample_edge_indices(n, p, rng)
     e = len(idxs)
+    shift = n.bit_length()  # v < 2^shift <= 2^32, so a key fits in 64 bits
     indptr = np.zeros(n + 2, dtype=np.int64)  # u's degree sits at indptr[u + 1] until the cumsum
-    # each index becomes v = idx - off(u - 1) + u + 1 in place
+    upper = idxs.view(np.uint64)  # each index becomes its upper key in place
     if e > n:
         rows = np.arange(1, n + 2, dtype=np.int64)
-        starts = _row_start(rows, n)
-        indptr[2:] = np.diff(np.searchsorted(idxs, starts))
-        idxs -= np.repeat(starts[:-1] - rows[:-1] - 1, indptr[2:])
-        us = np.repeat(rows[:-1], indptr[2:])
+        indptr[2:] = np.diff(np.searchsorted(idxs, _row_start(rows, n)))
+        upper += np.repeat(_upper_key_offset(rows[:-1], n, shift), indptr[2:])
     else:
         us = _pair_rows(idxs, n)
         indptr[1:] = np.bincount(us, minlength=n + 1)
-        idxs -= _row_start(us, n) - us - 1
-    vs = idxs
-    indptr[1:] += np.bincount(vs, minlength=n + 1)
-    np.cumsum(indptr, out=indptr)
-    shift = n.bit_length()  # dst < 2^shift <= 2^32, so a key fits in 64 bits
-    us, vs = us.view(np.uint64), vs.view(np.uint64)
+        upper += _upper_key_offset(us, n, shift)
+        del us
     keys = np.empty(2 * e, dtype=np.uint64)
-    upper, lower = keys[:e], keys[e:]
-    np.left_shift(vs, shift, out=lower)
-    lower |= us
+    head, lower = keys[:e], keys[e:]
+    np.bitwise_and(upper, (1 << shift) - 1, out=lower)  # v
+    indptr[1:] += np.bincount(lower.view(np.int64), minlength=n + 1)
+    np.cumsum(indptr, out=indptr)
+    lower <<= shift
+    np.right_shift(upper, shift, out=head)  # u, until the upper keys move in
+    lower |= head
+    head[:] = upper
+    del idxs, upper
     lower.sort()
-    np.left_shift(us, shift, out=upper)
-    upper |= vs
-    del us, vs
     keys.sort(kind="stable")
     keys &= (1 << shift) - 1
     return ExplicitGraph(n=n, indptr=indptr, indices=keys.view(np.int64))
@@ -186,8 +195,8 @@ def sample_gnp(n: int, p: float, seed: int) -> ExplicitGraph:
     """G(n,p): every one of the C(n,2) pairs present independently with
     probability p.  Deterministic for fixed (n, p, seed).
 
-    The graph takes 16 bytes per edge, plus 8 per vertex; as a rule of
-    thumb keep n^2 p below 1e8.
+    The graph takes 16 bytes per edge, plus 8 per vertex, and building it
+    peaks at 24 bytes per edge; as a rule of thumb keep n^2 p below 1e8.
     """
     return sample_gnp_with(n, p, make_generator(seed))
 
@@ -212,7 +221,8 @@ def _row_entries(g: ExplicitGraph, vs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     starts = g.indptr[vs]
     lens = g.indptr[vs + 1] - starts
     # position of each entry: its row's start plus its rank within the row
-    pos = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+    pos = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    pos += np.arange(len(pos))
     return g.indices[pos], lens
 
 
@@ -240,11 +250,14 @@ def largest_component(g: ExplicitGraph, subset=None) -> ComponentSummary:
     verts = np.flatnonzero(inside)
     if not len(verts):
         return ComponentSummary(0, 0, verts)
+    # hook on local ids 0..k-1, which keep the order of the vertex ids
+    local = np.zeros(g.n + 1, dtype=np.int64)
+    local[verts] = np.arange(len(verts))
     ws, lens = _row_entries(g, verts)
     us = np.repeat(verts, lens)
     keep = (us < ws) & inside[ws]
-    us, ws = us[keep], ws[keep]
-    root = np.arange(g.n + 1, dtype=np.int64)
+    us, ws = local[us[keep]], local[ws[keep]]
+    root = np.arange(len(verts))
     while True:
         ru, rw = root[us], root[ws]
         split = ru != rw
@@ -259,13 +272,12 @@ def largest_component(g: ExplicitGraph, subset=None) -> ComponentSummary:
             up = root[root[moving]]
             root[moving] = up
             moving = moving[root[up] != up]
-    labels = root[verts]
-    sizes = np.bincount(labels)
+    sizes = np.bincount(root)
     best = int(np.argmax(sizes))  # the first maximum: smallest label
     return ComponentSummary(
         component_count=int(np.count_nonzero(sizes)),
         largest_size=int(sizes[best]),
-        largest_members=verts[labels == best],
+        largest_members=verts[root == best],
     )
 
 

@@ -231,34 +231,36 @@ def critical_pair(params: ProcessParams) -> CriticalValues:
 def rho_fixed_point(eps: float) -> float:
     """Unique positive solution of 1 - rho = exp(-(1+eps) rho) for eps > 0.
 
-    Bisection on the residual -expm1(-(1+eps) x) - x, which is positive
-    below the root and negative above it; expm1 keeps the bracket sound
-    even for tiny eps, where the root is close to 2 eps.  200 bisections
-    must bring the residual below 1e-12.
+    Bisection in y = (1+eps) rho on f(y) = (y + expm1(-y)) / y = t, with
+    t = eps / (1+eps) and f rising from 0 to 1.  Below y = 1/2, f is its
+    series y/2 - y^2/6 + y^3/24 - ..., so nothing cancels however small
+    eps is; above, the plain -expm1(-y) > rho decides.  As y/2 - y^2/6
+    <= f(y) <= y/2, the root lies in [2t, 3t] if t <= 1/3, else in
+    [2t, 1+eps].  The residual must end below 1e-12 relative to rho.
     """
     if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0.0):
         raise NoConvergence(f"fixed point requires eps > 0, got {eps}")
+    t = eps / (1.0 + eps)
 
-    def resid(x: float) -> float:
-        return -math.expm1(-(1.0 + eps) * x) - x
+    def below_root(y: float) -> bool:
+        if y >= 0.5:
+            return -math.expm1(-y) > y / (1.0 + eps)
+        s = 1.0
+        for j in range(16, 2, -1):  # to y^15/16!; the next term is below 1e-18 f(y)
+            s = 1.0 - y / j * s
+        return 0.5 * y * s < t
 
-    lo = eps / (1.0 + eps) ** 2  # half the small-eps root 2 eps/(1+eps)^2
-    for _ in range(64):
-        if resid(lo) > 0.0:
-            break
-        lo /= 2.0
-    else:
-        raise NoConvergence(f"could not bracket the root for eps={eps}")
-    hi = 1.0
+    lo = 2.0 * t
+    hi = 3.0 * t if t <= 1.0 / 3.0 else 1.0 + eps
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if resid(mid) > 0.0:
+        mid = lo + 0.5 * (hi - lo)  # lo + hi may overflow
+        if below_root(mid):
             lo = mid
         else:
             hi = mid
-    rho = 0.5 * (lo + hi)
-    if abs(1.0 - rho - math.exp(-(1.0 + eps) * rho)) >= 1e-12:
-        raise NoConvergence(f"residual above 1e-12 after 200 bisections (eps={eps})")
+    rho = (lo + 0.5 * (hi - lo)) / (1.0 + eps)
+    if not abs(math.expm1(-(1.0 + eps) * rho) + rho) <= 1e-12 * rho:
+        raise NoConvergence(f"residual above 1e-12 of rho after 200 bisections (eps={eps})")
     return rho
 
 

@@ -340,6 +340,14 @@ class TestGiantCommand:
     def test_eps_zero_rejected(self, capsys):
         assert cli.main(["giant", "--m", "100", "--eps", "0"]) == 2
 
+    def test_tiny_eps(self, capsys):
+        # rho ~ 2 eps is representable, so the fixed point must be found
+        for eps in ("1e-20", "1e-300"):
+            code, payload = main_json(capsys, "giant", "--m", "5", "--eps", eps)
+            assert code == 0
+            validate(payload, "giant.schema.json")
+            assert payload["rho"] == pytest.approx(2 * float(eps), rel=1e-12)
+
 
 class TestBoundsCommand:
     def test_chernoff_schema(self, capsys):

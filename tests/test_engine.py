@@ -180,6 +180,29 @@ class TestPushPullClosure:
         assert final == frozenset(range(1, n + 1)) and gens == 2
         assert pulls == [1, 0]
 
+    def test_pull_skips_isolated_rows(self, monkeypatch):
+        # hub 1 with the even leaves; the odd vertices 3..2m+1 are isolated,
+        # so degree-0 rows sit between the leaves and at the end.  From leaf
+        # 2 at r = 1 the hub's row outweighs the rest, so the leaves join
+        # by a pull that reads only the m - 1 leaf rows; the next pull has
+        # no row left to read
+        m = 300
+        g = from_edges(2 * m + 1, [(1, v) for v in range(2, 2 * m + 1, 2)])
+        (final, gens), pulls = self.closure_and_pulls(monkeypatch, g, [2], 1)
+        assert final == frozenset([1, *range(2, 2 * m + 1, 2)]) and gens == 2
+        assert pulls == [m - 1, 0]
+        # sparse G(n,p) with isolated vertices, from large seed sets
+        rng = np.random.default_rng(21)
+        pulled = 0
+        for case in range(30):
+            n = int(rng.integers(100, 400))
+            g = sample_gnp(n, 1.5 / n, seed=int(rng.integers(0, 2**60)))
+            assert (np.diff(g.indptr)[1:] == 0).any()
+            seeds = rng.choice(np.arange(1, n + 1), size=n // 3, replace=False).tolist()
+            _, pulls = self.closure_and_pulls(monkeypatch, g, seeds, case % 2 + 1)
+            pulled += len(pulls)
+        assert pulled
+
     def test_star(self, monkeypatch):
         # K_{1,m}: two infected leaves infect the hub, whose row holds every
         # leaf; at r = 1 the hub then infects all the leaves

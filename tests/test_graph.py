@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bootperc.graph import (
     _pair_rows,
     _row_start,
     _sample_edge_indices,
+    _upper_key_offset,
     count_neighbors_in,
     from_edges,
     largest_component,
@@ -215,6 +217,17 @@ class TestUnrank:
         us = _pair_rows(idxs, n)
         assert us.tolist() == [u for u, _ in pairs]
         assert (idxs - _row_start(us, n) + us + 1).tolist() == [v for _, v in pairs]
+        # the upper key (u << s) + idx - off(u - 1) + u + 1 = (u << s) | v
+        # in uint64, where u << 32 passes int64
+        shift = n.bit_length()
+        assert shift == 32
+        keys = idxs.view(np.uint64) + _upper_key_offset(us, n, shift)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [(u << shift) | v for u, v in pairs]
+        rows = np.array([u for u, _ in pairs], dtype=np.int64)
+        assert _upper_key_offset(rows, n, shift).tolist() == [
+            (u << shift) - (u - 1) * (2 * n - u) // 2 + u + 1 for u in rows.tolist()
+        ]
 
 
 class TestSampling:
@@ -266,6 +279,25 @@ class TestSampling:
             assert g.indptr.dtype == g.indices.dtype == np.int64
             assert np.array_equal(g.indptr, indptr), (n, p, seed)
             assert np.array_equal(g.indices, indices), (n, p, seed)
+
+    def test_peak_memory_while_building(self):
+        # the graph holds 16 B/edge.  Building it, the pair indices turn
+        # into keys in place beside one edge-sized temporary, then meet the
+        # key buffer over both copies of every edge (8 + 16 B/edge) with no
+        # temporary; the row tables and indptr take at most 48 B/vertex.
+        # tracemalloc sees numpy's arrays but not the merge buffer of the
+        # stable sort, at most one half of the keys (8 B/edge), taken once
+        # the pair indices are freed.
+        n, p = 50_000, 4e-4
+        sample_gnp_with(n, p, make_generator(0))
+        tracemalloc.start()
+        try:
+            g = sample_gnp_with(n, p, make_generator(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count > n  # the dense branch: row constants by repeat
+        assert peak <= 24 * g.edge_count + 48 * n, peak
 
     def test_n_bound_checked_before_drawing(self):
         assert MAX_N == 3_037_000_498 and (MAX_N + 1) ** 2 < 2**63 <= (MAX_N + 2) ** 2
@@ -370,6 +402,39 @@ class TestComponents:
                 summary = largest_component(g, subset=verts)
                 assert (summary.component_count, summary.largest_size) == (count, largest)
 
+    def test_scattered_subset_tie_matches_bfs(self):
+        # two paths of 4 inside the subset, interleaved over the ids; the one
+        # holding vertex 3 wins the tie.  30 would join them but lies
+        # outside, 25 and 44 are alone in the subset, and 9 hangs off 25
+        # from outside it
+        a, b = [7, 19, 33, 52], [3, 41, 58, 12]
+        edges = list(zip(a, a[1:])) + list(zip(b, b[1:])) + [(30, 52), (30, 3), (9, 25)]
+        g = from_edges(60, edges)
+        subset = [52, 44, *b, 25, 33, 19, 7]
+        summary = largest_component(g, subset=subset)
+        assert summary.largest_members.tolist() == sorted(b)
+        comps = bfs_components(g, subset)
+        assert summary.component_count == len(comps) == 4
+        assert summary.largest_size == max(len(c) for c in comps) == 4
+        whole = largest_component(g)
+        assert whole.largest_members.tolist() == sorted(a + b + [30])
+        # random scattered subsets: the largest component with the
+        # smallest vertex, as the breadth-first search finds it
+        rng = np.random.default_rng(6)
+        ties = 0
+        for case in range(60):
+            n = int(rng.integers(30, 300))
+            g = sample_gnp(n, float(rng.choice([0.005, 0.01, 0.02])), seed=int(rng.integers(0, 2**60)))
+            subset = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n // 3 + 1)), replace=False)
+            comps = bfs_components(g, subset.tolist())
+            size = max(len(c) for c in comps)
+            winners = sorted(c for c in comps if len(c) == size)
+            ties += len(winners) > 1
+            summary = largest_component(g, subset=subset)
+            assert summary.component_count == len(comps)
+            assert summary.largest_members.tolist() == sorted(min(winners, key=min))
+        assert ties
+
     def test_subset_matches_bfs(self):
         rng = np.random.default_rng(5)
         for case in range(20):
@@ -380,6 +445,26 @@ class TestComponents:
             summary = largest_component(g, subset=subset)
             assert summary.component_count == len(comps)
             assert summary.largest_size == max(len(c) for c in comps)
+
+
+class TestRowEntries:
+    def test_rows_and_peak_memory(self):
+        # the positions and the gathered entries, 8 B each, plus the
+        # starts, lengths and offsets of the rows
+        g = sample_gnp(50_000, 4e-4, seed=3)
+        vs = np.arange(1, 20_001)
+        tracemalloc.start()
+        try:
+            entries, lens = graph._row_entries(g, vs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * len(entries) + 64 * len(vs), peak
+        assert np.array_equal(lens, np.diff(g.indptr)[vs])
+        assert np.array_equal(entries, g.indices[g.indptr[1] : g.indptr[20_001]])
+        sub = np.array([5, 17, 17_000, 3])
+        entries, lens = graph._row_entries(g, sub)
+        assert entries.tolist() == sum((g.neighbors(v).tolist() for v in sub.tolist()), [])
 
 
 class TestCountNeighbors:

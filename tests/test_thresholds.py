@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 from bootperc.thresholds import (
     BoundInputs,
@@ -330,6 +331,24 @@ class TestRhoFixedPoint:
     def test_limits(self):
         assert rho_fixed_point(1e-8) < 1e-6  # subcritical limit: rho -> 0
         assert rho_fixed_point(10.0) > 0.999
+
+    def test_small_eps_matches_series(self):
+        # rho = 2 eps - (8/3) eps^2 + O(eps^3); a residual in x cancels
+        # here, the series form of the bisection does not
+        for eps in [*np.logspace(-300, -6, 50).tolist(), 1e-16, 1e-15, 1e-12]:
+            rho = rho_fixed_point(eps)
+            series = 2.0 * eps - 8.0 / 3.0 * eps * eps
+            assert abs(rho - series) <= 1e-9 * series, eps
+
+    def test_matches_lambert_w(self):
+        # rho = 1 + W(-c e^-c) / c with c = 1 + eps, on the principal
+        # branch; W is ill-conditioned near -1/e, so eps stays away from 0
+        for eps in (0.2, 0.5, 1.0, 10.0, 30.0):
+            c = 1.0 + eps
+            expected = 1.0 + lambertw(-c * math.exp(-c)).real / c
+            assert rho_fixed_point(eps) == pytest.approx(expected, rel=1e-14)
+        for eps in (40.0, 1e10, 1e300, 1.7e308):
+            assert rho_fixed_point(eps) == 1.0  # 1 - rho = e^-(1+eps) is below half an ulp
 
     def test_invalid_eps(self):
         with pytest.raises(NoConvergence):
