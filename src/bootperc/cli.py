@@ -145,6 +145,8 @@ def _cmd_thresholds(args) -> int:
 
 def _cmd_run(args) -> int:
     """``run`` and ``stages``: trial 0 of an experiment with master seed --seed."""
+    from dataclasses import asdict
+
     from . import montecarlo, thresholds
     from .engine import write_trace_csv
 
@@ -181,13 +183,13 @@ def _cmd_run(args) -> int:
         write_trace_csv(trace, params, args.trace_out)
         payload["trace_csv"] = args.trace_out
     if report is not None:
-        payload["stages"] = report.to_dict()
+        payload["stages"] = asdict(report)
     _emit(payload, args)
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    from dataclasses import asdict
+    import numpy as np
 
     from . import montecarlo
     from .montecarlo import ExperimentConfig, SeedSizeSpec
@@ -206,8 +208,27 @@ def _cmd_sweep(args) -> int:
         percolation_threshold=args.threshold,
         workers=args.workers,
     )
-    result = montecarlo.sweep(config, seed_sizes)
-    _emit(result.to_csv() if args.format == "csv" else [asdict(pt) for pt in result.points], args)
+    rows = [
+        {
+            "a": s.a,
+            "alpha_offset": s.a - s.critical.ac,
+            "p_hat": s.empirical_percolation_probability,
+            "wilson_lo": s.wilson_low,
+            "wilson_hi": s.wilson_high,
+            "mean_final_size": float(np.mean([o.final_size for o in s.outcomes])),
+            "mean_T": float(np.mean([o.T for o in s.outcomes])),
+            "theorem_bound": s.theorem_bound,
+        }
+        for s in montecarlo.sweep(config, seed_sizes)
+    ]
+    if args.format == "csv":
+        # a header, then one line per seed size; floats to 12 significant digits
+        lines = [",".join(rows[0])]
+        for row in rows:
+            lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row.values()))
+        _emit("\n".join(lines) + "\n", args)
+    else:
+        _emit(rows, args)
     return EXIT_OK
 
 

@@ -192,6 +192,8 @@ def run_process(
     if a > n:
         raise ValueError(f"seed count a={a} outside 0..{n}")
     if isinstance(source, ImplicitSource):
+        if r != source.params.r:
+            raise ValueError(f"r={r} differs from the implicit source's r={source.params.r}")
         steps, sizes, final_size = _walk_infection_times(source, a, r, opts)
         final_infected = examined = None
         draws = steps * n - steps * (steps + 1) // 2

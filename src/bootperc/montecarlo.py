@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,6 +156,8 @@ def trial_sources(
             ImplicitSource(params, rng=make_generator(seed, trial, STREAM_RUN)),
             ImplicitSource(params, rng=make_generator(seed, trial, STREAM_STAGES)),
         )
+    if mode != "explicit":
+        raise ValueError(f"mode must be implicit or explicit, got {mode!r}")
     graph = sample_gnp_with(params.n, params.p, make_generator(seed, trial, STREAM_GRAPH))
     return graph, graph
 
@@ -209,33 +211,6 @@ def _run_trial(args) -> list[tuple[TrialOutcome, stages.StageReport | None]]:
     return [(TrialOutcome(trial, tr.final_size, tr.T, tr.classification), rep) for tr, rep in runs]
 
 
-def _experiments(config: ExperimentConfig, seed_sizes) -> list[ExperimentSummary]:
-    """One summary per seed size, from one pass over ``config.trials``
-    trials: one critical scan, one pool, and one row of results per trial.
-
-    Per-trial seeds derive from hash(master_seed, trial), and the pool's
-    map keeps trial order, so the summaries do not depend on worker count
-    or completion order.
-    """
-    params = config.params
-    critical = thresholds.critical_pair(params)
-    a_values = [spec.resolve(critical, params.n) for spec in seed_sizes]
-    alpha = 4.0 * math.ceil(math.sqrt(max(critical.ac, 1.0)))
-    plan = thresholds.stage_predictions(params, alpha) if config.stage_diagnostics else None
-
-    tasks = [(config, a_values, trial, plan) for trial in range(config.trials)]
-    workers = min(config.workers, config.trials, os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, config.trials // (workers * 4))
-            rows = list(pool.map(_run_trial, tasks, chunksize=chunk))
-    else:
-        rows = [_run_trial(t) for t in tasks]
-    return [_summary(config, critical, a, alpha, [row[k] for row in rows]) for k, a in enumerate(a_values)]
-
-
 def _summary(config, critical, a, alpha, results) -> ExperimentSummary:
     """The summary of one seed count's (outcome, stage report) pairs, in trial order."""
     params = config.params
@@ -253,11 +228,9 @@ def _summary(config, critical, a, alpha, results) -> ExperimentSummary:
         bound = (
             thresholds.theorem_subcritical_bound(params, alpha_eff) if alpha_eff > 0 else 1.0
         )
-    else:
+    else:  # a > a_c, so alpha_eff > 0
         used = "supercritical"
-        bound = (
-            thresholds.theorem_supercritical_bound(params, alpha_eff) if alpha_eff > 0 else 1.0
-        )
+        bound = thresholds.theorem_supercritical_bound(params, alpha_eff)
 
     quantiles = None
     if config.stage_diagnostics:
@@ -294,55 +267,38 @@ def _summary(config, critical, a, alpha, results) -> ExperimentSummary:
     )
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
-    """Execute ``config.trials`` independent runs at ``config.seed_size``
-    and aggregate: the one-point case of :func:`sweep`."""
-    return _experiments(config, [config.seed_size])[0]
+def sweep(config: ExperimentConfig, seed_sizes) -> list[ExperimentSummary]:
+    """One summary per ``SeedSizeSpec`` (``config.seed_size`` is not read),
+    all from one pass over ``config.trials`` trials: one critical scan, one
+    pool, and one row of results per trial; raw estimates, no smoothing.
 
-
-@dataclass(frozen=True)
-class SweepPoint:
-    a: int
-    alpha_offset: float
-    p_hat: float
-    wilson_lo: float
-    wilson_hi: float
-    mean_final_size: float
-    mean_T: float
-    theorem_bound: float
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    points: tuple[SweepPoint, ...]
-
-    def to_csv(self) -> str:
-        """One row per point, columns in field order; floats to 12
-        significant digits."""
-        lines = [",".join(f.name for f in fields(SweepPoint))]
-        for pt in self.points:
-            row = asdict(pt).values()
-            lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
-        return "\n".join(lines) + "\n"
-
-
-def sweep(config: ExperimentConfig, seed_sizes) -> SweepResult:
-    """One experiment per ``SeedSizeSpec`` (``config.seed_size`` is not
-    read), all from one pass over the trials; raw estimates, no smoothing."""
+    Per-trial seeds derive from hash(master_seed, trial), and the pool's
+    map keeps trial order, so the summaries do not depend on worker count
+    or completion order.
+    """
     seed_sizes = list(seed_sizes)
     if not seed_sizes:
         raise ValueError("seed_sizes must be nonempty")
-    points = [
-        SweepPoint(
-            a=s.a,
-            alpha_offset=s.a - s.critical.ac,
-            p_hat=s.empirical_percolation_probability,
-            wilson_lo=s.wilson_low,
-            wilson_hi=s.wilson_high,
-            mean_final_size=float(np.mean([o.final_size for o in s.outcomes])),
-            mean_T=float(np.mean([o.T for o in s.outcomes])),
-            theorem_bound=s.theorem_bound,
-        )
-        for s in _experiments(config, seed_sizes)
-    ]
-    return SweepResult(points=tuple(points))
+    params = config.params
+    critical = thresholds.critical_pair(params)
+    a_values = [spec.resolve(critical, params.n) for spec in seed_sizes]
+    alpha = 4.0 * math.ceil(math.sqrt(max(critical.ac, 1.0)))
+    plan = thresholds.stage_predictions(params, alpha) if config.stage_diagnostics else None
+
+    tasks = [(config, a_values, trial, plan) for trial in range(config.trials)]
+    workers = min(config.workers, config.trials, os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, config.trials // (workers * 4))
+            rows = list(pool.map(_run_trial, tasks, chunksize=chunk))
+    else:
+        rows = [_run_trial(t) for t in tasks]
+    return [_summary(config, critical, a, alpha, [row[k] for row in rows]) for k, a in enumerate(a_values)]
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentSummary:
+    """Execute ``config.trials`` independent runs at ``config.seed_size``
+    and aggregate: the one-point case of :func:`sweep`."""
+    return sweep(config, [config.seed_size])[0]

@@ -31,18 +31,16 @@ def _splitmix64(x: int) -> int:
 
 
 def derive_key(*parts: int) -> tuple[int, int]:
-    """Fold non-negative integer parts into a 128-bit key.
-    Order-sensitive; ValueError for a negative part."""
+    """Fold integer parts in [0, 2^64) into a 128-bit key.
+    Order-sensitive; ValueError for a part outside that range, since a
+    wider part would alias a run of later ones."""
     h = 0
     for part in map(int, parts):
         if part < 0:
             raise ValueError(f"stream key parts must be non-negative, got {part}")
-        h = _splitmix64(h ^ (part & _MASK64))
-        # absorb the high bits of arbitrarily large Python ints
-        extra = part >> 64
-        while extra:
-            h = _splitmix64(h ^ (extra & _MASK64))
-            extra >>= 64
+        if part > _MASK64:
+            raise ValueError(f"stream key parts must be below 2**64, got {part}")
+        h = _splitmix64(h ^ part)
     return h, _splitmix64(h)
 
 

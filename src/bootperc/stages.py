@@ -52,7 +52,7 @@ therefore cost a few binomials and one G(|B-hat|, p) sample, not O(n).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,11 +86,11 @@ def state_at(graph: ExplicitGraph, trace: PercolationTrace, t: int):
 class StageReport:
     """Measured vs. predicted sizes of the expansion pipeline on one run.
 
-    Field names are the serialisation contract; ``to_dict`` emits exactly
-    these.  ``truncated`` is set when the giant component was smaller than
-    the designated subset the C stage wants, in which case the full
-    component was used and the pipeline's inequality chain is not
-    meaningful.
+    Field names are the serialisation contract: ``bootperc stages`` emits
+    exactly these, by ``asdict``.  ``truncated`` is set when the giant
+    component was smaller than the designated subset the C stage wants, in
+    which case the full component was used and the pipeline's inequality
+    chain is not meaningful.
     """
 
     alpha: float
@@ -106,9 +106,6 @@ class StageReport:
     size_D: int
     pred_D_fraction: float
     truncated: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def early_growth_check(trace: PercolationTrace, pred: StagePredictions) -> bool:

@@ -167,9 +167,10 @@ def t_zero(params: ProcessParams) -> float:
 
 
 def t_zero_int(params: ProcessParams) -> int:
-    """ceil(t0): integer horizon for the critical scan, so the real-valued
-    minimiser always falls inside the scanned range."""
-    return math.ceil(t_zero(params))
+    """max(ceil(t0), r): the last step of the critical scan, so the
+    real-valued minimiser always falls inside the scanned range, which
+    starts at r."""
+    return max(math.ceil(t_zero(params)), params.r)
 
 
 # steps per numpy chunk of the critical scan
@@ -177,11 +178,11 @@ _SCAN_CHUNK = 1 << 20
 
 
 def critical_pair(params: ProcessParams) -> CriticalValues:
-    """Scan integer steps t in [r, min(ceil(t0), n)] for the tightest
-    trajectory deficit.
+    """Scan integer steps t in [r, min(t0_int, n)] for the tightest
+    trajectory deficit, with t0_int = :func:`t_zero_int`.
 
     The process has at most n steps, so the scan stops at n even when t0
-    lies beyond it; ``t0_int`` still reports ceil(t0).  The scan
+    lies beyond it; ``t0_int`` still reports max(ceil(t0), r).  The scan
     minimises (n pi_hat(t) - t)/(1 - pi_hat(t)) in numpy chunks; the
     critical seed count a_c is minus that minimum and t_c is the smallest
     step attaining it.  ``tc_at_horizon`` flags a t_c on the scan's last
@@ -194,7 +195,7 @@ def critical_pair(params: ProcessParams) -> CriticalValues:
     n, p, r = params.n, params.p, params.r
     d = delta(params)
     t0 = t_zero(params)
-    t0i = max(math.ceil(t0), r)
+    t0i = t_zero_int(params)
     best_t, best_val, best_log_s = r, math.inf, 0.0
     for lo in range(r, min(t0i, n) + 1, _SCAN_CHUNK):
         t = np.arange(lo, min(lo + _SCAN_CHUNK, t0i + 1, n + 1), dtype=np.float64)
@@ -360,10 +361,10 @@ class StagePredictions:
 def stage_predictions(params: ProcessParams, alpha: float) -> StagePredictions:
     """Predicted stage sizes at offset alpha above the critical seed count.
 
-    t1 = ceil(t0 + alpha/4).  pi_hat is evaluated at ceil(t0) (the scan
-    convention for the real-valued horizon).  The predicted D fraction
-    follows the closing count n - |C| - |W| - 1/p of the final expansion
-    step, expressed as a fraction of n and clamped to [0,1].
+    t1 = ceil(t0 + alpha/4).  pi_hat is evaluated at t0_int, the last
+    step of the critical scan.  The predicted D fraction follows the
+    closing count n - |C| - |W| - 1/p of the final expansion step,
+    expressed as a fraction of n and clamped to [0,1].
     """
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")

@@ -459,6 +459,22 @@ class TestSweepCommand:
         assert first[0] == "0" and float(first[2]) == 0.0
         assert last[0] == "2000" and float(last[2]) == 1.0
 
+    def test_csv_columns(self, capsys):
+        # the CSV and JSON rows carry the same columns and values
+        args = [
+            "sweep", "--n", "3000", "--p", "0.003", "--r", "2",
+            "--trials", "5", "--a-list", "0,10", "--seed", "7",
+        ]
+        assert cli.main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "a,alpha_offset,p_hat,wilson_lo,wilson_hi,mean_final_size,mean_T,theorem_bound"
+        assert len(lines) == 3
+        code, rows = main_json(capsys, *args, "--format", "json")
+        assert code == 0
+        for line, row in zip(lines[1:], rows):
+            cells = [row[k] for k in lines[0].split(",")]
+            assert line.split(",") == [f"{v:.12g}" if isinstance(v, float) else str(v) for v in cells]
+
     def test_json_rows_schema(self, capsys):
         code, rows = main_json(
             capsys,
@@ -648,6 +664,24 @@ class TestDeterminism:
         c2, out2, _ = run_cli(*base, "--workers", "8")
         assert c1 == c2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--n", "2000", "--p", "0.003", "--r", "2", "--a", "40"],
+            ["run", "--n", "2000", "--p", "0.003", "--r", "2", "--a", "40", "--mode", "explicit"],
+            ["sweep", "--n", "1500", "--p", "0.004", "--r", "2", "--trials", "2", "--a-list", "5"],
+            ["giant", "--m", "2000", "--eps", "0.2"],
+        ],
+    )
+    def test_seed_range(self, capsys, command):
+        # a seed of 2^64 was once folded into the key as the two parts 0 and 1
+        assert cli.main([*command, "--seed", str(2**64)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: stream key parts must be below 2**64, got {2**64}\n"
+        assert cli.main([*command, "--seed", str(2**64 - 1)]) == 0
+        assert capsys.readouterr().out
 
     def test_out_flag_writes_file(self, tmp_path):
         target = tmp_path / "out.json"

@@ -235,6 +235,16 @@ class TestRunProcess:
         # dissecting the whole graph reveals each pair exactly once
         assert trace.bernoulli_draws == 40 * 39 // 2
 
+    def test_implicit_r_must_match_source(self):
+        # an implicit source once walked at any r while its stages planned from params.r
+        params = ProcessParams(n=2000, p=3e-3, r=2)
+        src = ImplicitSource(params, seed=5)
+        with pytest.raises(ValueError, match="r=3 differs from the implicit source's r=2"):
+            run_process(src, SeedSpec.prefix(40), 3)
+        # refused before anything was drawn
+        fresh = ImplicitSource(params, seed=5)
+        assert src.rng.random() == fresh.rng.random()
+
     def test_explicit_equals_direct(self):
         rng = np.random.default_rng(11)
         for case in range(60):

@@ -27,6 +27,8 @@ CASES = {
     "stages_explicit": ["stages", *STAGES, "--mode", "explicit"],
     "sweep_implicit": ["sweep", *SWEEP],
     "sweep_explicit": ["sweep", *SWEEP, "--mode", "explicit"],
+    "sweep_json_implicit": ["sweep", *SWEEP, "--format", "json"],
+    "sweep_json_explicit": ["sweep", *SWEEP, "--mode", "explicit", "--format", "json"],
     "giant": ["giant", "--m", "20000", "--eps", "0.2", "--seed", "3"],
 }
 

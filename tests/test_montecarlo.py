@@ -3,7 +3,6 @@ import json
 import math
 from dataclasses import asdict, replace
 
-import numpy as np
 import pytest
 
 from bootperc import montecarlo, thresholds
@@ -244,6 +243,12 @@ class TestRunExperiment:
                 params=PARAMS, seed_size=SeedSizeSpec(a=1), trials=2, master_seed=0, workers=workers
             )
 
+    def test_run_trial_refuses_unknown_mode(self, monkeypatch):
+        # a misspelt mode once ran an explicit trial: only "implicit" was checked
+        monkeypatch.setattr(montecarlo, "sample_gnp_with", lambda *a: pytest.fail("sampled a graph"))
+        with pytest.raises(ValueError, match="mode must be implicit or explicit, got 'implict'"):
+            montecarlo.run_trial(PARAMS, "implict", 0, 0, [40], 0, 0.9)
+
 
 def specs(*a_values):
     return [SeedSizeSpec(a=a) for a in a_values]
@@ -254,18 +259,9 @@ class TestSweep:
         cfg = ExperimentConfig(
             params=PARAMS, seed_size=SeedSizeSpec(a=0), trials=12, master_seed=7
         )
-        result = sweep(cfg, specs(0, PARAMS.n))
-        assert result.points[0].p_hat == 0.0
-        assert result.points[1].p_hat == 1.0
-
-    def test_csv_columns(self):
-        cfg = ExperimentConfig(
-            params=PARAMS, seed_size=SeedSizeSpec(a=0), trials=5, master_seed=7
-        )
-        text = sweep(cfg, specs(0, 10)).to_csv()
-        header = text.splitlines()[0]
-        assert header == "a,alpha_offset,p_hat,wilson_lo,wilson_hi,mean_final_size,mean_T,theorem_bound"
-        assert len(text.splitlines()) == 3
+        low, high = sweep(cfg, specs(0, PARAMS.n))
+        assert low.empirical_percolation_probability == 0.0
+        assert high.empirical_percolation_probability == 1.0
 
     @pytest.mark.parametrize("mode", ["implicit", "explicit"])
     def test_determinism_across_workers(self, mode):
@@ -273,7 +269,9 @@ class TestSweep:
         cfg1 = ExperimentConfig(workers=1, **base)
         cfg2 = ExperimentConfig(workers=3, **base)
         a_values = specs(10, 40, 70)
-        assert sweep(cfg1, a_values).to_csv() == sweep(cfg2, a_values).to_csv()
+        assert list(map(summary_json, sweep(cfg1, a_values))) == list(
+            map(summary_json, sweep(cfg2, a_values))
+        )
 
     @pytest.mark.parametrize("mode", ["implicit", "explicit"])
     def test_points_match_single_experiments(self, mode):
@@ -283,12 +281,24 @@ class TestSweep:
             params=PARAMS, seed_size=SeedSizeSpec(a=0), trials=10, master_seed=11, mode=mode
         )
         seed_sizes = [SeedSizeSpec(a=20), SeedSizeSpec(offset_c=0.0), SeedSizeSpec(offset_c=4.0)]
-        points = sweep(cfg, seed_sizes).points
-        for spec, point in zip(seed_sizes, points):
-            s = run_experiment(replace(cfg, seed_size=spec))
-            assert point.a == s.a
-            assert point.p_hat == s.empirical_percolation_probability
-            assert point.mean_final_size == np.mean([o.final_size for o in s.outcomes])
+        summaries = sweep(cfg, seed_sizes)
+        assert len(summaries) == len(seed_sizes)
+        for spec, summary in zip(seed_sizes, summaries):
+            assert asdict(summary) == asdict(run_experiment(replace(cfg, seed_size=spec)))
+
+    @pytest.mark.parametrize("mode", ["implicit", "explicit"])
+    def test_run_experiment_is_one_point_sweep(self, mode):
+        cfg = ExperimentConfig(
+            params=PARAMS,
+            seed_size=SeedSizeSpec(offset_c=4.0),
+            trials=6,
+            master_seed=3,
+            mode=mode,
+            stage_diagnostics=True,
+        )
+        [point] = sweep(cfg, [cfg.seed_size])
+        assert asdict(run_experiment(cfg)) == asdict(point)
+        assert point.stage_quantiles is not None
 
     def test_requires_values(self):
         cfg = ExperimentConfig(

@@ -2,6 +2,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from bootperc.rng import derive_key, make_generator
 
@@ -33,9 +34,18 @@ def test_generator_streams_differ_across_trials():
     assert not np.array_equal(a, b)
 
 
-def test_huge_seed_parts():
-    # parts wider than 64 bits are absorbed, not truncated
-    assert derive_key(2**200 + 17) != derive_key(17)
+def test_parts_of_2_64_or_more_rejected():
+    # a wide part's high words were once folded in as later parts, so
+    # make_generator(b + t 2^64 + s 2^128) was make_generator(b, t, s)
+    for parts in [(2**64,), (5 + (2 << 128),), (7, 2**200 + 17, 0)]:
+        with pytest.raises(ValueError, match="stream key parts must be below 2\\*\\*64"):
+            make_generator(*parts)
+
+
+def test_parts_below_2_64_keep_their_keys():
+    # the keys of parts below 2^64 are those of the wide-part fold before it
+    assert derive_key(2**64 - 1) == (16490336266968443936, 6755974106381971767)
+    assert derive_key(5, 0, 2) == (10199714216523646185, 18212269899809022295)
 
 
 def test_negative_part_rejected():

@@ -1,6 +1,7 @@
 import heapq
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -367,7 +368,7 @@ class TestBridgeExpand:
     def test_pipeline_report_fields(self):
         stage_src, trace = capped_run(3)
         rep = run_stage_pipeline(stage_src, trace, PARAMS, PLAN)
-        payload = json.loads(json.dumps(rep.to_dict()))
+        payload = json.loads(json.dumps(asdict(rep)))
         assert set(payload.keys()) == {
             "alpha",
             "t1",

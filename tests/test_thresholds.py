@@ -147,6 +147,19 @@ class TestDeltaT0:
         d = delta(params)
         assert t_zero(params) == pytest.approx(math.sqrt((1 + d) * 2.0 / 1e-3), rel=1e-12)
 
+    def test_t0_int_is_the_scan_horizon_below_r(self):
+        # t0 = 0.44 < r: t_zero_int once read ceil(t0) = 1 while the scan
+        # ran to step r = 2, and the stage plan read pi_hat(1) = 0
+        params = ProcessParams(n=100, p=0.3, r=2)
+        assert t_zero(params) < params.r
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a_c < 0 here
+            crit = critical_pair(params)
+        assert t_zero_int(params) == crit.t0_int == params.r
+        # (1 - 2 pi_hat(t0_int)) alpha / 4 at alpha = 4
+        want = 1.0 - 2.0 * binom_tail_geq(params.r, params.p, params.r)
+        assert stage_predictions(params, 4.0).witness_target == want
+
     def test_t0_outside_float_range(self):
         # n p^r underflowing to 0, or (r-1)! past the float range, once
         # divided by zero or overflowed into an internal error
