@@ -81,6 +81,14 @@ def _int_at_least(low: int, kind: str):
     return parse
 
 
+def _seed(text: str) -> int:
+    """The argparse type of --seed: a stream key part, in [0, 2**64)."""
+    value = _int_at_least(0, "non-negative")(text)
+    if value >= 2**64:
+        raise argparse.ArgumentTypeError(f"must be below 2**64, got {value}")
+    return value
+
+
 def _comma_list(convert, kind: str):
     """An argparse type: a nonempty comma-separated list of `kind` values."""
 
@@ -111,7 +119,7 @@ def _add_command(sub, name: str, help_text: str, func, seed: bool = True) -> arg
     cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
     cmd.set_defaults(func=func)
     if seed:
-        cmd.add_argument("--seed", type=_int_at_least(0, "non-negative"), default=0, help="master seed")
+        cmd.add_argument("--seed", type=_seed, default=0, help="master seed")
     cmd.add_argument("--out", type=str, default=None, help="write output to this path")
     cmd.add_argument("--config", type=str, default=None, help="key=value overlay file")
     return cmd
@@ -180,7 +188,7 @@ def _cmd_run(args) -> int:
         "percolation_threshold": args.threshold,
     }
     if args.trace_out:
-        write_trace_csv(trace, params, args.trace_out)
+        write_trace_csv(trace, params.p, args.trace_out)
         payload["trace_csv"] = args.trace_out
     if report is not None:
         payload["stages"] = asdict(report)

@@ -125,6 +125,8 @@ class ImplicitSource:
         seed: int = 0,
         rng: np.random.Generator | None = None,
     ):
+        if params.n >= 2**63:  # numpy's binomial counts are int64
+            raise ValueError(f"implicit mode needs n < 2**63, got n={params.n}")
         self.params = params
         self.rng = rng if rng is not None else make_generator(seed)
 
@@ -305,7 +307,8 @@ def _walk_infection_times(source: ImplicitSource, a: int, r: int, opts: TraceOpt
             # the ends, and with them the count, are the same either way
             timed = h < timed_until
             log_s = log_binom_lower(np.arange(h, h2 + 1) if timed else np.array([h, h2]), p, r)
-            m = int(rng.binomial(live, -math.expm1(log_s[-1] - log_s[0])))
+            # a survival cannot rise, so a positive ratio is rounding
+            m = int(rng.binomial(live, -math.expm1(min(0.0, log_s[-1] - log_s[0]))))
             if m and timed:
                 blocks.append((h, log_s, m))
             live -= m
@@ -327,8 +330,9 @@ def _infection_steps(rng: np.random.Generator, h: int, log_s: np.ndarray, m: int
     return h + 1 + np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
-def martingale_series(trace: PercolationTrace, params: ProcessParams) -> np.ndarray:
-    """Normalised zero-drift series M(t) for each recorded t of a trace.
+def martingale_series(trace: PercolationTrace, p: float) -> np.ndarray:
+    """Normalised zero-drift series M(t) for each recorded t of a trace
+    run at edge probability p; a, n and r are the trace's own.
 
     Inverts the infected-count identity
     |A(t)| = a + M(t) (1 - pi(t)) + (n - a) pi(t),
@@ -339,7 +343,7 @@ def martingale_series(trace: PercolationTrace, params: ProcessParams) -> np.ndar
     t = np.arange(len(trace.infected_sizes))
     if trace.T is not None:
         t = np.minimum(t, trace.T)
-    log_s = log_binom_lower(t, params.p, trace.r)
+    log_s = log_binom_lower(t, p, trace.r)
     pi = np.clip(-np.expm1(log_s), 0.0, 1.0)
     if np.any(pi >= 1.0):
         bad = int(t[np.argmax(pi >= 1.0)])
@@ -347,9 +351,9 @@ def martingale_series(trace: PercolationTrace, params: ProcessParams) -> np.ndar
     return (trace.infected_sizes - a - (n - a) * pi) / np.exp(log_s)
 
 
-def write_trace_csv(trace: PercolationTrace, params: ProcessParams, path) -> None:
+def write_trace_csv(trace: PercolationTrace, p: float, path) -> None:
     """Trace export: columns t, infected_size, martingale_value."""
-    series = martingale_series(trace, params)
+    series = martingale_series(trace, p)
     with open(path, "w") as fh:
         fh.write("t,infected_size,martingale_value\n")
         for t, (size, m) in enumerate(zip(trace.infected_sizes.tolist(), series.tolist())):

@@ -72,6 +72,8 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.master_seed >= 2**64:  # the width of a stream key part
+            raise ValueError(f"master_seed must be below 2**64, got {self.master_seed}")
         TraceOptions(percolation_threshold=self.percolation_threshold)  # checks (0, 1]
         if self.mode not in ("implicit", "explicit"):
             raise ValueError(f"mode must be implicit or explicit, got {self.mode!r}")
@@ -81,7 +83,6 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    trial: int
     final_size: int
     T: int | None  # None when the run was capped before it stopped
     classification: str
@@ -89,7 +90,8 @@ class TrialOutcome:
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """Deterministic aggregate of one experiment.
+    """Deterministic aggregate of one experiment: what it measured, with
+    ``outcomes`` in trial order; the config stays with the caller.
 
     ``class_counts`` counts the trials by the engine's classification:
     Stopped, AlmostPercolated (final size >= threshold * n) and Censored.
@@ -101,13 +103,8 @@ class ExperimentSummary:
     a is; ``bootperc stages`` plans at alpha = a - a_c instead.
     """
 
-    params: ProcessParams
     a: int
     alpha: float
-    trials: int
-    master_seed: int
-    mode: str
-    percolation_threshold: float
     critical: CriticalValues
     outcomes: tuple[TrialOutcome, ...]
     class_counts: dict[str, int]
@@ -196,7 +193,7 @@ def run_trial(
         trace = run_process(source, SeedSpec.prefix(a), params.r, opts)
         report = None
         if plan is not None:
-            report = stages.run_stage_pipeline(stage_source, trace, params, plan)
+            report = stages.run_stage_pipeline(stage_source, trace, plan)
         runs.append((trace, report))
     return runs
 
@@ -208,7 +205,7 @@ def _run_trial(args) -> list[tuple[TrialOutcome, stages.StageReport | None]]:
         config.params, config.mode, config.master_seed, trial, a_values, 0,
         config.percolation_threshold, plan,
     )
-    return [(TrialOutcome(trial, tr.final_size, tr.T, tr.classification), rep) for tr, rep in runs]
+    return [(TrialOutcome(tr.final_size, tr.T, tr.classification), rep) for tr, rep in runs]
 
 
 def _summary(config, critical, a, alpha, results) -> ExperimentSummary:
@@ -248,13 +245,8 @@ def _summary(config, critical, a, alpha, results) -> ExperimentSummary:
         }
 
     return ExperimentSummary(
-        params=params,
         a=a,
         alpha=alpha,
-        trials=config.trials,
-        master_seed=config.master_seed,
-        mode=config.mode,
-        percolation_threshold=config.percolation_threshold,
         critical=critical,
         outcomes=outcomes,
         class_counts=counts,

@@ -59,7 +59,7 @@ import numpy as np
 from . import thresholds
 from .engine import EdgeSource, ImplicitSource, PercolationTrace
 from .graph import ExplicitGraph, count_neighbors_in, largest_component, sample_gnp_with
-from .thresholds import ProcessParams, StagePredictions, log_binom_lower
+from .thresholds import StagePredictions, log_binom_lower
 
 
 class TraceTooShort(Exception):
@@ -199,19 +199,17 @@ def bridge_and_expand(
     )
 
 
-def _explicit_stages(
-    graph: ExplicitGraph, trace: PercolationTrace, params: ProcessParams, pred: StagePredictions
-) -> dict:
+def _explicit_stages(graph: ExplicitGraph, trace: PercolationTrace, pred: StagePredictions) -> dict:
     """Stage sizes measured on the graph, from the state at t1."""
     examined, counters, infected = state_at(graph, trace, pred.t1)
     witness = designated_witness(infected, examined, pred)
-    bhat = qualified_set(counters, examined, witness, params.r)
+    bhat = qualified_set(counters, examined, witness, trace.r)
     b_comp = giant_in_qualified(graph, bhat)
     expansion = bridge_and_expand(
         graph,
         witness,
         b_comp,
-        params.r,
+        trace.r,
         examined=examined,
         bhat=bhat,
         predictions=pred,
@@ -226,11 +224,9 @@ def _explicit_stages(
     )
 
 
-def _implicit_stages(
-    source: ImplicitSource, trace: PercolationTrace, params: ProcessParams, pred: StagePredictions
-) -> dict:
+def _implicit_stages(source: ImplicitSource, trace: PercolationTrace, pred: StagePredictions) -> dict:
     """Stage sizes drawn from |A(t1)| alone; see the module docstring."""
-    n, p, r = params.n, params.p, params.r
+    n, p, r = source.params.n, source.params.p, source.params.r
     t1, rng = pred.t1, source.rng
     k = int(trace.infected_sizes[t1]) - t1  # infected, not yet examined
     s = max(0, trace.a - t1)  # of which seeds
@@ -257,20 +253,19 @@ def _implicit_stages(
     )
 
 
-def run_stage_pipeline(
-    source: EdgeSource,
-    trace: PercolationTrace,
-    params: ProcessParams,
-    pred: StagePredictions,
-) -> StageReport:
+def run_stage_pipeline(source: EdgeSource, trace: PercolationTrace, pred: StagePredictions) -> StageReport:
     """Run every stage of the plan ``pred`` on one finished (or t1-capped) trace.
 
     An explicit trace must carry its examination order up to t1 (run with
     ``size_horizon`` or a cap >= t1); an implicit one needs only its size
     record up to t1.  A run that stopped before t1 reports early_ok=False
     with all stage sets empty: the pipeline is only defined conditional on
-    early growth.
+    early growth.  An explicit run is measured on its graph with the
+    trace's r; an implicit one reads n, p and r from ``source.params``.
+    A trace from a run at another n (or, implicit, another r) is refused.
     """
+    if trace.n != source.n or (isinstance(source, ImplicitSource) and trace.r != source.params.r):
+        raise ValueError(f"a trace at n={trace.n}, r={trace.r} does not match its stage source")
     base = dict(
         alpha=pred.alpha,
         t1=pred.t1,
@@ -286,7 +281,7 @@ def run_stage_pipeline(
             truncated=False, **base,
         )
     if isinstance(source, ImplicitSource):
-        sizes = _implicit_stages(source, trace, params, pred)
+        sizes = _implicit_stages(source, trace, pred)
     else:
-        sizes = _explicit_stages(source, trace, params, pred)
+        sizes = _explicit_stages(source, trace, pred)
     return StageReport(**sizes, **base)

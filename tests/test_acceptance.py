@@ -128,7 +128,7 @@ def test_05_martingale_zero_drift():
     for trial in range(trials):
         src = ImplicitSource(params, rng=make_generator(505, trial, 0))
         tr = run_process(src, SeedSpec.prefix(a), 2, TraceOptions(max_steps=crit.t0_int))
-        series.append(martingale_series(tr, params))
+        series.append(martingale_series(tr, params.p))
         size_rows.append(tr.infected_sizes)
     tmin = min(len(s) for s in series) - 1
     mat = np.stack([s[: tmin + 1] for s in series])

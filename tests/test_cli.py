@@ -116,6 +116,24 @@ class TestRunCommand:
         assert lines[0] == "t,infected_size,martingale_value"
         assert len(lines) == payload["T"] + 2
 
+    def test_implicit_walk_at_tiny_t_p(self, capsys):
+        # an in-regime point where rounding once made a block's chance negative
+        point = ["--n", "1000000000000", "--p", "1e-8", "--r", "3"]
+        for seed in ("0", "1", "2"):
+            code, payload = main_json(capsys, "run", *point, "--a", "3", "--seed", seed)
+            assert code == 0 and payload["final_size"] >= 3
+        assert cli.main(["sweep", *point, "--a-list", "3,10", "--trials", "3"]) == 0
+        assert capsys.readouterr().out.count("\n") == 3
+
+    def test_implicit_n_of_2_63_rejected(self, capsys):
+        point = ["--p", "1e-18", "--r", "2", "--a", "5"]
+        assert cli.main(["run", "--n", str(2**63), *point]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: implicit mode needs n < 2**63, got n={2**63}\n"
+        code, payload = main_json(capsys, "run", "--n", str(2**63 - 1), *point)
+        assert code == 0 and payload["n"] == 2**63 - 1
+
     def test_stages_alias_and_schema(self, capsys):
         code, payload = main_json(
             capsys,
@@ -679,9 +697,18 @@ class TestDeterminism:
         assert cli.main([*command, "--seed", str(2**64)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: stream key parts must be below 2**64, got {2**64}\n"
+        assert f"argument --seed: must be below 2**64, got {2**64}\n" in captured.err
         assert cli.main([*command, "--seed", str(2**64 - 1)]) == 0
         assert capsys.readouterr().out
+
+    def test_seed_range_in_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"seed={2**64}\n")
+        assert cli.main(["run", "--n", "2000", "--p", "0.003", "--r", "2", "--a", "40", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --seed: must be below 2**64, got {2**64}\n" in captured.err
+        assert f"config file {cfg} gave --seed={2**64}" in captured.err
 
     def test_out_flag_writes_file(self, tmp_path):
         target = tmp_path / "out.json"

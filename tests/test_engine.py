@@ -401,13 +401,13 @@ class TestMartingale:
     def test_zero_at_start(self):
         params = ProcessParams(n=200, p=0.01, r=2)
         trace = run_process(ImplicitSource(params, seed=2), SeedSpec.prefix(10), 2)
-        series = martingale_series(trace, params)
+        series = martingale_series(trace, params.p)
         assert series[0] == 0.0
 
     def test_exact_inversion(self):
         params = ProcessParams(n=500, p=5e-3, r=2)
         trace = run_process(ImplicitSource(params, seed=4), SeedSpec.prefix(15), 2)
-        series = martingale_series(trace, params)
+        series = martingale_series(trace, params.p)
         a, n = trace.a, trace.n
         for t, m in enumerate(series.tolist()):
             pi = binom_tail_geq(min(t, trace.T), params.p, 2)
@@ -424,7 +424,7 @@ class TestMartingale:
         for trial in range(trials):
             src = ImplicitSource(params, rng=make_generator(31, trial, 0))
             tr = run_process(src, SeedSpec.prefix(8), 2, TraceOptions(max_steps=16))
-            series_list.append(martingale_series(tr, params))
+            series_list.append(martingale_series(tr, params.p))
         tmin = min(len(s) for s in series_list) - 1
         mat = np.stack([s[: tmin + 1] for s in series_list])
         mean = mat.mean(axis=0)
@@ -459,16 +459,16 @@ class TestMartingale:
                 want = loop_series(trace, params)
             except DegenerateRegime:
                 with pytest.raises(DegenerateRegime):
-                    martingale_series(trace, params)
+                    martingale_series(trace, params.p)
                 continue
-            got = martingale_series(trace, params)
+            got = martingale_series(trace, params.p)
             assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
 
     def test_csv_export(self, tmp_path):
         params = ProcessParams(n=100, p=0.02, r=2)
         trace = run_process(ImplicitSource(params, seed=8), SeedSpec.prefix(5), 2)
         path = tmp_path / "trace.csv"
-        write_trace_csv(trace, params, path)
+        write_trace_csv(trace, params.p, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "t,infected_size,martingale_value"
         assert len(lines) == len(trace.infected_sizes) + 1
@@ -604,6 +604,28 @@ class TestImplicitWalk:
                         assert np.array_equal(tr.infected_sizes, whole.infected_sizes[:recorded])
                         differs += recorded != len(whole.infected_sizes)
         assert differs  # the records themselves do differ in length
+
+    @pytest.mark.parametrize(
+        "n, p, r", [(10**12, 1e-8, 3), (10**14, 1e-9, 3), (10**12, 1e-9, 4), (10**16, 1e-15, 2)]
+    )
+    def test_rounded_survivals_finish(self, n, p, r):
+        # at small t p, log_binom_lower is rounding noise that can rise with
+        # t; a block's chance once came out negative and numpy refused it
+        params = ProcessParams(n=n, p=p, r=r)
+        for a in (3, 5, 10):
+            for seed in range(20):
+                trace = run_process(
+                    ImplicitSource(params, seed=seed), SeedSpec.prefix(a), r, TraceOptions(size_horizon=50)
+                )
+                assert trace.T == trace.final_size >= a
+
+    def test_n_below_2_63(self):
+        # numpy's binomial counts are int64; a wider n once failed mid-walk
+        with pytest.raises(ValueError, match=f"implicit mode needs n < 2\\*\\*63, got n={2**63}"):
+            ImplicitSource(ProcessParams(n=2**63, p=1e-18, r=2))
+        params = ProcessParams(n=2**63 - 1, p=1e-18, r=2)
+        trace = run_process(ImplicitSource(params, seed=0), SeedSpec.prefix(5), 2)
+        assert trace.T == trace.final_size >= 5
 
     def test_billion_vertices_in_the_window(self):
         params = ProcessParams(n=10**9, p=1e-7, r=2)

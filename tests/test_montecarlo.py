@@ -236,6 +236,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
             ExperimentConfig(params=PARAMS, seed_size=SeedSizeSpec(a=1), trials=1, master_seed=-1)
 
+    def test_master_seed_below_2_64(self):
+        # refused when the config is built, not when the first stream is keyed
+        with pytest.raises(ValueError, match=r"master_seed must be below 2\*\*64, got 18446744073709551616"):
+            ExperimentConfig(params=PARAMS, seed_size=SeedSizeSpec(a=1), trials=1, master_seed=2**64)
+        ExperimentConfig(params=PARAMS, seed_size=SeedSizeSpec(a=1), trials=1, master_seed=2**64 - 1)
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):

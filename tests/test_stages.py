@@ -118,10 +118,22 @@ def test_stage_plan_derived_once(monkeypatch, mode):
         return real(params, alpha)
 
     monkeypatch.setattr(thresholds, "stage_predictions", counted)
-    rep = run_stage_pipeline(stage_src, trace, PARAMS, PLAN)
+    rep = run_stage_pipeline(stage_src, trace, PLAN)
     assert rep.early_ok and rep.size_Bhat > 0  # every stage ran
     assert rep.alpha == ALPHA and rep.t1 == T1
     assert calls == []
+
+
+def test_trace_must_match_stage_source():
+    # the stages read n, p and r from the run they measure; a trace of a
+    # run at another n, or an implicit one at another r, is refused
+    _, trace = capped_run(5)
+    for params in (ProcessParams(n=10**6, p=4e-4, r=2), ProcessParams(n=50_000, p=4e-4, r=3)):
+        with pytest.raises(ValueError, match="does not match its stage source"):
+            run_stage_pipeline(ImplicitSource(params, seed=1), trace, PLAN)
+    _, explicit_trace = capped_run(5, "explicit")
+    with pytest.raises(ValueError, match="a trace at n=50000, r=2 does not match its stage source"):
+        run_stage_pipeline(sample_gnp(2000, 3e-3, seed=1), explicit_trace, PLAN)
 
 
 def step_loop(g, seeds, r, t):
@@ -227,7 +239,7 @@ class TestQualifiedSet:
         trials = 60
         for trial in range(trials):
             stage_src, trace = capped_run(trial + 500)
-            hits += run_stage_pipeline(stage_src, trace, PARAMS, PLAN).size_Bhat >= pred.pred_bhat
+            hits += run_stage_pipeline(stage_src, trace, PLAN).size_Bhat >= pred.pred_bhat
         assert hits > trials / 2
 
 
@@ -293,7 +305,7 @@ class TestCountForm:
                 src, stage_src = trial_sources(params, mode, 91, trial)
                 opts = TraceOptions(max_steps=t1)
                 trace = run_process(src, SeedSpec.prefix(a), r, opts)
-                reports[mode].append(run_stage_pipeline(stage_src, trace, params, plan))
+                reports[mode].append(run_stage_pipeline(stage_src, trace, plan))
         columns = {
             mode: {f: [getattr(rep, f) for rep in reps] for f in STAGE_FIELDS}
             for mode, reps in reports.items()
@@ -367,7 +379,7 @@ class TestBridgeExpand:
 
     def test_pipeline_report_fields(self):
         stage_src, trace = capped_run(3)
-        rep = run_stage_pipeline(stage_src, trace, PARAMS, PLAN)
+        rep = run_stage_pipeline(stage_src, trace, PLAN)
         payload = json.loads(json.dumps(asdict(rep)))
         assert set(payload.keys()) == {
             "alpha",
@@ -390,7 +402,7 @@ class TestBridgeExpand:
 
     def test_pred_fields_recompute(self):
         stage_src, trace = capped_run(4)
-        rep = run_stage_pipeline(stage_src, trace, PARAMS, PLAN)
+        rep = run_stage_pipeline(stage_src, trace, PLAN)
         pred = stage_predictions(PARAMS, ALPHA)
         assert rep.pred_Bhat == pred.pred_bhat
         assert rep.pred_B == pred.pred_b
@@ -401,7 +413,7 @@ class TestBridgeExpand:
         params = ProcessParams(n=5000, p=1e-3, r=2)
         src = ImplicitSource(params, seed=6)
         trace = run_process(src, SeedSpec.prefix(3), 2)
-        rep = run_stage_pipeline(src, trace, params, stage_predictions(params, 30.0))
+        rep = run_stage_pipeline(src, trace, stage_predictions(params, 30.0))
         assert not rep.early_ok
         assert rep.size_Bhat == 0 and rep.size_D == 0
 
@@ -436,7 +448,7 @@ def test_median_d_fraction_reaches_09():
     fracs = []
     for trial in range(30):
         stage_src, trace = capped_run(trial + 900)
-        rep = run_stage_pipeline(stage_src, trace, PARAMS, PLAN)
+        rep = run_stage_pipeline(stage_src, trace, PLAN)
         if rep.bridge_AB:
             fracs.append(rep.size_D / PARAMS.n)
     assert np.median(fracs) >= 0.9
