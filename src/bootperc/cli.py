@@ -164,11 +164,11 @@ def _cmd_run(args) -> int:
         alpha = args.alpha
         if alpha is None:
             alpha = args.a - thresholds.critical_pair(params).ac
-        if not alpha > 0:
-            raise ValueError(
-                f"stage diagnostics need alpha > 0 (a={args.a} is not above the "
-                "critical seed count; pass --alpha explicitly)"
-            )
+            if not alpha > 0:
+                raise ValueError(
+                    f"stage diagnostics need alpha > 0 (a={args.a} is not above the "
+                    "critical seed count; pass --alpha explicitly)"
+                )
         plan = thresholds.stage_predictions(params, alpha)
     # with no trace to write, a run records |A(t)| only as far as its stages read
     horizon = None if args.trace_out else 0
@@ -242,12 +242,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_giant(args) -> int:
     from . import thresholds
-    from .graph import largest_component, sample_gnp
+    from .graph import MAX_N, largest_component, sample_gnp
 
-    if not args.eps > 0:
-        raise ValueError(f"eps must be > 0, got {args.eps}")
-    if args.m < 2:
-        raise ValueError(f"m must be >= 2, got {args.m}")
+    if not 2 <= args.m <= MAX_N:
+        raise ValueError(f"--m must lie in 2..{MAX_N}, got {args.m}")
+    if not 0 < args.eps <= args.m - 1:  # p = (1 + eps)/m <= 1
+        raise ValueError(f"--eps must lie in (0, m - 1] = (0, {args.m - 1}], got {args.eps}")
     p = (1.0 + args.eps) / args.m
     g = sample_gnp(args.m, p, args.seed)
     summary = largest_component(g)

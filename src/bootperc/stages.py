@@ -12,7 +12,8 @@ quantities of the expansion pipeline:
 * the A-B bridge: whether any edge joins the witness set to B;
 * C: vertices outside all prior sets with at least r neighbours in a
   designated subset of B;
-* D: vertices outside the prior sets with at least r neighbours in C.
+* D: vertices outside the examined, witness, B and C sets (so B-hat \\ B
+  is eligible) with at least r neighbours in a designated subset of C.
 
 All of these are measurements.  The stage plan, alpha, t1 and every
 target and prediction, is :func:`bootperc.thresholds.stage_predictions`
@@ -126,102 +127,55 @@ def early_growth_check(trace: PercolationTrace, pred: StagePredictions) -> bool:
     return int(trace.infected_sizes[t1]) - t1 >= pred.witness_target
 
 
-def designated_witness(
-    infected: np.ndarray, examined: np.ndarray, pred: StagePredictions
-) -> np.ndarray:
-    """The designated witness subset A: the ceil(witness_target)
-    smallest-id members of A(t1) \\ Z(t1), capped at the available surplus."""
-    return np.setdiff1d(infected, examined)[: math.ceil(pred.witness_target)]
-
-
-def qualified_set(
-    counters: np.ndarray, examined: np.ndarray, witness: np.ndarray, r: int
-) -> np.ndarray:
-    """B-hat: vertices outside Z(t1) and outside the witness set whose
-    revealed-neighbour counter reached r-1 by step t1."""
-    mask = counters >= (r - 1)
-    mask[0] = False
-    mask[examined] = False
-    mask[witness] = False
-    return np.flatnonzero(mask).astype(np.int64)
-
-
 def giant_in_qualified(graph: ExplicitGraph, bhat: np.ndarray) -> np.ndarray:
     """Largest connected component of the subgraph induced on B-hat, as
     sorted vertex ids."""
     return largest_component(graph, bhat).largest_members
 
 
-@dataclass(frozen=True)
-class BridgeExpansion:
-    bridge_AB: bool
-    C: np.ndarray
-    D: np.ndarray
-    truncated: bool
-
-
 def bridge_and_expand(
     graph: ExplicitGraph,
+    outside: np.ndarray,
     witness: np.ndarray,
+    bhat: np.ndarray,
     b_component: np.ndarray,
     r: int,
-    *,
-    examined: np.ndarray,
-    bhat: np.ndarray,
-    predictions: StagePredictions,
-) -> BridgeExpansion:
-    """The A-B bridge event and the two expansion stages.
+    pred: StagePredictions,
+) -> tuple[bool, np.ndarray, np.ndarray]:
+    """(bridge, C, D): the A-B bridge event and the two expansion stages.
 
-    C is counted against a designated subset of B of size
-    ceil(b1_target), truncated to |B| (flagged); D is counted against C
-    truncated to ceil(pred_C) when C is larger.  Each stage reads only
-    pairs no earlier stage (or the engine) touched.
+    ``outside`` masks the vertex ids outside {0}, Z(t1) and the witness
+    set; it is not modified.  C is drawn outside B-hat and counted against
+    the ceil(b1_target) smallest ids of B (all of B when it is smaller); D
+    is drawn outside B and C and counted against the first ceil(pred_c)
+    ids of C.
     """
     bridge = bool(count_neighbors_in(graph, witness)[b_component].any())
-    b1_want = math.ceil(predictions.b1_target)
-    b1 = np.sort(b_component)[:b1_want]
-
-    free = np.ones(graph.n + 1, dtype=bool)  # held by no earlier stage
-    free[0] = False
-    free[examined] = False
-    free[witness] = False
-    pool_c = free.copy()
-    pool_c[bhat] = False
-    c_set = np.flatnonzero(pool_c & (count_neighbors_in(graph, b1) >= r))
-
-    free[b_component] = False
-    free[c_set] = False
-    c1 = c_set[: math.ceil(predictions.pred_c)]
-    d_set = np.flatnonzero(free & (count_neighbors_in(graph, c1) >= r))
-
-    return BridgeExpansion(
-        bridge_AB=bridge, C=c_set, D=d_set, truncated=len(b_component) < b1_want
-    )
+    b1 = np.sort(b_component)[: math.ceil(pred.b1_target)]
+    pool = outside.copy()
+    pool[bhat] = False
+    c_set = np.flatnonzero(pool & (count_neighbors_in(graph, b1) >= r))
+    pool[bhat] = True  # B-hat \ B is eligible for D
+    pool[b_component] = False
+    pool[c_set] = False
+    c1 = c_set[: math.ceil(pred.pred_c)]
+    d_set = np.flatnonzero(pool & (count_neighbors_in(graph, c1) >= r))
+    return bridge, c_set, d_set
 
 
 def _explicit_stages(graph: ExplicitGraph, trace: PercolationTrace, pred: StagePredictions) -> dict:
-    """Stage sizes measured on the graph, from the state at t1."""
+    """Stage sizes measured on the graph, from the state at t1; the witness
+    set W is the ceil(witness_target) smallest ids of A(t1) \\ Z(t1)."""
     examined, counters, infected = state_at(graph, trace, pred.t1)
-    witness = designated_witness(infected, examined, pred)
-    bhat = qualified_set(counters, examined, witness, trace.r)
-    b_comp = giant_in_qualified(graph, bhat)
-    expansion = bridge_and_expand(
-        graph,
-        witness,
-        b_comp,
-        trace.r,
-        examined=examined,
-        bhat=bhat,
-        predictions=pred,
-    )
-    return dict(
-        size_Bhat=len(bhat),
-        size_B=len(b_comp),
-        bridge_AB=expansion.bridge_AB,
-        size_C=len(expansion.C),
-        size_D=len(expansion.D),
-        truncated=expansion.truncated,
-    )
+    witness = np.setdiff1d(infected, examined)[: math.ceil(pred.witness_target)]
+    outside = np.ones(graph.n + 1, dtype=bool)
+    outside[0] = False
+    outside[examined] = False
+    outside[witness] = False
+    bhat = np.flatnonzero(outside & (counters >= trace.r - 1))
+    b = giant_in_qualified(graph, bhat)
+    bridge, c, d = bridge_and_expand(graph, outside, witness, bhat, b, trace.r, pred)
+    return dict(size_Bhat=len(bhat), size_B=len(b), bridge_AB=bridge, size_C=len(c), size_D=len(d))
 
 
 def _implicit_stages(source: ImplicitSource, trace: PercolationTrace, pred: StagePredictions) -> dict:
@@ -244,13 +198,11 @@ def _implicit_stages(source: ImplicitSource, trace: PercolationTrace, pred: Stag
         b = largest_component(sample_gnp_with(bhat, p, rng)).largest_size
     # a binomial with no trials or a zero chance draws nothing
     bridge = bool(rng.binomial(w * b, p) > 0)
-    b1_want = math.ceil(pred.b1_target)
-    c = int(rng.binomial(n - t1 - w - bhat, thresholds.binom_tail_geq(min(b1_want, b), p, r)))
+    b1 = min(math.ceil(pred.b1_target), b)
+    c = int(rng.binomial(n - t1 - w - bhat, thresholds.binom_tail_geq(b1, p, r)))
     c1 = min(math.ceil(pred.pred_c), c)
     d = int(rng.binomial(n - t1 - w - b - c, thresholds.binom_tail_geq(c1, p, r)))
-    return dict(
-        size_Bhat=bhat, size_B=b, bridge_AB=bridge, size_C=c, size_D=d, truncated=b < b1_want
-    )
+    return dict(size_Bhat=bhat, size_B=b, bridge_AB=bridge, size_C=c, size_D=d)
 
 
 def run_stage_pipeline(source: EdgeSource, trace: PercolationTrace, pred: StagePredictions) -> StageReport:
@@ -280,8 +232,6 @@ def run_stage_pipeline(source: EdgeSource, trace: PercolationTrace, pred: StageP
             size_Bhat=0, size_B=0, bridge_AB=False, size_C=0, size_D=0,
             truncated=False, **base,
         )
-    if isinstance(source, ImplicitSource):
-        sizes = _implicit_stages(source, trace, pred)
-    else:
-        sizes = _explicit_stages(source, trace, pred)
-    return StageReport(**sizes, **base)
+    stages = _implicit_stages if isinstance(source, ImplicitSource) else _explicit_stages
+    sizes = stages(source, trace, pred)
+    return StageReport(**sizes, truncated=sizes["size_B"] < math.ceil(pred.b1_target), **base)

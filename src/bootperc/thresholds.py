@@ -179,42 +179,55 @@ def t_zero_int(params: ProcessParams) -> int:
     return max(math.ceil(t_zero(params)), params.r)
 
 
-# steps per numpy chunk of the critical scan
-_SCAN_CHUNK = 1 << 20
+# the critical scan narrows its bracket while it is wider than this
+_SCAN_BRACKET = 1 << 12
 
 
 def critical_pair(params: ProcessParams) -> CriticalValues:
-    """Scan integer steps t in [r, min(t0_int, n)] for the tightest
-    trajectory deficit, with t0_int = :func:`t_zero_int`.
+    """Minimise the trajectory deficit f(t) = (n pi_hat(t) - t)/(1 - pi_hat(t))
+    over integer steps t in [r, min(t0_int, n)], with t0_int =
+    :func:`t_zero_int`.
 
     The process has at most n steps, so the scan stops at n even when t0
-    lies beyond it; ``t0_int`` still reports max(ceil(t0), r).  The scan
-    minimises (n pi_hat(t) - t)/(1 - pi_hat(t)) in numpy chunks; the
-    critical seed count a_c is minus that minimum and t_c is the smallest
-    step attaining it.  ``tc_at_horizon`` flags a t_c on the scan's last
-    step, min(t0_int, n), where a_c depends on where the scan stops.  Also
-    fills the first-order asymptotic references
+    lies beyond it; ``t0_int`` still reports max(ceil(t0), r).  In the
+    regime f falls, then rises, so a ternary search, comparing f at the
+    two points a third of the way in from each end, narrows the range to
+    at most 2^12 steps; then f is evaluated at every step of that bracket
+    widened by 2^12 on each side: O(log t0 + 2^12) steps in all.  The two
+    points stay far apart while the bracket is wide, so the search holds
+    where f(m+1) - f(m) is below its rounding error (at (1e15, 1e-14, 2),
+    say).  Steps above 2^53 are evaluated as float64.  The critical seed
+    count a_c is minus the minimum and t_c is the smallest step attaining
+    it.  ``tc_at_horizon`` flags a t_c on the
+    scan's last step, min(t0_int, n), where a_c depends on where the scan
+    stops.  Also fills the first-order asymptotic references
     tc_asym = ((r-1)!/(np^r))^(1/(r-1)) and ac_asym = (1 - 1/r) tc_asym.
     """
     import numpy as np
 
     n, p, r = params.n, params.p, params.r
-    d = delta(params)
-    t0 = t_zero(params)
     t0i = t_zero_int(params)
-    best_t, best_val, best_log_s = r, math.inf, 0.0
-    for lo in range(r, min(t0i, n) + 1, _SCAN_CHUNK):
-        t = np.arange(lo, min(lo + _SCAN_CHUNK, t0i + 1, n + 1), dtype=np.float64)
+    last = min(t0i, n)
+
+    def deficit(t: np.ndarray):
+        """(f(t), log(1 - pi_hat(t))) at the float64 steps t."""
         log_s = log_binom_lower(t, p, r)
         s = np.exp(log_s)
         if np.any(s <= 0.0):
             bad = int(t[np.argmax(s <= 0.0)])
             raise DegenerateRegime(f"pi_hat({bad}) = 1 at p={p}; critical-value scan undefined")
-        val = (n * -np.expm1(log_s) - t) / s
-        i = int(np.argmin(val))
-        if val[i] < best_val:
-            best_val, best_t, best_log_s = float(val[i]), int(t[i]), float(log_s[i])
-    ac = -best_val
+        return (n * -np.expm1(log_s) - t) / s, log_s
+
+    deficit(np.array([last], dtype=np.float64))  # the survival falls with t: check its end first
+    lo, hi = r, last
+    while hi - lo > _SCAN_BRACKET:
+        third = (hi - lo) // 3
+        f1, f2 = deficit(np.array([lo + third, hi - third], dtype=np.float64))[0]
+        lo, hi = (lo + third + 1, hi) if f1 > f2 else (lo, hi - third)
+    lo, hi = max(r, lo - _SCAN_BRACKET), min(last, hi + _SCAN_BRACKET)
+    val, log_s = deficit(lo + np.arange(hi - lo + 1, dtype=np.float64))
+    i = int(np.argmin(val))
+    tc, ac = lo + i, -float(val[i])
     if ac <= 0.0:
         warnings.warn(
             f"critical seed count a_c = {ac:.6g} is not positive; parameters "
@@ -223,15 +236,15 @@ def critical_pair(params: ProcessParams) -> CriticalValues:
         )
     tc_asym = (math.factorial(r - 1) / params.npr) ** (1.0 / (r - 1))  # finite, as t0 is
     return CriticalValues(
-        delta=d,
-        t0=t0,
+        delta=delta(params),
+        t0=t_zero(params),
         t0_int=t0i,
-        tc=best_t,
+        tc=tc,
         ac=ac,
         tc_asym=tc_asym,
         ac_asym=(1.0 - 1.0 / r) * tc_asym,
-        pi_hat_tc=-math.expm1(best_log_s),
-        tc_at_horizon=best_t == min(t0i, n),
+        pi_hat_tc=-math.expm1(float(log_s[i])),
+        tc_at_horizon=tc == last,
     )
 
 
@@ -271,6 +284,14 @@ def rho_fixed_point(eps: float) -> float:
     return rho
 
 
+def _bernstein_tail(lam: float, var: float, m: float) -> float:
+    """exp(-lam^2 / (2 (var + m lam / 3))) for lam > 0, the tail every bound
+    here shares, as exp(-0.5 lam / (var/lam + m/3)): no finite input
+    overflows, and a denominator that underflows to 0 gives the limit 0."""
+    d = var / lam + m / 3.0
+    return math.exp(-0.5 * lam / d) if d > 0.0 else 0.0
+
+
 def chernoff_lower(mean: float, lam: float) -> float:
     """Lower-tail bound P[X - E[X] <= -lambda] <= exp(-lambda^2 / (2 E[X]))."""
     if not (0 <= mean < math.inf and 0 <= lam < math.inf):
@@ -279,7 +300,7 @@ def chernoff_lower(mean: float, lam: float) -> float:
         return 1.0
     if mean == 0.0:
         return 0.0  # limit of the bound as the mean vanishes
-    return math.exp(-(lam * lam) / (2.0 * mean))
+    return _bernstein_tail(lam, mean, 0.0)
 
 
 def chernoff_upper(mean: float, lam: float) -> float:
@@ -288,7 +309,7 @@ def chernoff_upper(mean: float, lam: float) -> float:
         raise ValueError(f"mean and lambda must be finite and >= 0, got mean={mean}, lambda={lam}")
     if lam == 0.0:
         return 1.0
-    return math.exp(-(lam * lam) / (2.0 * (mean + lam / 3.0)))
+    return _bernstein_tail(lam, mean, 1.0)
 
 
 def martingale_tail_bound(b: BoundInputs) -> float:
@@ -296,7 +317,7 @@ def martingale_tail_bound(b: BoundInputs) -> float:
     with difference cap m and summed conditional variances."""
     if b.lam == 0.0:
         return 1.0
-    return math.exp(-(b.lam * b.lam) / (2.0 * (b.var_sum + b.max_step * b.lam / 3.0)))
+    return _bernstein_tail(b.lam, b.var_sum, b.max_step)
 
 
 def theorem_subcritical_bound(params: ProcessParams, alpha: float) -> float:
@@ -304,9 +325,7 @@ def theorem_subcritical_bound(params: ProcessParams, alpha: float) -> float:
     exp(-r alpha^2 / (2 (t0 + r alpha / 3))), with (1+o(1)) set to 1."""
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    r = params.r
-    t0 = t_zero(params)
-    return min(1.0, math.exp(-r * alpha * alpha / (2.0 * (t0 + r * alpha / 3.0))))
+    return _bernstein_tail(alpha, t_zero(params) / params.r, 1.0)
 
 
 def theorem_supercritical_bound(params: ProcessParams, alpha: float) -> float:
@@ -317,8 +336,8 @@ def theorem_supercritical_bound(params: ProcessParams, alpha: float) -> float:
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     r = params.r
     t0 = t_zero(params)
-    first = math.exp(-r * alpha * alpha / (8.0 * (t0 + r * alpha / 3.0)))
-    second = math.exp(-(r - 1) * alpha * alpha / (8.0 * (t0 + (r - 1) * alpha / 2.0)))
+    first = _bernstein_tail(alpha / 2.0, t0 / r, 2.0)
+    second = _bernstein_tail(alpha / 2.0, t0 / (r - 1), 3.0)
     return min(1.0, first + second)
 
 

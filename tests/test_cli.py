@@ -150,6 +150,17 @@ class TestRunCommand:
         assert code == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["-5", "0", "nan"])
+    def test_given_alpha_checked_as_given(self, capsys, alpha):
+        # a given --alpha was once refused as "a=60 is not above the
+        # critical seed count; pass --alpha explicitly"
+        argv = ["stages", "--n", "2000", "--p", "0.003", "--r", "2", "--a", "60", f"--alpha={alpha}"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"alpha must be finite and > 0, got {float(alpha)}" in captured.err
+        assert "pass --alpha" not in captured.err
+
     def test_explicit_mode(self, capsys):
         code, payload = main_json(
             capsys,
@@ -358,6 +369,22 @@ class TestGiantCommand:
     def test_eps_zero_rejected(self, capsys):
         assert cli.main(["giant", "--m", "100", "--eps", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "m, eps, message",
+        [
+            ("100", "1e308", "--eps must lie in (0, m - 1] = (0, 99], got 1e+308"),
+            ("10", "inf", "--eps must lie in (0, m - 1] = (0, 9], got inf"),
+            ("4000000000", "0.1", "--m must lie in 2..3037000498, got 4000000000"),
+        ],
+        ids=["eps-1e308", "eps-inf", "m-4e9"],
+    )
+    def test_out_of_range_names_its_flag(self, capsys, m, eps, message):
+        # these once blamed p = (1 + eps)/m or the graph's n
+        assert cli.main(["giant", "--m", m, "--eps", eps]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_tiny_eps(self, capsys):
         # rho ~ 2 eps is representable, so the fixed point must be found
         for eps in ("1e-20", "1e-300"):
@@ -450,6 +477,23 @@ class TestBoundsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (["--theorem1", *THEOREM[:-1], "1.7e308"], 0.0),
+            (["--theorem2", *THEOREM[:-1], "1.7e308"], 0.0),
+            (["--chernoff", "lower", "--mean", "1e308", "--lam", "1e308"], 0.0),
+            (["--martingale", "--lam", "1e308", "--max-step", "1e308", "--var-sum", "1e308"], 0.223130160148),
+        ],
+        ids=["theorem1", "theorem2", "chernoff-lower", "martingale"],
+    )
+    def test_large_finite_inputs(self, capsys, argv, bound):
+        # lambda^2 and the denominator once overflowed: inf/inf printed a
+        # theorem bound of 1.0 and failed the others with a JSON error
+        code, payload = main_json(capsys, "bounds", *argv)
+        assert code == 0
+        assert payload["bound"] == bound
 
     def test_no_nan_reaches_stdout(self, capsys, monkeypatch):
         # the backstop: a NaN that gets past the checks is an error, not output

@@ -1,12 +1,12 @@
 import heapq
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from bootperc import thresholds
+from bootperc import stages, thresholds
 from bootperc.engine import (
     ImplicitSource,
     SeedSpec,
@@ -19,10 +19,8 @@ from bootperc.rng import make_generator
 from bootperc.stages import (
     TraceTooShort,
     bridge_and_expand,
-    designated_witness,
     early_growth_check,
     giant_in_qualified,
-    qualified_set,
     run_stage_pipeline,
     state_at,
 )
@@ -204,32 +202,65 @@ class TestStateAt:
             state_at(g, implicit, 1)
 
 
-class TestQualifiedSet:
-    def test_fresh_process_empty(self):
-        # t1 = 0 edge case: no examined vertices, nobody qualifies at r = 2
-        g = sample_gnp(100, 0.02, seed=5)
-        trace = run_process(g, SeedSpec.prefix(10), 2, TraceOptions(max_steps=1))
-        examined, counters, _ = state_at(g, trace, 1)
-        witness = np.array([], dtype=np.int64)
-        bhat = qualified_set(counters, examined, witness, r=3)  # needs 2 neighbours among 1 examined
-        assert len(bhat) == 0
+def outside_mask(n, examined, witness):
+    """The mask of vertex ids outside {0}, Z(t1) and W."""
+    outside = np.ones(n + 1, dtype=bool)
+    outside[0] = False
+    outside[examined] = False
+    outside[witness] = False
+    return outside
 
-    def test_matches_graph_oracle(self):
-        # explicit fixture: counters at t1 must equal true neighbour counts
-        # into Z(t1), so B-hat matches count_neighbors_in
+
+def spied_pipeline(monkeypatch, graph, trace, plan):
+    """run_stage_pipeline on an explicit run, and the sets its stages
+    were handed and returned: Z(t1), W, B-hat, B, C, D and the mask
+    outside {0}, Z(t1) and W (unchanged by the expansion stages)."""
+    seen = {"Z": state_at(graph, trace, plan.t1)[0]}
+    real = stages.bridge_and_expand
+
+    def spy(graph, outside, witness, bhat, b, r, pred):
+        before = outside.copy()
+        bridge, c, d = real(graph, outside, witness, bhat, b, r, pred)
+        assert np.array_equal(outside, before)
+        seen.update(outside=outside, W=witness, Bhat=bhat, B=b, bridge=bridge, C=c, D=d)
+        return bridge, c, d
+
+    monkeypatch.setattr(stages, "bridge_and_expand", spy)
+    return run_stage_pipeline(graph, trace, plan), seen
+
+
+class TestQualifiedSet:
+    def test_fresh_process_empty(self, monkeypatch):
+        # t1 = 1 edge case: at r = 3 a vertex needs 2 neighbours among the
+        # one examined vertex, so nobody qualifies and every stage is empty
+        params = ProcessParams(n=100, p=0.02, r=3)
+        g = sample_gnp(100, 0.02, seed=5)
+        trace = run_process(g, SeedSpec.prefix(10), 3, TraceOptions(max_steps=1))
+        plan = replace(stage_predictions(params, 8.0), t1=1)
+        rep, seen = spied_pipeline(monkeypatch, g, trace, plan)
+        assert len(seen["Bhat"]) == 0 and rep.size_Bhat == 0
+        assert (rep.size_B, rep.size_C, rep.size_D) == (0, 0, 0)
+
+    def test_matches_graph_oracle(self, monkeypatch):
+        # explicit fixture: B-hat is every vertex outside Z(t1) and the
+        # three-vertex witness set with a neighbour in Z(t1), by
+        # count_neighbors_in
         g = sample_gnp(600, 0.02, seed=33)
         trace = run_process(g, SeedSpec.prefix(40), 2, TraceOptions(max_steps=25))
-        examined, counters, infected = state_at(g, trace, 25)
+        plan = replace(PLAN, t1=25, witness_target=3.0)
+        examined, _, infected = state_at(g, trace, 25)
         z = examined.tolist()
         counts = count_neighbors_in(g, z)
         witness = np.setdiff1d(infected, examined)[:3]
-        bhat = qualified_set(counters, examined, witness, r=2)
+        rep, seen = spied_pipeline(monkeypatch, g, trace, plan)
         expect = [
             v
             for v in range(1, 601)
             if counts[v] >= 1 and v not in set(z) and v not in set(witness.tolist())
         ]
-        assert bhat.tolist() == expect
+        assert seen["W"].tolist() == witness.tolist()
+        assert seen["Bhat"].tolist() == expect
+        assert rep.size_Bhat == len(expect)
 
     def test_median_bhat_meets_prediction(self):
         # Monte Carlo: the qualified count should clear its predicted lower
@@ -318,64 +349,40 @@ class TestCountForm:
 
 class TestBridgeExpand:
     def test_empty_component(self):
-        pred = stage_predictions(PARAMS, ALPHA)
-        res = bridge_and_expand(
-            sample_gnp(50, 0.1, seed=9),
-            witness=np.array([1, 2], dtype=np.int64),
-            b_component=np.array([], dtype=np.int64),
-            r=2,
-            examined=np.array([3, 4], dtype=np.int64),
-            bhat=np.array([], dtype=np.int64),
-            predictions=pred,
-        )
-        assert not res.bridge_AB
-        assert len(res.C) == 0 and len(res.D) == 0
+        g = sample_gnp(50, 0.1, seed=9)
+        witness = np.array([1, 2], dtype=np.int64)
+        empty = np.array([], dtype=np.int64)
+        outside = outside_mask(50, [3, 4], witness)
+        bridge, c, d = bridge_and_expand(g, outside, witness, empty, empty, 2, PLAN)
+        assert not bridge
+        assert len(c) == 0 and len(d) == 0
 
     def test_dense_fixture_bridges(self):
         # p close to 1: any nonempty witness and component must bridge
-        from bootperc.graph import from_edges
-
         n = 12
         g = from_edges(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
-        pred = stage_predictions(PARAMS, ALPHA)  # targets irrelevant here
-        res = bridge_and_expand(
-            g,
-            witness=np.array([1], dtype=np.int64),
-            b_component=np.array([5, 6], dtype=np.int64),
-            r=2,
-            examined=np.array([2], dtype=np.int64),
-            bhat=np.array([5, 6, 7], dtype=np.int64),
-            predictions=pred,
-        )
-        assert res.bridge_AB
-        # every outside vertex has >= 2 neighbours in the component subset
-        assert len(res.C) > 0
+        witness = np.array([1], dtype=np.int64)
+        bhat = np.array([5, 6, 7], dtype=np.int64)
+        outside = outside_mask(n, [2], witness)
+        bridge, c, d = bridge_and_expand(g, outside, witness, bhat, bhat[:2], 2, PLAN)
+        assert bridge
+        # every vertex outside Z, W and B-hat has >= 2 neighbours in B
+        assert c.tolist() == [3, 4] + list(range(8, n + 1))
+        # D's pool keeps B-hat \ B, vertex 7, and C is complete
+        assert d.tolist() == [7]
 
-    def test_exclusion_discipline(self):
+    def test_exclusion_discipline(self, monkeypatch):
         g, trace = capped_run(7, "explicit")
-        examined, counters, infected = state_at(g, trace, T1)
-        witness = designated_witness(infected, examined, stage_predictions(PARAMS, ALPHA))
-        bhat = qualified_set(counters, examined, witness, PARAMS.r)
-        b = giant_in_qualified(g, bhat)
-        res = bridge_and_expand(
-            g,
-            witness,
-            b,
-            PARAMS.r,
-            examined=examined,
-            bhat=bhat,
-            predictions=stage_predictions(PARAMS, ALPHA),
-        )
-        z = set(examined.tolist())
-        w = set(witness.tolist())
-        bh = set(bhat.tolist())
-        bb = set(b.tolist())
-        cc = set(res.C.tolist())
-        dd = set(res.D.tolist())
+        rep, seen = spied_pipeline(monkeypatch, g, trace, PLAN)
+        z, w, bh, bb, cc, dd = (set(seen[k].tolist()) for k in ("Z", "W", "Bhat", "B", "C", "D"))
+        assert rep.early_ok and len(cc) and len(dd)
+        assert np.flatnonzero(seen["outside"]).tolist() == sorted(set(range(1, g.n + 1)) - z - w)
+        assert not (w & z)
         assert not (bh & z) and not (bh & w)
         assert bb <= bh
         assert not (cc & (z | w | bh))
         assert not (dd & (z | w | bb | cc))
+        assert (rep.size_Bhat, rep.size_B, rep.size_C, rep.size_D) == (len(bh), len(bb), len(cc), len(dd))
 
     def test_pipeline_report_fields(self):
         stage_src, trace = capped_run(3)
@@ -416,24 +423,97 @@ class TestBridgeExpand:
         rep = run_stage_pipeline(src, trace, stage_predictions(params, 30.0))
         assert not rep.early_ok
         assert rep.size_Bhat == 0 and rep.size_D == 0
+        assert not rep.truncated  # the stages never ran
 
     def test_truncation_flag(self):
-        # force |B| below the designated subset target by shrinking B
+        # truncated exactly when |B| < ceil(b1_target), in both modes
+        for mode in ("implicit", "explicit"):
+            stage_src, trace = capped_run(8, mode)
+            size_b = run_stage_pipeline(stage_src, trace, PLAN).size_B
+            assert size_b > 1
+            for target, truncated in ((size_b, False), (size_b - 0.5, False), (size_b + 0.5, True)):
+                stage_src, trace = capped_run(8, mode)
+                rep = run_stage_pipeline(stage_src, trace, replace(PLAN, b1_target=target))
+                assert rep.size_B == size_b
+                assert rep.truncated is truncated
+
+    def test_c_counts_all_of_a_short_component(self, monkeypatch):
+        # a B shorter than its target is used whole as the C stage's subset
         g, trace = capped_run(8, "explicit")
-        examined, counters, infected = state_at(g, trace, T1)
-        witness = designated_witness(infected, examined, stage_predictions(PARAMS, ALPHA))
-        bhat = qualified_set(counters, examined, witness, PARAMS.r)
-        b = giant_in_qualified(g, bhat)[:5]
-        res = bridge_and_expand(
-            g,
-            witness,
-            b,
-            PARAMS.r,
-            examined=examined,
-            bhat=bhat,
-            predictions=stage_predictions(PARAMS, ALPHA),
-        )
-        assert res.truncated
+        rep, seen = spied_pipeline(monkeypatch, g, trace, replace(PLAN, b1_target=1e9))
+        assert rep.truncated
+        counts = count_neighbors_in(g, seen["B"])
+        pool = seen["outside"].copy()
+        pool[seen["Bhat"]] = False
+        assert seen["C"].tolist() == np.flatnonzero(pool & (counts >= PARAMS.r)).tolist()
+        assert rep.size_C == len(seen["C"]) > 0
+
+
+def stages_from_definitions(g, a, r, plan):
+    """Every stage size and flag of a run from the seeds {1..a} alive past
+    t1, rebuilt from the definitions with Python sets: neighbour counts by
+    set intersection, B by breadth-first search (ties go to the component
+    holding the smallest vertex)."""
+    nbrs = [set()] + [set(g.neighbors(v).tolist()) for v in range(1, g.n + 1)]
+    vertices = set(range(1, g.n + 1))
+    examined, _, infected = step_loop(g, range(1, a + 1), r, plan.t1)
+    z = set(examined)
+    w = set(sorted(set(infected) - z)[: math.ceil(plan.witness_target)])
+    zw = z | w
+    bhat = {v for v in vertices - zw if len(nbrs[v] & z) >= r - 1}
+    b, reached = set(), set()
+    for root in sorted(bhat):
+        if root in reached:
+            continue
+        comp, frontier = {root}, [root]
+        while frontier:
+            frontier = [v for u in frontier for v in nbrs[u] & bhat if v not in comp]
+            comp.update(frontier)
+        reached |= comp
+        if len(comp) > len(b):
+            b = comp
+    b1 = set(sorted(b)[: math.ceil(plan.b1_target)])
+    c = {v for v in vertices - zw - bhat if len(nbrs[v] & b1) >= r}
+    c1 = set(sorted(c)[: math.ceil(plan.pred_c)])
+    d = {v for v in vertices - zw - b - c if len(nbrs[v] & c1) >= r}
+    return dict(
+        early_ok=len(infected) - plan.t1 >= plan.witness_target,
+        size_Bhat=len(bhat),
+        size_B=len(b),
+        bridge_AB=any(nbrs[u] & b for u in w),
+        size_C=len(c),
+        size_D=len(d),
+        truncated=len(b) < math.ceil(plan.b1_target),
+    )
+
+
+def test_explicit_report_matches_definitions():
+    # the explicit pipeline as a whole, on runs alive past t1 (capped at t1
+    # or run on with a size horizon), from a_c + alpha seeds or from a_c,
+    # at the usual plan and at one whose B1 target is 4 times larger and
+    # whose C1 target, 10, is below most |C|
+    checked, seen = 0, {"C": 0, "D": 0, "truncated": 0, "no bridge": 0}
+    for params in (ProcessParams(n=2000, p=3e-3, r=2), ProcessParams(n=1000, p=0.02, r=3)):
+        crit = thresholds.critical_pair(params)
+        base = stage_predictions(params, float(4 * math.ceil(math.sqrt(crit.ac))))
+        for plan in (base, replace(base, b1_target=4 * base.b1_target, pred_c=10.0)):
+            for trial in range(10):
+                a = round(crit.ac) + (int(plan.alpha) if trial < 6 else 0)
+                g, _ = trial_sources(params, "explicit", 17, trial)
+                opts = TraceOptions(max_steps=plan.t1) if trial % 2 else TraceOptions(size_horizon=plan.t1)
+                trace = run_process(g, SeedSpec.prefix(a), params.r, opts)
+                if trace.T is not None and trace.T <= plan.t1:
+                    continue
+                rep = asdict(run_stage_pipeline(g, trace, plan))
+                want = stages_from_definitions(g, a, params.r, plan)
+                assert {k: rep[k] for k in want} == want, (params, plan, a, trial)
+                checked += 1
+                seen["C"] += want["size_C"] > 0
+                seen["D"] += want["size_D"] > 0
+                seen["truncated"] += want["truncated"]
+                seen["no bridge"] += not want["bridge_AB"]
+    assert checked >= 20
+    assert all(seen.values()), seen
 
 
 @pytest.mark.xfail(

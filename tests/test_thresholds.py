@@ -18,6 +18,7 @@ from bootperc.thresholds import (
     critical_pair,
     delta,
     g_function,
+    log_binom_lower,
     martingale_tail_bound,
     rho_fixed_point,
     stage_predictions,
@@ -318,6 +319,122 @@ class TestVectorisedScan:
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def chunk_scan(params):
+    """The full scan that the bracketed one replaced: the vectorised
+    deficit at every step of [r, min(t0_int, n)], 2^20 steps a chunk, with
+    a running best.  (t_c, a_c, pi_hat(t_c), tc_at_horizon)."""
+    n, p, r = params.n, params.p, params.r
+    t0i = t_zero_int(params)
+    best_t, best_val, best_log_s = r, math.inf, 0.0
+    for lo in range(r, min(t0i, n) + 1, 1 << 20):
+        t = np.arange(lo, min(lo + (1 << 20), t0i + 1, n + 1), dtype=np.float64)
+        log_s = log_binom_lower(t, p, r)
+        s = np.exp(log_s)
+        if np.any(s <= 0.0):
+            raise DegenerateRegime(f"pi_hat({int(t[np.argmax(s <= 0.0)])}) = 1")
+        val = (n * -np.expm1(log_s) - t) / s
+        i = int(np.argmin(val))
+        if val[i] < best_val:
+            best_val, best_t, best_log_s = float(val[i]), int(t[i]), float(log_s[i])
+    return best_t, -best_val, -math.expm1(best_log_s), best_t == min(t0i, n)
+
+
+def scan_span(params):
+    return min(t_zero_int(params), params.n) - params.r + 1
+
+
+# the golden points, every benchmark point, and random points with n from
+# 1e2 to 1e9, r from 2 to 5 and a scan range of at most 3e5 steps, every
+# other one with p set so that the asymptotic t_c lies between 1e3 and 3e5
+# and below n/10
+NAMED_SCAN_POINTS = [
+    (2000, 3e-3, 2),
+    (20_000, 1e-3, 2),
+    (1500, 4e-3, 2),
+    (50_000, 4e-4, 2),
+    (10**6, 1e-4, 2),
+    (10**6, 2e-6, 2),
+    (10**6, 1e-5, 3),
+    (10**7, 1e-6, 2),
+    (10**6, 1e-9, 2),
+    (10**6, 1e-3, 3),
+]
+
+
+def random_scan_points(count, seed=0):
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < count:
+        n = int(10 ** rng.uniform(2, 9))
+        r = int(rng.integers(2, 6))
+        p = float(10 ** rng.uniform(-9, -0.3))
+        if len(points) % 2:  # t_c near t, between 1e3 and 3e5, and t <= n/10
+            t = 10 ** rng.uniform(3, 5.5)
+            n = int(10 ** rng.uniform(math.log10(t) + 1, 9))
+            p = (math.factorial(r - 1) / (n * t ** (r - 1))) ** (1 / r)
+        try:
+            params = ProcessParams(n, p, r)
+            if scan_span(params) <= 300_000:
+                points.append((n, p, r))
+        except (ValueError, DegenerateRegime):
+            pass  # no such process, or t0 leaves the float range
+    return points
+
+
+class TestBracketedScan:
+    def test_matches_chunk_scan(self):
+        points = NAMED_SCAN_POINTS + random_scan_points(300)
+        horizon = {True: 0, False: 0}
+        wide_interior = 0  # the search iterated and t_c is not the last step
+        for n, p, r in points:
+            params = ProcessParams(n, p, r)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a_c <= 0 outside the regime
+                try:
+                    want = chunk_scan(params)
+                except DegenerateRegime:
+                    with pytest.raises(DegenerateRegime):
+                        critical_pair(params)
+                    continue
+                crit = critical_pair(params)
+            assert (crit.tc, crit.ac, crit.pi_hat_tc, crit.tc_at_horizon) == want, (n, p, r)
+            horizon[crit.tc_at_horizon] += 1
+            wide_interior += scan_span(params) > 3 * 4096 and not crit.tc_at_horizon
+        print(horizon, wide_interior)
+        assert sum(horizon.values()) >= 300 and min(horizon.values()) >= 50, horizon
+        assert wide_interior >= 50
+
+    @pytest.mark.parametrize("n, p, r", [(10**12, 2e-12, 2), (10**15, 1e-14, 2), (10**18, 1e-17, 2), (10**14, 1e-12, 3)])
+    def test_in_regime_points_take_few_steps(self, monkeypatch, n, p, r):
+        # O(log t0 + 2^12) steps where the full scan took up to 1.6e16, and
+        # a_c is at least minus the deficit at 10^5 evenly spaced steps, so
+        # the search found the minimum, not a point where rounding flattens
+        # f(m+1) - f(m) (as at (1e15, 1e-14, 2), where it stopped at 5.36e12
+        # against 5.41e12)
+        from bootperc import thresholds
+
+        steps = []
+        real = thresholds.log_binom_lower
+        monkeypatch.setattr(thresholds, "log_binom_lower", lambda t, p, k: steps.append(t.size) or real(t, p, k))
+        params = ProcessParams(n, p, r)
+        crit = critical_pair(params)
+        assert sum(steps) <= 3 * 4096 + 2 * 100
+        t = np.linspace(r, min(crit.t0_int, n), 100_001)
+        log_s = log_binom_lower(t, p, r)
+        assert crit.ac >= np.max(-(n * -np.expm1(log_s) - t) / np.exp(log_s))
+
+    def test_cli_in_regime_point_is_fast(self):
+        # t0_int = 460224103814: the full scan took hours here
+        proc = subprocess.run(
+            [sys.executable, "-m", "bootperc.cli", "thresholds", "--n", "1000000000000", "--p", "2e-12", "--r", "2"],
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert '"tc_at_horizon": true' in proc.stdout
 
 
 class TestRhoFixedPoint:
