@@ -30,6 +30,9 @@ CASES = {
     "sweep_json_implicit": ["sweep", *SWEEP, "--format", "json"],
     "sweep_json_explicit": ["sweep", *SWEEP, "--mode", "explicit", "--format", "json"],
     "giant": ["giant", "--m", "20000", "--eps", "0.2", "--seed", "3"],
+    "thresholds_r2": ["thresholds", "--n", "1000000", "--p", "2e-6", "--r", "2"],
+    "thresholds_r3": ["thresholds", "--n", "1000000", "--p", "1e-5", "--r", "3"],
+    "thresholds_in_regime": ["thresholds", "--n", "1000000000000", "--p", "2e-12", "--r", "2"],
 }
 
 
