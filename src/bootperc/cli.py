@@ -12,6 +12,8 @@ exactly one kind, plus only the flags that ``_BOUND_FLAGS`` says it reads.
 
 Each command imports the modules it runs when it is called, and parsing
 imports none of them, so ``--help`` and usage errors never load numpy.
+``thresholds`` and ``bounds`` load only ``bootperc.thresholds``, which
+needs no numpy for the critical scan or the closed-form bounds.
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ import numpy as np
 from . import thresholds
 from .engine import EdgeSource, ImplicitSource, PercolationTrace
 from .graph import ExplicitGraph, count_neighbors_in, largest_component, sample_gnp_with
-from .thresholds import StagePredictions, log_binom_lower
+from .thresholds import StagePredictions, log_survival
 
 
 class TraceTooShort(Exception):
@@ -186,8 +186,8 @@ def _implicit_stages(source: ImplicitSource, trace: PercolationTrace, pred: Stag
     s = max(0, trace.a - t1)  # of which seeds
     w = min(math.ceil(pred.witness_target), k)  # witness_target >= 0
     w_s = min(w, s)
-    below_r1 = float(log_binom_lower(t1, p, r - 1))  # log P[Bin(t1,p) < r-1]
-    below_r = float(log_binom_lower(t1, p, r))
+    below_r1 = log_survival(t1, p, r - 1)  # log P[Bin(t1,p) < r-1]
+    below_r = log_survival(t1, p, r)
     bhat = (
         (k - s - (w - w_s))
         + int(rng.binomial(s - w_s, -math.expm1(below_r1)))

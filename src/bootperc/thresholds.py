@@ -114,9 +114,12 @@ def log_binom_lower(t, p: float, k: int) -> np.ndarray:
     eps (t p + |log S|), eps = 2^-52 (at most 16 times that against exact
     sums, k <= 8, 1e-15 <= p <= 0.3, t <= 1e12).  A smaller result is
     rounding noise, can be positive and can rise with t: (3, 1e-8, 3)
-    gives +6.6e-24 for a true -1e-24.
+    gives +6.6e-24 for a true -1e-24.  :func:`log_survival` is the same
+    sum for one step, on Python floats.
     """
-    import numpy as np  # here, not at the top: `bounds` loads no numpy
+    # here, not at the top: only the array callers (the engine's walk
+    # blocks and the martingale series) load numpy
+    import numpy as np
 
     t = np.asarray(t, dtype=np.float64)
     log_x = math.log(p) - math.log1p(-p)
@@ -129,12 +132,41 @@ def log_binom_lower(t, p: float, k: int) -> np.ndarray:
     return np.where(t < k, 0.0, t * math.log1p(-p) + acc)
 
 
+_LOG2 = math.log(2.0)
+
+
+def log_survival(t: int, p: float, k: int) -> float:
+    """log P[Bin(t, p) < k] for one step count t >= 0, 0 < p < 1, with
+    stdlib ``math``: the terms of :func:`log_binom_lower` in the same
+    order, added by numpy's ``logaddexp`` rule, so it shares that error
+    bound.  The two agree but for the last bits of numpy's vectorised
+    ``log`` and ``exp``.  t is taken as a float, so steps above 2^53
+    round to the nearest float.
+    """
+    if t < k:
+        return 0.0
+    t = float(t)
+    log_q = math.log1p(-p)
+    log_x = math.log(p) - log_q
+    acc = term = 0.0
+    for j in range(1, k):
+        term = term + math.log(t - (j - 1)) + (log_x - math.log(j))
+        # numpy's logaddexp: the larger plus log1p(exp(-|difference|))
+        if acc == term:
+            acc = acc + _LOG2
+        elif acc > term:
+            acc = acc + math.log1p(math.exp(term - acc))
+        else:
+            acc = term + math.log1p(math.exp(acc - term))
+    return t * log_q + acc
+
+
 def binom_tail_geq(t: int, p: float, r: int) -> float:
     """P[Bin(t,p) >= r]: the chance that t examined vertices infect a
     fresh vertex with threshold r.
 
     Exactly 0 when t < r; clamped to [0,1].  Computed from
-    :func:`log_binom_lower`, so large t with small p does not underflow.
+    :func:`log_survival`, so large t with small p does not underflow.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -146,7 +178,7 @@ def binom_tail_geq(t: int, p: float, r: int) -> float:
         return 0.0
     if p == 1.0:
         return 1.0
-    return min(1.0, max(0.0, -math.expm1(float(log_binom_lower(t, p, r)))))
+    return min(1.0, max(0.0, -math.expm1(log_survival(t, p, r))))
 
 
 def delta(params: ProcessParams) -> float:
@@ -193,41 +225,44 @@ def critical_pair(params: ProcessParams) -> CriticalValues:
     regime f falls, then rises, so a ternary search, comparing f at the
     two points a third of the way in from each end, narrows the range to
     at most 2^12 steps; then f is evaluated at every step of that bracket
-    widened by 2^12 on each side: O(log t0 + 2^12) steps in all.  The two
-    points stay far apart while the bracket is wide, so the search holds
-    where f(m+1) - f(m) is below its rounding error (at (1e15, 1e-14, 2),
-    say).  Steps above 2^53 are evaluated as float64.  The critical seed
-    count a_c is minus the minimum and t_c is the smallest step attaining
-    it.  ``tc_at_horizon`` flags a t_c on the
-    scan's last step, min(t0_int, n), where a_c depends on where the scan
-    stops.  Also fills the first-order asymptotic references
-    tc_asym = ((r-1)!/(np^r))^(1/(r-1)) and ac_asym = (1 - 1/r) tc_asym.
+    widened by 2^12 on each side: at most 3 * 2^12 + O(log t0) steps in
+    all, each one :func:`log_survival` on Python floats (about 1.3 us a
+    step at r = 2, so no numpy is loaded).  The two points stay far apart
+    while the bracket is wide, so the search holds where f(m+1) - f(m) is
+    below its rounding error (at (1e15, 1e-14, 2), say).  Steps above 2^53
+    are evaluated as floats.  The critical seed count a_c is minus the
+    minimum and t_c is the smallest step attaining it.  ``tc_at_horizon``
+    flags a t_c on the scan's last step, min(t0_int, n), where a_c
+    depends on where the scan stops.  Also fills the first-order
+    asymptotic references tc_asym = ((r-1)!/(np^r))^(1/(r-1)) and
+    ac_asym = (1 - 1/r) tc_asym.
     """
-    import numpy as np
-
     n, p, r = params.n, params.p, params.r
     t0i = t_zero_int(params)
     last = min(t0i, n)
 
-    def deficit(t: np.ndarray):
-        """(f(t), log(1 - pi_hat(t))) at the float64 steps t."""
-        log_s = log_binom_lower(t, p, r)
-        s = np.exp(log_s)
-        if np.any(s <= 0.0):
-            bad = int(t[np.argmax(s <= 0.0)])
-            raise DegenerateRegime(f"pi_hat({bad}) = 1 at p={p}; critical-value scan undefined")
-        return (n * -np.expm1(log_s) - t) / s, log_s
+    def deficit(t: int) -> tuple[float, float]:
+        """(f(t), log(1 - pi_hat(t))) at step t."""
+        log_s = log_survival(t, p, r)
+        s = math.exp(log_s)
+        if s <= 0.0:
+            raise DegenerateRegime(f"pi_hat({t}) = 1 at p={p}; critical-value scan undefined")
+        return (n * -math.expm1(log_s) - float(t)) / s, log_s
 
-    deficit(np.array([last], dtype=np.float64))  # the survival falls with t: check its end first
+    deficit(last)  # the survival falls with t: check its end first
     lo, hi = r, last
     while hi - lo > _SCAN_BRACKET:
         third = (hi - lo) // 3
-        f1, f2 = deficit(np.array([lo + third, hi - third], dtype=np.float64))[0]
+        f1, f2 = deficit(lo + third)[0], deficit(hi - third)[0]
         lo, hi = (lo + third + 1, hi) if f1 > f2 else (lo, hi - third)
     lo, hi = max(r, lo - _SCAN_BRACKET), min(last, hi + _SCAN_BRACKET)
-    val, log_s = deficit(lo + np.arange(hi - lo + 1, dtype=np.float64))
-    i = int(np.argmin(val))
-    tc, ac = lo + i, -float(val[i])
+    tc = lo
+    best, best_log_s = deficit(lo)
+    for t in range(lo + 1, hi + 1):
+        val, log_s = deficit(t)
+        if val < best:  # strict: t_c is the smallest minimising step
+            tc, best, best_log_s = t, val, log_s
+    ac = -best
     if ac <= 0.0:
         warnings.warn(
             f"critical seed count a_c = {ac:.6g} is not positive; parameters "
@@ -243,7 +278,7 @@ def critical_pair(params: ProcessParams) -> CriticalValues:
         ac=ac,
         tc_asym=tc_asym,
         ac_asym=(1.0 - 1.0 / r) * tc_asym,
-        pi_hat_tc=-math.expm1(float(log_s[i])),
+        pi_hat_tc=-math.expm1(best_log_s),
         tc_at_horizon=tc == last,
     )
 

@@ -60,6 +60,10 @@ def test_thresholds_and_bounds_load_no_engine():
     point = ["--n", "1000000", "--p", "0.0001", "--r", "2", "--alpha", "30"]
     for argv in [
         ["thresholds", "--n", "1000", "--p", "0.01", "--r", "2"],
+        ["thresholds", "--n", "1000000", "--p", "2e-6", "--r", "2"],
+        ["thresholds", "--n", "1000000", "--p", "1e-5", "--r", "3"],
+        ["thresholds", "--n", "10000000", "--p", "1e-6", "--r", "2"],
+        ["thresholds", "--n", "1000000000000", "--p", "2e-12", "--r", "2"],
         ["bounds", "--theorem1", *point],
         ["bounds", "--theorem2", *point],
         ["bounds", "--chernoff", "lower", "--mean", "50", "--lam", "10"],
@@ -69,8 +73,8 @@ def test_thresholds_and_bounds_load_no_engine():
         assert code == 0, argv
         assert "bootperc.thresholds" in loaded
         assert not loaded & set(ENGINE_STACK), (argv, sorted(loaded & set(ENGINE_STACK)))
-        # the closed-form bounds are plain math; only the critical scan needs numpy
-        assert ("numpy" in loaded) == (argv[0] == "thresholds"), argv
+        # the closed-form bounds and the critical scan are plain math
+        assert "numpy" not in loaded, argv
 
 
 def test_package_names_resolve_lazily():
