@@ -226,16 +226,15 @@ def critical_pair(params: ProcessParams) -> CriticalValues:
     two points a third of the way in from each end, narrows the range to
     at most 2^12 steps; then f is evaluated at every step of that bracket
     widened by 2^12 on each side: at most 3 * 2^12 + O(log t0) steps in
-    all, each one :func:`log_survival` on Python floats (about 1.3 us a
-    step at r = 2, so no numpy is loaded).  The two points stay far apart
-    while the bracket is wide, so the search holds where f(m+1) - f(m) is
-    below its rounding error (at (1e15, 1e-14, 2), say).  Steps above 2^53
-    are evaluated as floats.  The critical seed count a_c is minus the
-    minimum and t_c is the smallest step attaining it.  ``tc_at_horizon``
-    flags a t_c on the scan's last step, min(t0_int, n), where a_c
-    depends on where the scan stops.  Also fills the first-order
-    asymptotic references tc_asym = ((r-1)!/(np^r))^(1/(r-1)) and
-    ac_asym = (1 - 1/r) tc_asym.
+    all, each one :func:`log_survival` on Python floats, so the scan
+    loads no numpy.  The two points stay far apart while the bracket is
+    wide, so the search holds where f(m+1) - f(m) is below its rounding
+    error (at (1e15, 1e-14, 2), say).  Steps above 2^53 are evaluated as
+    floats.  The critical seed count a_c is minus the minimum and t_c is
+    the first step attaining it.  ``tc_at_horizon`` flags a t_c on the
+    scan's last step, min(t0_int, n), where a_c depends on where the scan
+    stops.  Also fills the first-order asymptotic references
+    tc_asym = ((r-1)!/(np^r))^(1/(r-1)) and ac_asym = (1 - 1/r) tc_asym.
     """
     n, p, r = params.n, params.p, params.r
     t0i = t_zero_int(params)
