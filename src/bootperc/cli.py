@@ -3,8 +3,9 @@
 Commands: ``thresholds``, ``run``, ``stages``, ``sweep``, ``giant`` and
 ``bounds``.  Output is machine readable: JSON by default, CSV for sweep
 curves, never NaN or Infinity.  All probabilities print with 12
-significant digits.  Exit codes: 0 success, 2 argument/validation error,
-3 degenerate-regime error, 1 unexpected internal failure.
+significant digits.  Exit codes: 0 success, 2 argument/validation error
+or a run too large for memory, 3 degenerate-regime error, 1 unexpected
+internal failure.
 
 argparse checks the shape of every command line: flags and config keys
 are spelled in full, ``sweep`` takes exactly one a-list, and ``bounds``
@@ -414,6 +415,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_DEGENERATE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # an input too large for this machine, not a fault
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ExplicitGraph, _neighbor_counts, _row_entries, _vertex_mask
+from .graph import ExplicitGraph, _add_neighbor_counts, _row_blocks, _row_entries, _vertex_mask
 from .rng import make_generator
 from .thresholds import DegenerateRegime, ProcessParams, log_binom_lower
 
@@ -155,8 +155,11 @@ def _close(g: ExplicitGraph, infected: np.ndarray, r: int) -> int:
     direction (Beamer, Asanovic and Patterson, SC 2012): it pushes its
     joins' rows into the neighbour counts while their degree sum is below
     the uninfected vertices', else pulls each uninfected count from its row
-    by one ``reduceat`` over the infected flags of the rows' entries."""
-    counts = _neighbor_counts(g, np.flatnonzero(infected))
+    by one ``reduceat`` over the infected flags of the rows' entries.  Both
+    read the rows one block of about 2^16 entries at a time, so beside the
+    graph the closure takes O(n) plus that block, whatever the rows weigh."""
+    counts = np.zeros(g.n + 1, dtype=np.int64)
+    _add_neighbor_counts(g, np.flatnonzero(infected), counts)
     joins = np.flatnonzero((counts >= r) & ~infected)
     degrees = np.diff(g.indptr)
     # degree sum of the uninfected vertices: all rows less the counted ones
@@ -168,15 +171,14 @@ def _close(g: ExplicitGraph, infected: np.ndarray, r: int) -> int:
         pushed = int(degrees[joins].sum())
         pending -= pushed
         if pushed < pending:
-            np.add.at(counts, _row_entries(g, joins)[0], 1)
+            _add_neighbor_counts(g, joins, counts)
             joins = np.flatnonzero((counts >= r) & ~infected)
         else:
             # nonempty rows only: reduceat gives an empty row the next row's first entry
             rest = np.flatnonzero(~infected[1:] & (degrees[1:] > 0)) + 1
-            entries, lens = _row_entries(g, rest)
-            hits = infected[entries]
-            del entries
-            counts[rest] = np.add.reduceat(hits, np.cumsum(lens) - lens)
+            for block in _row_blocks(g, rest):
+                entries, lens = _row_entries(g, block)
+                counts[block] = np.add.reduceat(infected[entries], np.cumsum(lens) - lens)
             joins = rest[counts[rest] >= r]
     return generations
 

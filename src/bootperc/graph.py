@@ -66,27 +66,57 @@ def from_edges(n: int, edges) -> ExplicitGraph:
     return ExplicitGraph(n=n, indptr=indptr, indices=dst)
 
 
-def _geometric_gaps(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
+# entries of scratch per pass over edge-sized data: the sampler's casts and
+# row constants, and the rows that the neighbour counts and the closure read
+_BLOCK = 1 << 16
+
+
+def _spans(ends: np.ndarray):
+    """Items 0..k-1 with running totals ``ends``, in consecutive runs
+    (lo, hi) of about ``_BLOCK`` in total each, one item at least; a
+    single run, empty when k = 0, when the total fits in one block."""
+    lo = 0
+    for hi in np.searchsorted(ends, np.arange(_BLOCK, ends[-1] if len(ends) else 0, _BLOCK)).tolist():
+        if hi > lo:
+            yield lo, hi
+            lo = hi
+    yield lo, len(ends)
+
+
+def _geometric_gaps(rng: np.random.Generator, p: float, size: int, out=None) -> np.ndarray:
     """``rng.geometric(p, size)`` capped at 2^62, with the same generator
-    state after: below p = 1/3 numpy inverts one standard exponential per
-    draw, ceil(E / -log1p(-p)), done here in bulk in one buffer.  2^62
-    passes every pair index and keeps the running sum from wrapping first."""
+    state after, in ``out`` (int64, ``size`` entries) when given.  Below
+    p = 1/3 numpy inverts one standard exponential per draw,
+    ceil(E / -log1p(-p)), done here in bulk in the output's own buffer and
+    cast back one block at a time: numpy copies an aliased input of another
+    dtype whole.  At or above it, numpy's own draws, one block at a time.
+    2^62 passes every pair index and keeps the running sum from wrapping
+    first."""
+    gaps = np.empty(size, dtype=np.int64) if out is None else out
+    blocks = [slice(lo, min(lo + _BLOCK, size)) for lo in range(0, size, _BLOCK)]
     if p >= 1.0 / 3.0:
-        return rng.geometric(p, size=size)
-    gaps = np.empty(size, dtype=np.int64)
+        for block in blocks:
+            gaps[block] = rng.geometric(p, size=block.stop - block.start)
+        return gaps
     draws = gaps.view(np.float64)
     rng.standard_exponential(out=draws)
     draws /= -math.log1p(-p)
     np.minimum(draws, 2.0**62, out=draws)
-    np.ceil(draws, out=gaps, casting="unsafe")  # in place, element by element
+    for block in blocks:
+        gaps[block] = np.ceil(draws[block])
     return gaps
 
 
 def _sample_edge_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Linearised indices of present pairs via geometric skips, ascending.
+    """Linearised indices of present pairs via geometric skips, ascending:
+    the int64 view of the first e entries of a uint64 buffer of at least
+    2e (its ``base``), in which :func:`sample_gnp_with` builds the keys.
 
     Expected work is proportional to the edge count: the gap to the next
-    present pair is geometric with success probability p.
+    present pair is geometric with success probability p.  The first
+    chunk, of mean + 4 sd gaps, is drawn straight into the front half of
+    the buffer; in the rare case that it ends short of the last pair, the
+    later chunks are drawn apart and the buffer grows once, at the end.
     """
     total = n * (n - 1) // 2
     chunks = []
@@ -94,7 +124,9 @@ def _sample_edge_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarr
     mean_left = total * p
     while True:
         size = max(64, int(mean_left + 4.0 * math.sqrt(mean_left + 1.0)))
-        idxs = _geometric_gaps(rng, p, size)
+        if not chunks:
+            keys = np.empty(2 * size, dtype=np.uint64)
+        idxs = _geometric_gaps(rng, p, size, out=None if chunks else keys[:size].view(np.int64))
         np.cumsum(idxs, out=idxs)
         idxs += pos
         # the sum may wrap once past total < 2^62: scan, do not bisect, for the end
@@ -106,7 +138,11 @@ def _sample_edge_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarr
             break
         pos = int(idxs[-1])
         mean_left = (total - pos) * p
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    e = sum(map(len, chunks))
+    if len(chunks) > 1:
+        keys = np.empty(2 * e, dtype=np.uint64)
+        np.concatenate(chunks, out=keys[:e].view(np.int64))
+    return keys[:e].view(np.int64)
 
 
 def _row_start(u, n: int):
@@ -145,15 +181,21 @@ def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> ExplicitGraph
     exact row starts off(u - 1) and off(u): with more pairs than rows, a
     ``searchsorted`` of the n + 1 row starts gives every upper degree,
     and ``repeat`` spreads each row's :func:`_upper_key_offset` over its
-    pairs; with fewer, :func:`_pair_rows` finds each row.  Adding it makes
-    each pair index its uint64 upper key (u << s) | v, s = n.bit_length().  The lower keys (v << s) | u, whose v's
-    give the lower degrees, and then the upper keys fill one buffer over
-    both copies of every edge, and the pair indices are freed.  The upper
-    keys already ascend, so only the lower ones are sorted, and a stable
-    sort (timsort) merges the two runs.  The graph holds 16 bytes per
-    edge, and building it peaks at 24 plus O(n).  n is at most
-    ``MAX_N`` = 3037000498 (where indptr alone takes 24 GB); a larger n
-    raises ValueError before anything is drawn.
+    pairs, one block of rows of about 2^16 pairs at a time; with fewer,
+    :func:`_pair_rows` finds each row.  The pair indices are drawn into
+    the front of one uint64 buffer over both copies of every edge (see
+    :func:`_sample_edge_indices`), and adding the offset makes each, in
+    place, its upper key (u << s) | v, s = n.bit_length().  The lower
+    keys (v << s) | u, whose v's give the lower degrees, fill the next e
+    entries, u shifted out of the upper keys one block at a time.  The
+    upper keys already ascend, so only the lower ones are sorted, and a
+    stable sort (timsort) merges the two runs; ``indices`` is the first
+    2e entries of the buffer.  The graph holds 16 bytes per edge.  Beside
+    the buffer, the dense branch takes O(n) and one block of scratch (the
+    sparse one edge-sized temporaries to find the rows), and then the
+    merge takes its buffer, up to 8 bytes per edge, so building peaks at
+    24.  n is at most ``MAX_N`` = 3037000498 (where indptr alone takes
+    24 GB); a larger n raises ValueError before anything is drawn.
     """
     if not (1 <= n <= MAX_N):
         raise ValueError(f"n must lie in 1..{MAX_N}, got {n}")
@@ -163,32 +205,34 @@ def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> ExplicitGraph
         return from_edges(n, [])
     idxs = _sample_edge_indices(n, p, rng)
     e = len(idxs)
+    keys = idxs.base  # uint64: the upper keys take the first e entries, the lower ones the next e
+    upper, lower = keys[:e], keys[e : 2 * e]
     shift = n.bit_length()  # v < 2^shift <= 2^32, so a key fits in 64 bits
     indptr = np.zeros(n + 2, dtype=np.int64)  # u's degree sits at indptr[u + 1] until the cumsum
-    upper = idxs.view(np.uint64)  # each index becomes its upper key in place
     if e > n:
         rows = np.arange(1, n + 2, dtype=np.int64)
-        indptr[2:] = np.diff(np.searchsorted(idxs, _row_start(rows, n)))
-        upper += np.repeat(_upper_key_offset(rows[:-1], n, shift), indptr[2:])
+        bounds = np.searchsorted(idxs, _row_start(rows, n))  # row u's pairs: bounds[u - 1]..bounds[u]
+        indptr[2:] = np.diff(bounds)
+        offsets = _upper_key_offset(rows[:-1], n, shift)
+        for lo, hi in _spans(bounds[1:]):
+            upper[bounds[lo] : bounds[hi]] += np.repeat(offsets[lo:hi], indptr[lo + 2 : hi + 2])
+        del rows, bounds, offsets
     else:
         us = _pair_rows(idxs, n)
         indptr[1:] = np.bincount(us, minlength=n + 1)
         upper += _upper_key_offset(us, n, shift)
         del us
-    keys = np.empty(2 * e, dtype=np.uint64)
-    head, lower = keys[:e], keys[e:]
     np.bitwise_and(upper, (1 << shift) - 1, out=lower)  # v
     indptr[1:] += np.bincount(lower.view(np.int64), minlength=n + 1)
     np.cumsum(indptr, out=indptr)
     lower <<= shift
-    np.right_shift(upper, shift, out=head)  # u, until the upper keys move in
-    lower |= head
-    head[:] = upper
-    del idxs, upper
+    for lo in range(0, e, _BLOCK):
+        lower[lo : lo + _BLOCK] |= upper[lo : lo + _BLOCK] >> shift  # u
     lower.sort()
-    keys.sort(kind="stable")
-    keys &= (1 << shift) - 1
-    return ExplicitGraph(n=n, indptr=indptr, indices=keys.view(np.int64))
+    both = keys[: 2 * e]
+    both.sort(kind="stable")
+    both &= (1 << shift) - 1
+    return ExplicitGraph(n=n, indptr=indptr, indices=both.view(np.int64))
 
 
 def sample_gnp(n: int, p: float, seed: int) -> ExplicitGraph:
@@ -196,7 +240,8 @@ def sample_gnp(n: int, p: float, seed: int) -> ExplicitGraph:
     probability p.  Deterministic for fixed (n, p, seed).
 
     The graph takes 16 bytes per edge, plus 8 per vertex, and building it
-    peaks at 24 bytes per edge; as a rule of thumb keep n^2 p below 1e8.
+    peaks at 24 bytes per edge, when the stable sort's merge buffer sits
+    beside the keys; as a rule of thumb keep n^2 p below 1e8.
     """
     return sample_gnp_with(n, p, make_generator(seed))
 
@@ -226,10 +271,19 @@ def _row_entries(g: ExplicitGraph, vs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return g.indices[pos], lens
 
 
-def _neighbor_counts(g: ExplicitGraph, vs: np.ndarray) -> np.ndarray:
-    """Per-vertex count of neighbours among the distinct, in-range
-    vertices vs, indexed by vertex id."""
-    return np.bincount(_row_entries(g, vs)[0], minlength=g.n + 1)
+def _row_blocks(g: ExplicitGraph, vs: np.ndarray):
+    """vs in consecutive slices whose rows hold about ``_BLOCK`` entries
+    each; a single slice, all of vs, when its rows fit in one block."""
+    for lo, hi in _spans(np.cumsum(g.indptr[vs + 1] - g.indptr[vs])):
+        yield vs[lo:hi]
+
+
+def _add_neighbor_counts(g: ExplicitGraph, vs: np.ndarray, counts: np.ndarray) -> None:
+    """Add to ``counts``, indexed by vertex id, each vertex's number of
+    neighbours among the distinct, in-range vertices vs, reading their
+    rows one block at a time."""
+    for block in _row_blocks(g, vs):
+        np.add.at(counts, _row_entries(g, block)[0], 1)
 
 
 def largest_component(g: ExplicitGraph, subset=None) -> ComponentSummary:
@@ -286,4 +340,6 @@ def count_neighbors_in(g: ExplicitGraph, target_set) -> np.ndarray:
 
     Returns an array indexed by vertex id (entry 0 unused).
     """
-    return _neighbor_counts(g, np.flatnonzero(_vertex_mask(target_set, g.n, "target vertex")))
+    counts = np.zeros(g.n + 1, dtype=np.int64)
+    _add_neighbor_counts(g, np.flatnonzero(_vertex_mask(target_set, g.n, "target vertex")), counts)
+    return counts

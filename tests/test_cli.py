@@ -385,6 +385,21 @@ class TestGiantCommand:
         assert captured.out == ""
         assert message in captured.err
 
+    def test_out_of_memory_is_reported_as_such(self, capsys, monkeypatch):
+        # `giant --m 3037000498 --eps 1e-9` once ended in "internal error:
+        # Unable to allocate 11.3 GiB ..." on an 8 GB machine; the sampler
+        # raises here instead, so the test allocates nothing
+        from bootperc import graph
+
+        def sample_gnp(*_):
+            raise MemoryError("Unable to allocate 22.6 GiB for an array with shape (3037000498,)")
+
+        monkeypatch.setattr(graph, "sample_gnp", sample_gnp)
+        assert cli.main(["giant", "--m", "3037000498", "--eps", "1e-9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: Unable to allocate 22.6 GiB for an array with shape (3037000498,)\n"
+
     def test_tiny_eps(self, capsys):
         # rho ~ 2 eps is representable, so the fixed point must be found
         for eps in ("1e-20", "1e-300"):

@@ -1,11 +1,10 @@
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from bootperc import engine
+from bootperc import engine, graph
 from bootperc.engine import (
     CLASS_ALMOST,
     CLASS_CENSORED,
@@ -144,8 +143,10 @@ class TestPushPullClosure:
         pulls = []
 
         def counting_row_entries(graph, vs):
-            # a pull reads the rows of the uninfected vertices, `rest` in _close
-            if vs is sys._getframe(1).f_locals.get("rest"):
+            # a pull reads the rows of the uninfected vertices, `rest` in
+            # _close, one slice of it at a time
+            rest = sys._getframe(1).f_locals.get("rest")
+            if rest is not None and vs.base is rest:
                 pulls.append(len(vs))
             return row_entries(graph, vs)
 
@@ -215,6 +216,39 @@ class TestPushPullClosure:
         assert pulls  # the hub's row outweighs the leaves left
         (final, gens), _ = self.closure_and_pulls(monkeypatch, g, [1], 1)
         assert final == frozenset(range(1, m + 2)) and gens == 1
+
+
+class TestClosureBlocks:
+    """The closure reads its rows one block at a time."""
+
+    def test_small_blocks_keep_the_closure(self, monkeypatch):
+        # blocks of 7 entries split every push and pull into many calls;
+        # the final set and the generation count stay those of one block
+        rng = np.random.default_rng(23)
+        cases = []
+        for case in range(12):
+            n = int(rng.integers(100, 600))
+            g = sample_gnp(n, float(rng.uniform(1.5, 6.0)) / n, seed=int(rng.integers(0, 2**60)))
+            seeds = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n // 4)), replace=False).tolist()
+            cases.append((g, seeds, case % 2 + 1, run_direct(g, seeds, case % 2 + 1)))
+        monkeypatch.setattr(graph, "_BLOCK", 7)
+        for g, seeds, r, want in cases:
+            assert run_direct(g, seeds, r) == want == run_direct_per_edge(g, seeds, r)
+
+    def test_peak_above_the_graph(self, traced_peak):
+        # at the explicit_stages point, from {1..a}: beside the graph the
+        # closure takes the counts, the degrees and one generation's
+        # vertex lists (at most 32 B/vertex), and one block of rows at a
+        # time, its positions and entries (at most 24 B per entry of a
+        # block of about _BLOCK entries), however heavy a generation's rows
+        n, p = 50_000, 4e-4
+        g = sample_gnp_with(n, p, make_generator(1))
+        for a in (97, 200):
+            infected = np.zeros(n + 1, dtype=bool)
+            infected[1 : a + 1] = True
+            generations, peak = traced_peak(lambda: engine._close(g, infected, 2))
+            assert infected[1:].all() and generations > 2
+            assert peak <= 32 * n + 24 * graph._BLOCK, (a, peak)
 
 
 class TestRunProcess:
@@ -627,18 +661,13 @@ class TestImplicitWalk:
         trace = run_process(ImplicitSource(params, seed=0), SeedSpec.prefix(5), 2)
         assert trace.T == trace.final_size >= 5
 
-    def test_billion_vertices_in_the_window(self):
+    def test_billion_vertices_in_the_window(self, traced_peak):
         params = ProcessParams(n=10**9, p=1e-7, r=2)
         crit = critical_pair(params)
         src = ImplicitSource(params, seed=3)
-        tracemalloc.start()
-        try:
-            trace = run_process(
-                src, SeedSpec.prefix(round(crit.ac)), 2, TraceOptions(max_steps=crit.t0_int)
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        trace, peak = traced_peak(
+            lambda: run_process(src, SeedSpec.prefix(round(crit.ac)), 2, TraceOptions(max_steps=crit.t0_int))
+        )
         assert peak < 64 * 2**20
         steps = crit.t0_int if trace.T is None else trace.T
         assert len(trace.infected_sizes) == steps + 1

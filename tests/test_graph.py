@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,8 +116,16 @@ def pair_rank(u: int, v: int, n: int) -> int:
 
 def graph_of_pair_indices(monkeypatch, n: int, idxs) -> list[tuple[int, int]]:
     """The edges (u, v), u < v, of the graph that ``sample_gnp_with``
-    builds when the draws give the pair indices ``idxs``."""
-    monkeypatch.setattr(graph, "_sample_edge_indices", lambda *_: np.array(idxs, dtype=np.int64))
+    builds when the draws give the pair indices ``idxs``, handed over as
+    the sampler hands them: at the front of a key buffer of twice their
+    length."""
+
+    def draws(*_):
+        keys = np.zeros(2 * len(idxs), dtype=np.uint64)
+        keys[: len(idxs)] = idxs
+        return keys[: len(idxs)].view(np.int64)
+
+    monkeypatch.setattr(graph, "_sample_edge_indices", draws)
     g = sample_gnp_with(n, 0.5, make_generator(0))
     us = np.repeat(np.arange(n + 1), np.diff(g.indptr))
     upper = us < g.indices
@@ -153,6 +160,63 @@ class TestGapDraws:
                 got = _sample_edge_indices(n, p, got_rng)
                 assert np.array_equal(got, reference_edge_indices(n, p, ref_rng)), (n, p, seed)
                 assert got_rng.random() == ref_rng.random(), (n, p, seed)
+
+    def test_cast_peak_memory(self, traced_peak):
+        # 8 B per gap and one block of scratch: the float draws share the
+        # output's buffer, and each block is cast back on its own
+        size = 10**6
+        for p in (4e-4, 0.5):
+            gaps, peak = traced_peak(lambda: _geometric_gaps(make_generator(2), p, size))
+            assert len(gaps) == size and peak <= 8 * size + 16 * graph._BLOCK, (p, peak)
+
+    def test_blocks_leave_draws_unchanged(self, monkeypatch):
+        # blocks of 7 entries split every gap chunk, row block and lower
+        # key pass; the values and the generator state stay those of
+        # one block
+        cases = [(p, 5000) for p in GAP_PS] + [(3000, 0.2), (300, 0.5), (2000, 1e-3), (40, 1.0)]
+        want = [self.draw(case) for case in cases]
+        monkeypatch.setattr(graph, "_BLOCK", 7)
+        assert [self.draw(case) for case in cases] == want
+
+    @staticmethod
+    def draw(case):
+        rng = make_generator(5)
+        if isinstance(case[0], float):
+            out = _geometric_gaps(rng, *case)
+            return out.tolist(), rng.random()
+        g = sample_gnp_with(*case, rng)
+        return g.indptr.tolist(), g.indices.tolist(), rng.random()
+
+    def test_short_first_chunk_grows_the_buffer(self):
+        # a first chunk of all-ones gaps ends short of the last pair, so
+        # the later chunks are drawn apart and the buffer grows once, to
+        # twice the edges; the reference sees the same ones
+        class OnesFirst:
+            def __init__(self, seed):
+                self.rng, self.first = make_generator(seed), True
+
+            def standard_exponential(self, out):
+                if self.first:
+                    out[:] = 1e-300  # ceil(1e-300 / -log1p(-p)) = 1
+                else:
+                    self.rng.standard_exponential(out=out)
+                self.first = False
+
+            def geometric(self, p, size):
+                gaps = np.ones(size, dtype=np.int64) if self.first else self.rng.geometric(p, size=size)
+                self.first = False
+                return gaps
+
+        n, p = 2000, 0.01
+        for seed in range(3):
+            got_rng, ref_rng = OnesFirst(seed), OnesFirst(seed)
+            got = _sample_edge_indices(n, p, got_rng)
+            want = reference_edge_indices(n, p, ref_rng)
+            assert got[:100].tolist() == list(range(100)) and np.array_equal(got, want)
+            assert len(got.base) == 2 * len(got)
+            assert got_rng.rng.random() == ref_rng.rng.random()
+            g = sample_gnp_with(n, p, OnesFirst(seed))
+            assert g.neighbors(1).tolist()[:5] == [2, 3, 4, 5, 6] and g.edge_count == len(want)
 
     def test_tiny_p_graph(self):
         for seed in range(5):
@@ -280,24 +344,19 @@ class TestSampling:
             assert np.array_equal(g.indptr, indptr), (n, p, seed)
             assert np.array_equal(g.indices, indices), (n, p, seed)
 
-    def test_peak_memory_while_building(self):
-        # the graph holds 16 B/edge.  Building it, the pair indices turn
-        # into keys in place beside one edge-sized temporary, then meet the
-        # key buffer over both copies of every edge (8 + 16 B/edge) with no
-        # temporary; the row tables and indptr take at most 48 B/vertex.
-        # tracemalloc sees numpy's arrays but not the merge buffer of the
-        # stable sort, at most one half of the keys (8 B/edge), taken once
-        # the pair indices are freed.
+    def test_peak_memory_while_building(self, traced_peak):
+        # the pair indices are drawn into the front of the key buffer over
+        # both copies of every edge (16 B/edge, and 4 sd of spare draws)
+        # and become the keys in place; beside it the dense branch takes
+        # the row tables and indptr (at most 48 B/vertex) and blocks of
+        # scratch.  tracemalloc does not see the merge buffer of the
+        # stable sort, at most one half of the keys (8 B/edge), taken
+        # once they are built.
         n, p = 50_000, 4e-4
         sample_gnp_with(n, p, make_generator(0))
-        tracemalloc.start()
-        try:
-            g = sample_gnp_with(n, p, make_generator(1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        g, peak = traced_peak(lambda: sample_gnp_with(n, p, make_generator(1)))
         assert g.edge_count > n  # the dense branch: row constants by repeat
-        assert peak <= 24 * g.edge_count + 48 * n, peak
+        assert peak <= 16 * g.edge_count + 48 * n + 16 * graph._BLOCK, peak
 
     def test_n_bound_checked_before_drawing(self):
         assert MAX_N == 3_037_000_498 and (MAX_N + 1) ** 2 < 2**63 <= (MAX_N + 2) ** 2
@@ -448,17 +507,12 @@ class TestComponents:
 
 
 class TestRowEntries:
-    def test_rows_and_peak_memory(self):
+    def test_rows_and_peak_memory(self, traced_peak):
         # the positions and the gathered entries, 8 B each, plus the
         # starts, lengths and offsets of the rows
         g = sample_gnp(50_000, 4e-4, seed=3)
         vs = np.arange(1, 20_001)
-        tracemalloc.start()
-        try:
-            entries, lens = graph._row_entries(g, vs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (entries, lens), peak = traced_peak(lambda: graph._row_entries(g, vs))
         assert peak <= 2 * 8 * len(entries) + 64 * len(vs), peak
         assert np.array_equal(lens, np.diff(g.indptr)[vs])
         assert np.array_equal(entries, g.indices[g.indptr[1] : g.indptr[20_001]])
