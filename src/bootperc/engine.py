@@ -24,11 +24,12 @@ Two interchangeable forms of the same process:
   implicit G(n,p) (an :class:`ImplicitSource`) the process is not
   stepped at all: an uninfected vertex meets one fresh Bernoulli(p) pair
   per step, so infection steps are i.i.d. r-th success times (the
-  reduction of Janson, Luczak, Turova and Vallier), and the engine walks
-  them in blocks.  An implicit run keeps counts only, no per-vertex
-  state: it reports the final size but neither the examination order
-  nor the final set.  A capped or subcritical implicit run does no O(n)
-  work, which is what lets n reach 10^9 in the critical window.
+  reduction of Janson, Luczak, Turova and Vallier), walked in blocks on
+  plain inputs (generator, n, p, a, r, step cap, size horizon): every
+  block's count, then the recorded blocks' steps from one draw.  An
+  implicit run keeps counts only: it reports the final size but neither
+  the examination order nor the final set.  Capped or subcritical, it
+  does no O(n) work, which is what lets n reach 10^9 in the critical window.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .graph import ExplicitGraph, _add_neighbor_counts, _row_blocks, _row_entries, _vertex_mask
+from .graph import _BLOCK, ExplicitGraph, _add_neighbor_counts, _row_blocks, _row_entries, _vertex_mask
 from .rng import make_generator
 from .thresholds import DegenerateRegime, ProcessParams, log_binom_lower
 
@@ -195,14 +197,16 @@ def run_process(
     n, a = source.n, seed.a
     if a > n:
         raise ValueError(f"seed count a={a} outside 0..{n}")
+    horizon = n if opts.size_horizon is None else opts.size_horizon  # a run has at most n steps
     if isinstance(source, ImplicitSource):
         if r != source.params.r:
             raise ValueError(f"r={r} differs from the implicit source's r={source.params.r}")
-        steps, sizes, final_size = _walk_infection_times(source, a, r, opts)
+        cap = n if opts.max_steps is None else opts.max_steps
+        steps, sizes, final_size = _walk_infection_times(source.rng, n, source.params.p, a, r, cap, horizon)
         final_infected = examined = None
         draws = steps * n - steps * (steps + 1) // 2
     else:
-        steps, sizes, final_infected, examined = _examine_graph(source, a, r, opts)
+        steps, sizes, final_infected, examined = _examine_graph(source, a, r, opts.max_steps, horizon)
         final_size, draws = len(final_infected), 0
     censored = final_size > steps
     if censored:
@@ -225,14 +229,14 @@ def run_process(
     )
 
 
-def _examine_graph(g: ExplicitGraph, a: int, r: int, opts: TraceOptions):
+def _examine_graph(g: ExplicitGraph, a: int, r: int, max_steps: int | None, horizon: int):
     """The process on a materialised graph, one examined vertex per step.
 
-    An uncapped run with a size horizon steps only until it has recorded
-    |A(t)| up to the horizon, then finishes with :func:`_close` on A(t):
-    closure(A(t)) = closure({1..a}), and an uncapped run stops at
-    T = |final set|.  A capped run steps to its cap, since the set
-    infected at the cap depends on the order.
+    An uncapped run steps only until it has recorded |A(t)| up to the
+    horizon, then finishes with :func:`_close` on A(t): closure(A(t)) =
+    closure({1..a}), and an uncapped run stops at T = |final set|.  A
+    capped run steps to its cap, since the set infected at the cap
+    depends on the order.
 
     Returns (steps taken, recorded sizes, sorted final infected ids,
     examination order of the steps taken).
@@ -245,15 +249,13 @@ def _examine_graph(g: ExplicitGraph, a: int, r: int, opts: TraceOptions):
     heap = list(range(1, a + 1))  # already sorted, a valid min-heap
 
     examined_order: list[int] = []
-    horizon = opts.size_horizon
-    max_steps = opts.max_steps
     stop = horizon if max_steps is None else max_steps
     sizes = [a]
     infected_count = a
     t = 0
     heappop, heappush = heapq.heappop, heapq.heappush
 
-    while heap and (stop is None or t < stop):
+    while heap and t < stop:
         u = heappop(heap)
         t += 1
         examined_order.append(u)
@@ -266,19 +268,20 @@ def _examine_graph(g: ExplicitGraph, a: int, r: int, opts: TraceOptions):
                 infected_count += 1
                 heappush(heap, v)
 
-        if horizon is None or t <= horizon:
+        if t <= horizon:
             sizes.append(infected_count)
 
     final_mask = np.frombuffer(infected, dtype=bool)
     if heap and max_steps is None:
         _close(g, final_mask, r)
         t = int(np.count_nonzero(final_mask))
-    final = np.flatnonzero(final_mask).astype(np.int64)
+    final = np.flatnonzero(final_mask).astype(np.int64, copy=False)
     return t, sizes, final, np.array(examined_order, dtype=np.int64)
 
 
-def _walk_infection_times(source: ImplicitSource, a: int, r: int, opts: TraceOptions):
-    """The implicit process as a walk over infection times.
+def _walk_infection_times(rng: np.random.Generator, n: int, p: float, a: int, r: int, cap: int, horizon: int):
+    """The implicit process on G(n,p) from a seeds, walked for at most
+    ``cap`` steps; |A(t)| is recorded for t <= ``horizon``.
 
     While a non-seed is uninfected it meets one fresh Bernoulli(p) pair per
     step, so its infection step is an i.i.d. r-th success time Y and
@@ -286,20 +289,16 @@ def _walk_infection_times(source: ImplicitSource, a: int, r: int, opts: TraceOpt
     step |A(H)|, so the walk jumps from H to H' = min(|A(H)|, cap) and
     draws the infections in (H, H'] as one binomial over the uninfected
     non-seeds, each of which survives to step s with P[Bin(s, p) < r].
-    The walk draws every block's count first; only then does it draw (by
-    inverse CDF) the infection steps of the blocks that start before the
-    size horizon, in block order.  Given the counts, each block's steps
-    are independent of the later counts, so the law is that of the
-    process, and T, the final size and the common prefix of the size
-    record are the same whatever the horizon.
+    The walk draws every block's count first and only then, from one
+    ``rng.random`` call, the infection steps of the blocks that start
+    before the horizon, by inverse CDF.  Given the counts, each block's
+    steps are independent of the later counts: the law is the process's,
+    and the horizon changes only how long the record is.
 
     Returns (steps taken, recorded sizes, final size).
     """
-    rng, p = source.rng, source.params.p
-    cap = source.n if opts.max_steps is None else opts.max_steps
-    timed_until = source.n if opts.size_horizon is None else opts.size_horizon
-    live = source.n - a  # uninfected non-seeds
-    blocks: list[tuple[int, np.ndarray, int]] = []  # (h, log survivals, m) of timed blocks
+    live = n - a  # uninfected non-seeds
+    blocks: list[tuple[int, np.ndarray, int]] = []  # (h, P[Y <= s | Y > h] for s in (h, h2], m)
     h, size = 0, a
     while size > h and h < cap:
         h2 = min(size, cap)
@@ -307,29 +306,26 @@ def _walk_infection_times(source: ImplicitSource, a: int, r: int, opts: TraceOpt
             # survival to each step of the block when its steps are drawn,
             # else to its two ends only; log_binom_lower is elementwise, so
             # the ends, and with them the count, are the same either way
-            timed = h < timed_until
+            timed = h < horizon
             log_s = log_binom_lower(np.arange(h, h2 + 1) if timed else np.array([h, h2]), p, r)
             # a survival cannot rise, so a positive ratio is rounding
             m = int(rng.binomial(live, -math.expm1(min(0.0, log_s[-1] - log_s[0]))))
             if m and timed:
-                blocks.append((h, log_s, m))
+                blocks.append((h, -np.expm1(log_s[1:] - log_s[0]), m))
             live -= m
             size += m
         h = h2
-    last = h if opts.size_horizon is None else min(h, opts.size_horizon)
-    steps_drawn = [_infection_steps(rng, h, log_s, m) for h, log_s, m in blocks]
-    drawn = np.concatenate(steps_drawn) if steps_drawn else np.empty(0, dtype=np.int64)
+    # each block's m steps, from its slice of one draw
+    u = rng.random(sum(m for _, _, m in blocks))
+    drawn, lo = np.empty(len(u), dtype=np.int64), 0
+    for h0, cdf, m in blocks:
+        keys = u[lo : lo + m] * cdf[-1]
+        keys.sort()  # sorted keys make the search cache-friendly: half the time in a long block
+        drawn[lo : lo + m] = h0 + 1 + np.minimum(np.searchsorted(cdf, keys, side="right"), len(cdf) - 1)
+        lo += m
+    last = min(h, horizon)
     sizes = a + np.cumsum(np.bincount(drawn, minlength=last + 1)[: last + 1])
     return h, sizes, size
-
-
-def _infection_steps(rng: np.random.Generator, h: int, log_s: np.ndarray, m: int) -> np.ndarray:
-    """m i.i.d. steps in (h, h2] with law P[Y = s | h < Y <= h2], from
-    the log survivals at h..h2."""
-    cdf = -np.expm1(log_s[1:] - log_s[0])  # P[Y <= s | Y > h], s = h+1..h2
-    u = rng.random(m) * cdf[-1]
-    u.sort()  # sorted keys make the search cache-friendly
-    return h + 1 + np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
 def martingale_series(trace: PercolationTrace, p: float) -> np.ndarray:
@@ -355,8 +351,9 @@ def martingale_series(trace: PercolationTrace, p: float) -> np.ndarray:
 
 def write_trace_csv(trace: PercolationTrace, p: float, path) -> None:
     """Trace export: columns t, infected_size, martingale_value."""
-    series = martingale_series(trace, p)
+    series, sizes = martingale_series(trace, p).tolist(), trace.infected_sizes.tolist()
     with open(path, "w") as fh:
         fh.write("t,infected_size,martingale_value\n")
-        for t, (size, m) in enumerate(zip(trace.infected_sizes.tolist(), series.tolist())):
-            fh.write(f"{t},{size},{m:.12g}\n")
+        for lo in range(0, len(sizes), _BLOCK):  # one % format per block of rows
+            rows = zip(range(lo, len(sizes)), sizes[lo : lo + _BLOCK], series[lo : lo + _BLOCK])
+            fh.write("%d,%d,%.12g\n" * min(_BLOCK, len(sizes) - lo) % tuple(chain.from_iterable(rows)))

@@ -24,6 +24,7 @@ from bootperc.thresholds import (
     ProcessParams,
     binom_tail_geq,
     critical_pair,
+    log_binom_lower,
     stage_predictions,
 )
 
@@ -52,6 +53,52 @@ def run_direct_per_edge(g, seed_set, r):
         infected[joins] = True
         frontier = joins
     return frozenset(np.flatnonzero(infected).tolist()), generations
+
+
+def walk_per_block(source, a, r, opts):
+    """The implicit walk as it was when it read an ``ImplicitSource`` and
+    ``TraceOptions`` and drew each timed block's steps with its own sorted
+    ``rng.random`` call.  The reference for the one-draw walk."""
+    rng, p = source.rng, source.params.p
+    cap = source.n if opts.max_steps is None else opts.max_steps
+    timed_until = source.n if opts.size_horizon is None else opts.size_horizon
+    live = source.n - a
+    blocks = []
+    h, size = 0, a
+    while size > h and h < cap:
+        h2 = min(size, cap)
+        if live:
+            timed = h < timed_until
+            log_s = log_binom_lower(np.arange(h, h2 + 1) if timed else np.array([h, h2]), p, r)
+            m = int(rng.binomial(live, -math.expm1(min(0.0, log_s[-1] - log_s[0]))))
+            if m and timed:
+                blocks.append((h, log_s, m))
+            live -= m
+            size += m
+        h = h2
+    last = h if opts.size_horizon is None else min(h, opts.size_horizon)
+    steps_drawn = [infection_steps_per_block(rng, h, log_s, m) for h, log_s, m in blocks]
+    drawn = np.concatenate(steps_drawn) if steps_drawn else np.empty(0, dtype=np.int64)
+    sizes = a + np.cumsum(np.bincount(drawn, minlength=last + 1)[: last + 1])
+    return h, sizes, size
+
+
+def infection_steps_per_block(rng, h, log_s, m):
+    """m i.i.d. steps in (h, h2] with law P[Y = s | h < Y <= h2], from
+    the log survivals at h..h2; one generator call per block."""
+    cdf = -np.expm1(log_s[1:] - log_s[0])
+    u = rng.random(m) * cdf[-1]
+    u.sort()
+    return h + 1 + np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+
+
+def write_trace_csv_per_row(trace, p, path):
+    """The trace export one formatted row at a time.  The reference."""
+    series = martingale_series(trace, p)
+    with open(path, "w") as fh:
+        fh.write("t,infected_size,martingale_value\n")
+        for t, (size, m) in enumerate(zip(trace.infected_sizes.tolist(), series.tolist())):
+            fh.write(f"{t},{size},{m:.12g}\n")
 
 
 def seeds_first(g, seeds):
@@ -498,6 +545,24 @@ class TestMartingale:
             got = martingale_series(trace, params.p)
             assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
 
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_csv_blocks_match_rows(self, tmp_path, monkeypatch, block):
+        # the block writer's bytes are the per-row writer's, on a trace
+        # that percolates and on one cut at its cap (T = None)
+        if block is not None:
+            monkeypatch.setattr(engine, "_BLOCK", block)
+        params = ProcessParams(n=50_000, p=4e-4, r=2)
+        percolating = run_process(ImplicitSource(params, seed=1), SeedSpec.prefix(120), 2)
+        capped = run_process(
+            ImplicitSource(params, seed=2), SeedSpec.prefix(100), 2, TraceOptions(max_steps=150)
+        )
+        assert percolating.classification == CLASS_ALMOST and len(percolating.infected_sizes) > 40_000
+        assert capped.T is None and len(capped.infected_sizes) == 151
+        for trace in (percolating, capped):
+            write_trace_csv(trace, params.p, tmp_path / "blocks.csv")
+            write_trace_csv_per_row(trace, params.p, tmp_path / "rows.csv")
+            assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
     def test_csv_export(self, tmp_path):
         params = ProcessParams(n=100, p=0.02, r=2)
         trace = run_process(ImplicitSource(params, seed=8), SeedSpec.prefix(5), 2)
@@ -672,3 +737,79 @@ class TestImplicitWalk:
         steps = crit.t0_int if trace.T is None else trace.T
         assert len(trace.infected_sizes) == steps + 1
         assert trace.bernoulli_draws == steps * params.n - steps * (steps + 1) // 2
+
+
+def reference_walk_cases():
+    """(params, a, opts, seed) for the walk-against-reference test: 750 runs."""
+    window = ProcessParams(n=10**6, p=1e-4, r=2)
+    crit = critical_pair(window)
+    for seed in range(200):
+        yield window, round(crit.ac), TraceOptions(max_steps=crit.t0_int), seed
+    for n, p, r in ((50_000, 4e-4, 2), (3000, 0.012, 3), (10**6, 1e-5, 3)):
+        params = ProcessParams(n=n, p=p, r=r)
+        crit = critical_pair(params)
+        spread = 2 * round(math.sqrt(crit.ac))
+        for a in (round(crit.ac) - spread, round(crit.ac) + spread):
+            for horizon in (None, 0, crit.tc):
+                # a whole record that percolates at n = 10^6 takes about 0.1 s a walk
+                seeds = 5 if horizon is None and n == 10**6 else 30
+                for seed in range(seeds):
+                    yield params, a, TraceOptions(size_horizon=horizon), seed
+    big = ProcessParams(n=10**9, p=1e-7, r=2)
+    crit = critical_pair(big)
+    spread = 2 * round(math.sqrt(crit.ac))
+    for a in (round(crit.ac) - spread, round(crit.ac) + spread):
+        for seed in range(30):
+            yield big, a, TraceOptions(size_horizon=0), seed
+
+
+class TestWalkAgainstReference:
+    def test_same_runs_and_generator_state(self):
+        runs, classes = 0, set()
+        for params, a, opts, seed in reference_walk_cases():
+            src, ref = ImplicitSource(params, seed=seed), ImplicitSource(params, seed=seed)
+            trace = run_process(src, SeedSpec.prefix(a), params.r, opts)
+            steps, sizes, final_size = walk_per_block(ref, a, params.r, opts)
+            case = (params, a, opts, seed)
+            assert trace.T == (None if final_size > steps else steps), case
+            assert trace.final_size == final_size, case
+            assert np.array_equal(trace.infected_sizes, sizes), case
+            assert src.rng.random() == ref.rng.random(), case
+            runs += 1
+            classes.add(trace.classification)
+        assert runs >= 700
+        assert classes == {CLASS_STOPPED, CLASS_ALMOST, CLASS_CENSORED}
+
+
+# bounds of the r = 1 comparison below: |z| <= Z_WALK for each of the two
+# means, and the two-sample KS distance within its asymptotic critical
+# value at level 1e-3, which is conservative for these discrete sizes
+KS_LEVEL = 1e-3
+
+
+class TestWalkAtR1:
+    """At r = 1 from one seed the walk is component exploration: the final
+    size of the walk on (m, p) has the law of vertex 1's component in
+    G(m, p), which lets the walk draw a component without sampling a graph."""
+
+    def test_final_size_is_the_component_of_vertex_1(self):
+        m, p, runs = 3000, 1.34 / 3000, 600
+        walk, component = np.empty(runs, dtype=np.int64), np.empty(runs, dtype=np.int64)
+        for s in range(runs):
+            # (rng, n, p, a, r, cap, horizon): a = r = 1, uncapped, no record
+            walk[s] = engine._walk_infection_times(make_generator(91, s), m, p, 1, 1, m, 0)[2]
+            g = sample_gnp_with(m, p, make_generator(92, s))
+            component[s] = run_process(g, SeedSpec.prefix(1), 1).final_size
+        giant = m // 10  # the small components of G(3000, 1.34/3000) stay far below it
+        z_share = two_sample_z(walk >= giant, component >= giant)
+        assert abs(z_share) <= Z_WALK, f"giant share z = {z_share:+.2f}"
+        z_small = two_sample_z(walk[walk < giant], component[component < giant])
+        assert abs(z_small) <= Z_WALK, f"mean small component z = {z_small:+.2f}"
+        xs, ys = np.sort(walk), np.sort(component)
+        grid = np.union1d(xs, ys)
+        ks = np.abs(np.searchsorted(xs, grid, "right") - np.searchsorted(ys, grid, "right")).max() / runs
+        ks_bound = math.sqrt(-math.log(KS_LEVEL / 2) / 2) * math.sqrt(2 / runs)
+        assert ks <= ks_bound, f"KS distance {ks:.3f} > {ks_bound:.3f}"
+        # each side has both a giant and small components
+        for sizes in (walk, component):
+            assert 0.3 < np.mean(sizes >= giant) < 0.7
