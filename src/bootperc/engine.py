@@ -15,10 +15,10 @@ Two interchangeable forms of the same process:
   counter reaches r.  The run stops at the first step T where the
   examined set has caught the infected set.  On an explicit graph (an
   :class:`ExplicitGraph`) the edges are read one examined vertex at a
-  time, as a row of its CSR arrays.  The examination order only matters
-  for what a run records (|A(t)| up to its size horizon, and the order,
-  which the stages read); the final set is the r-closure of the seeds
-  whatever the order.  So an uncapped explicit run with a size horizon
+  time, as its lower and then its upper half row.  The examination order
+  only matters for what a run records (|A(t)| up to its size horizon, and
+  the order, which the stages read); the final set is the r-closure of
+  the seeds whatever the order.  So an uncapped explicit run with a size horizon
   steps only through its recorded window and then finishes with the
   generation sweep of :func:`run_direct`, started from A(t).  On an
   implicit G(n,p) (an :class:`ImplicitSource`) the process is not
@@ -163,7 +163,8 @@ def _close(g: ExplicitGraph, infected: np.ndarray, r: int) -> int:
     counts = np.zeros(g.n + 1, dtype=np.int64)
     _add_neighbor_counts(g, np.flatnonzero(infected), counts)
     joins = np.flatnonzero((counts >= r) & ~infected)
-    degrees = np.diff(g.indptr)
+    degrees = np.diff(g.indptr[: g.n + 2])  # the upper halves' lengths, then the lower ones' added
+    degrees += np.diff(g.indptr[g.n + 1 :])
     # degree sum of the uninfected vertices: all rows less the counted ones
     pending = int(g.indptr[-1]) - int(counts.sum())
     generations = 0
@@ -242,6 +243,7 @@ def _examine_graph(g: ExplicitGraph, a: int, r: int, max_steps: int | None, hori
     examination order of the steps taken).
     """
     n, indptr, indices = g.n, g.indptr, g.indices
+    low = indptr[n + 1 :]  # u's lower half row starts at low[u]
     # hot loop works on plain lists and bytearrays; numpy only for rows
     infected = bytearray(n + 1)
     infected[1 : a + 1] = b"\x01" * a
@@ -260,7 +262,7 @@ def _examine_graph(g: ExplicitGraph, a: int, r: int, max_steps: int | None, hori
         t += 1
         examined_order.append(u)
         # an examined v is infected, so its counter is counted on but never read
-        for v in indices[indptr[u] : indptr[u + 1]].tolist():
+        for v in indices[low[u] : low[u + 1]].tolist() + indices[indptr[u] : indptr[u + 1]].tolist():
             c = counters[v] + 1
             counters[v] = c
             if c == r and not infected[v]:
@@ -271,6 +273,7 @@ def _examine_graph(g: ExplicitGraph, a: int, r: int, max_steps: int | None, hori
         if t <= horizon:
             sizes.append(infected_count)
 
+    del counters  # the closure counts afresh; freed before it allocates
     final_mask = np.frombuffer(infected, dtype=bool)
     if heap and max_steps is None:
         _close(g, final_mask, r)
@@ -298,16 +301,20 @@ def _walk_infection_times(rng: np.random.Generator, n: int, p: float, a: int, r:
     Returns (steps taken, recorded sizes, final size).
     """
     live = n - a  # uninfected non-seeds
-    blocks: list[tuple[int, np.ndarray, int]] = []  # (h, P[Y <= s | Y > h] for s in (h, h2], m)
+    # (h, P[Y <= s | Y > h] for s in (h, min(h2, horizon)] and at h2, m)
+    blocks: list[tuple[int, np.ndarray, int]] = []
     h, size = 0, a
     while size > h and h < cap:
         h2 = min(size, cap)
         if live:
-            # survival to each step of the block when its steps are drawn,
-            # else to its two ends only; log_binom_lower is elementwise, so
-            # the ends, and with them the count, are the same either way
+            # survival to each step of the block up to the horizon when its
+            # steps are drawn, and to its end; log_binom_lower is elementwise,
+            # so the ends, and with them the count, are the same either way
             timed = h < horizon
-            log_s = log_binom_lower(np.arange(h, h2 + 1) if timed else np.array([h, h2]), p, r)
+            steps = np.arange(h, min(h2, horizon) + 1) if timed else np.array([h, h2])
+            if timed and h2 > horizon:
+                steps = np.append(steps, h2)
+            log_s = log_binom_lower(steps, p, r)
             # a survival cannot rise, so a positive ratio is rounding
             m = int(rng.binomial(live, -math.expm1(min(0.0, log_s[-1] - log_s[0]))))
             if m and timed:
@@ -315,7 +322,9 @@ def _walk_infection_times(rng: np.random.Generator, n: int, p: float, a: int, r:
             live -= m
             size += m
         h = h2
-    # each block's m steps, from its slice of one draw
+    # each block's m steps, from its slice of one draw; a block cut at the
+    # horizon ends its cdf with its end h2, so a key past the horizon
+    # lands after it and is not recorded
     u = rng.random(sum(m for _, _, m in blocks))
     drawn, lo = np.empty(len(u), dtype=np.int64), 0
     for h0, cdf, m in blocks:

@@ -1,7 +1,8 @@
 """Materialised G(n,p) sampling and component analysis.
 
-A graph is held in compressed sparse row (CSR) form: two int64 arrays,
-``indptr`` and ``indices``, with 1-based vertices.  Graphs are immutable
+A graph is held in half rows: two int64 arrays, ``indptr`` and
+``indices``, with 1-based vertices, where each vertex's row is split at
+the vertex itself (see :class:`ExplicitGraph`).  Graphs are immutable
 after construction; all read operations are safe to call concurrently.
 
 G(n,p) is drawn by geometric skips over the C(n,2) pair indices, each
@@ -20,18 +21,25 @@ from .rng import make_generator
 
 @dataclass(frozen=True)
 class ExplicitGraph:
-    """CSR graph on vertices 1..n: the neighbours of u are
-    ``indices[indptr[u]:indptr[u + 1]]``, and row 0 is empty.
+    """Graph on vertices 1..n in 2n + 2 half rows: half row k is
+    ``indices[indptr[k]:indptr[k + 1]]``.  Half row u, for u = 0..n, is
+    u's upper half, its neighbours above u; half row n + 1 + u is its
+    lower half, its neighbours below u.  So ``indices`` holds every upper
+    half in row order, then every lower half, and each edge u < v appears
+    once in each: v in u's upper half, u in v's lower half.  Vertex 0 has
+    no neighbours.
 
-    Rows are sorted ascending, symmetric, loop-free and duplicate-free.
+    Each half ascends, so a row, the lower half then the upper, ascends;
+    rows are symmetric, loop-free and duplicate-free.
     """
 
     n: int
-    indptr: np.ndarray  # int64, length n + 2
+    indptr: np.ndarray  # int64, length 2n + 3
     indices: np.ndarray  # int64, two entries per edge
 
     def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u] : self.indptr[u + 1]]
+        ptr, low = self.indptr, self.n + 1 + u
+        return np.concatenate((self.indices[ptr[low] : ptr[low + 1]], self.indices[ptr[u] : ptr[u + 1]]))
 
     @property
     def edge_count(self) -> int:
@@ -46,7 +54,7 @@ class ComponentSummary:
 
 
 def from_edges(n: int, edges) -> ExplicitGraph:
-    """Build a graph from (u, v) pairs; symmetrises and sorts."""
+    """Build a graph from (u, v) pairs, each edge once in either order."""
     pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
     us, vs = pairs[:, 0], pairs[:, 1]
     bad = (us == vs) | (us < 1) | (us > n) | (vs < 1) | (vs > n)
@@ -55,28 +63,34 @@ def from_edges(n: int, edges) -> ExplicitGraph:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         raise ValueError(f"edge ({u},{v}) outside 1..{n}")
-    src, dst = np.concatenate([us, vs]), np.concatenate([vs, us])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    dup = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]  # the upper halves
+    dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
     if dup.any():
-        raise ValueError(f"duplicate edge involving vertex {dst[np.argmax(dup) + 1]}")
-    indptr = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n + 1), out=indptr[1:])
-    return ExplicitGraph(n=n, indptr=indptr, indices=dst)
+        raise ValueError(f"duplicate edge involving vertex {hi[np.argmax(dup) + 1]}")
+    indptr = np.zeros(2 * n + 3, dtype=np.int64)
+    indptr[1 : n + 2] = np.bincount(lo, minlength=n + 1)
+    indptr[n + 2 :] = np.bincount(hi, minlength=n + 1)
+    np.cumsum(indptr, out=indptr)
+    # a stable sort by hi keeps each lower half ascending
+    return ExplicitGraph(n=n, indptr=indptr, indices=np.concatenate([hi, lo[np.argsort(hi, kind="stable")]]))
 
 
-# entries of scratch per pass over edge-sized data: the sampler's casts and
-# row constants, and the rows that the neighbour counts and the closure read
+# entries of scratch per pass over edge-sized data: the sampler's casts, row
+# constants, rows and lower keys, and the rows that the neighbour counts, the
+# components and the closure read
 _BLOCK = 1 << 16
 
 
 def _spans(ends: np.ndarray):
     """Items 0..k-1 with running totals ``ends``, in consecutive runs
-    (lo, hi) of about ``_BLOCK`` in total each, one item at least; a
-    single run, empty when k = 0, when the total fits in one block."""
+    (lo, hi) of at most ``_BLOCK`` items and about ``_BLOCK`` in total
+    each, one item at least; a single run, empty when k = 0, when both
+    fit in one block."""
+    cuts = np.searchsorted(ends, np.arange(_BLOCK, ends[-1] if len(ends) else 0, _BLOCK))
     lo = 0
-    for hi in np.searchsorted(ends, np.arange(_BLOCK, ends[-1] if len(ends) else 0, _BLOCK)).tolist():
+    for hi in np.sort(np.concatenate([cuts, np.arange(_BLOCK, len(ends), _BLOCK)])).tolist():
         if hi > lo:
             yield lo, hi
             lo = hi
@@ -116,7 +130,9 @@ def _sample_edge_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarr
     present pair is geometric with success probability p.  The first
     chunk, of mean + 4 sd gaps, is drawn straight into the front half of
     the buffer; in the rare case that it ends short of the last pair, the
-    later chunks are drawn apart and the buffer grows once, at the end.
+    later chunks are drawn apart and the buffer grows once, at the end,
+    by ``realloc``, which a large buffer's pages follow without a copy
+    beside them.
     """
     total = n * (n - 1) // 2
     chunks = []
@@ -140,8 +156,10 @@ def _sample_edge_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarr
         mean_left = (total - pos) * p
     e = sum(map(len, chunks))
     if len(chunks) > 1:
-        keys = np.empty(2 * e, dtype=np.uint64)
-        np.concatenate(chunks, out=keys[:e].view(np.int64))
+        later = np.concatenate(chunks[1:])
+        del chunks, idxs  # no view of the buffer may outlive its realloc
+        keys.resize(2 * e, refcheck=False)
+        keys[e - len(later) : e] = later
     return keys[:e].view(np.int64)
 
 
@@ -179,23 +197,26 @@ def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> ExplicitGraph
 
     Row u's upper neighbours are the ascending pair indices between the
     exact row starts off(u - 1) and off(u): with more pairs than rows, a
-    ``searchsorted`` of the n + 1 row starts gives every upper degree,
-    and ``repeat`` spreads each row's :func:`_upper_key_offset` over its
-    pairs, one block of rows of about 2^16 pairs at a time; with fewer,
-    :func:`_pair_rows` finds each row.  The pair indices are drawn into
-    the front of one uint64 buffer over both copies of every edge (see
+    ``searchsorted`` of the n + 1 row starts, one block of 2^16 rows at a
+    time, gives every upper half's start, and ``repeat`` spreads each
+    row's :func:`_upper_key_offset` over its pairs, one block of rows of
+    about 2^16 pairs at a time; with fewer, :func:`_pair_rows` finds the
+    rows, and ``np.add.at`` counts the upper degrees, one block of 2^16
+    pairs at a time.  The pair indices are drawn into the front of one
+    uint64 buffer over both copies of every edge (see
     :func:`_sample_edge_indices`), and adding the offset makes each, in
     place, its upper key (u << s) | v, s = n.bit_length().  The lower
-    keys (v << s) | u, whose v's give the lower degrees, fill the next e
-    entries, u shifted out of the upper keys one block at a time.  The
-    upper keys already ascend, so only the lower ones are sorted, and a
-    stable sort (timsort) merges the two runs; ``indices`` is the first
-    2e entries of the buffer.  The graph holds 16 bytes per edge.  Beside
-    the buffer, the dense branch takes O(n) and one block of scratch (the
-    sparse one edge-sized temporaries to find the rows), and then the
-    merge takes its buffer, up to 8 bytes per edge, so building peaks at
-    24.  n is at most ``MAX_N`` = 3037000498 (where indptr alone takes
-    24 GB); a larger n raises ValueError before anything is drawn.
+    keys (v << s) | u fill the next e entries one block at a time, as
+    ``np.add.at`` counts their v's, the lower degrees.  The upper keys
+    already ascend, row by row, and sorting the lower ones in place puts
+    them row by row too: the buffer is then the graph's upper halves
+    followed by its lower halves (see :class:`ExplicitGraph`), with no
+    merge, and ``indices`` is the low s bits of its first 2e entries.
+    The graph holds 16 bytes per edge and 16 per vertex; beside the
+    buffer, building takes O(n) and one block of scratch, so it peaks at
+    16 bytes per edge.  n is at most ``MAX_N`` = 3037000498 (where indptr
+    alone takes 48 GB); a larger n raises ValueError before anything is
+    drawn.
     """
     if not (1 <= n <= MAX_N):
         raise ValueError(f"n must lie in 1..{MAX_N}, got {n}")
@@ -208,29 +229,31 @@ def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> ExplicitGraph
     keys = idxs.base  # uint64: the upper keys take the first e entries, the lower ones the next e
     upper, lower = keys[:e], keys[e : 2 * e]
     shift = n.bit_length()  # v < 2^shift <= 2^32, so a key fits in 64 bits
-    indptr = np.zeros(n + 2, dtype=np.int64)  # u's degree sits at indptr[u + 1] until the cumsum
+    # half row k starts at indptr[k]: the dense branch writes the upper starts
+    # there, the rest are lengths at indptr[k + 1] until a cumsum
+    indptr = np.zeros(2 * n + 3, dtype=np.int64)
     if e > n:
-        rows = np.arange(1, n + 2, dtype=np.int64)
-        bounds = np.searchsorted(idxs, _row_start(rows, n))  # row u's pairs: bounds[u - 1]..bounds[u]
-        indptr[2:] = np.diff(bounds)
-        offsets = _upper_key_offset(rows[:-1], n, shift)
-        for lo, hi in _spans(bounds[1:]):
-            upper[bounds[lo] : bounds[hi]] += np.repeat(offsets[lo:hi], indptr[lo + 2 : hi + 2])
-        del rows, bounds, offsets
+        # upper half u starts at the first pair index at or past off(u - 1)
+        for lo in range(1, n + 2, _BLOCK):
+            rows = np.arange(lo, min(lo + _BLOCK, n + 2), dtype=np.int64)
+            indptr[rows] = np.searchsorted(idxs, _row_start(rows, n))
+        for lo, hi in _spans(indptr[2 : n + 2]):  # rows lo + 1..hi
+            offsets = _upper_key_offset(np.arange(lo + 1, hi + 1, dtype=np.int64), n, shift)
+            upper[indptr[lo + 1] : indptr[hi + 1]] += np.repeat(offsets, np.diff(indptr[lo + 1 : hi + 2]))
     else:
-        us = _pair_rows(idxs, n)
-        indptr[1:] = np.bincount(us, minlength=n + 1)
-        upper += _upper_key_offset(us, n, shift)
-        del us
-    np.bitwise_and(upper, (1 << shift) - 1, out=lower)  # v
-    indptr[1:] += np.bincount(lower.view(np.int64), minlength=n + 1)
-    np.cumsum(indptr, out=indptr)
-    lower <<= shift
+        for lo in range(0, e, _BLOCK):
+            us = _pair_rows(idxs[lo : lo + _BLOCK], n)
+            np.add.at(indptr[1:], us, 1)
+            upper[lo : lo + _BLOCK] += _upper_key_offset(us, n, shift)
+        np.cumsum(indptr[: n + 2], out=indptr[: n + 2])
     for lo in range(0, e, _BLOCK):
-        lower[lo : lo + _BLOCK] |= upper[lo : lo + _BLOCK] >> shift  # u
+        vs = np.bitwise_and(upper[lo : lo + _BLOCK], (1 << shift) - 1, out=lower[lo : lo + _BLOCK])
+        np.add.at(indptr[n + 2 :], vs.view(np.int64), 1)
+        vs <<= shift
+        vs |= upper[lo : lo + _BLOCK] >> shift  # u
+    np.cumsum(indptr[n + 1 :], out=indptr[n + 1 :])  # from indptr[n + 1] = e
     lower.sort()
     both = keys[: 2 * e]
-    both.sort(kind="stable")
     both &= (1 << shift) - 1
     return ExplicitGraph(n=n, indptr=indptr, indices=both.view(np.int64))
 
@@ -239,9 +262,9 @@ def sample_gnp(n: int, p: float, seed: int) -> ExplicitGraph:
     """G(n,p): every one of the C(n,2) pairs present independently with
     probability p.  Deterministic for fixed (n, p, seed).
 
-    The graph takes 16 bytes per edge, plus 8 per vertex, and building it
-    peaks at 24 bytes per edge, when the stable sort's merge buffer sits
-    beside the keys; as a rule of thumb keep n^2 p below 1e8.
+    The graph takes 16 bytes per edge, plus 16 per vertex, and building
+    it peaks at 16 bytes per edge, plus O(n) and one block of scratch; as
+    a rule of thumb keep n^2 p below 1e8.
     """
     return sample_gnp_with(n, p, make_generator(seed))
 
@@ -261,20 +284,36 @@ def _vertex_mask(vertices, n: int, label: str) -> np.ndarray:
     return mask
 
 
-def _row_entries(g: ExplicitGraph, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of the vertices vs, concatenated, and their lengths."""
-    starts = g.indptr[vs]
-    lens = g.indptr[vs + 1] - starts
-    # position of each entry: its row's start plus its rank within the row
+def _half_row_entries(g: ExplicitGraph, halves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The half rows ``halves``, concatenated, and their lengths."""
+    starts = g.indptr[halves]
+    lens = g.indptr[halves + 1] - starts
+    # position of each entry: its half row's start plus its rank within it
     pos = np.repeat(starts - (np.cumsum(lens) - lens), lens)
     pos += np.arange(len(pos))
     return g.indices[pos], lens
 
 
+def _row_entries(g: ExplicitGraph, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the vertices vs, each its lower half then its upper
+    half, concatenated, and their lengths."""
+    halves = np.repeat(vs, 2)
+    halves[::2] += g.n + 1
+    entries, lens = _half_row_entries(g, halves)
+    return entries, lens[::2] + lens[1::2]
+
+
+def _degrees(g: ExplicitGraph, vs: np.ndarray) -> np.ndarray:
+    """The degrees of the vertices vs: the lengths of their two halves."""
+    ptr, low = g.indptr, vs + (g.n + 1)
+    return ptr[vs + 1] - ptr[vs] + ptr[low + 1] - ptr[low]
+
+
 def _row_blocks(g: ExplicitGraph, vs: np.ndarray):
-    """vs in consecutive slices whose rows hold about ``_BLOCK`` entries
-    each; a single slice, all of vs, when its rows fit in one block."""
-    for lo, hi in _spans(np.cumsum(g.indptr[vs + 1] - g.indptr[vs])):
+    """vs in consecutive slices whose rows, both halves, hold about
+    ``_BLOCK`` entries each; a single slice, all of vs, when its rows fit
+    in one block."""
+    for lo, hi in _spans(np.cumsum(_degrees(g, vs))):
         yield vs[lo:hi]
 
 
@@ -304,21 +343,23 @@ def largest_component(g: ExplicitGraph, subset=None) -> ComponentSummary:
     verts = np.flatnonzero(inside)
     if not len(verts):
         return ComponentSummary(0, 0, verts)
-    # hook on local ids 0..k-1, which keep the order of the vertex ids
+    # hook on local ids 0..k-1, which keep the order of the vertex ids;
+    # each edge is read once, from its upper half, one block of rows at a time
     local = np.zeros(g.n + 1, dtype=np.int64)
     local[verts] = np.arange(len(verts))
-    ws, lens = _row_entries(g, verts)
-    us = np.repeat(verts, lens)
-    keep = (us < ws) & inside[ws]
-    us, ws = local[us[keep]], local[ws[keep]]
+    ends = g.indptr[verts + 1]  # the upper halves' lengths, then their running sums
+    ends -= g.indptr[verts]
+    us, ws = [], []
+    for lo, hi in _spans(np.cumsum(ends, out=ends)):
+        above, lens = _half_row_entries(g, verts[lo:hi])
+        keep = inside[above]
+        us.append(np.repeat(np.arange(lo, hi), lens)[keep])
+        ws.append(local[above[keep]])
+    del local, ends
+    us, ws = np.concatenate(us), np.concatenate(ws)
     root = np.arange(len(verts))
-    while True:
-        ru, rw = root[us], root[ws]
-        split = ru != rw
-        if not split.any():
-            break
-        # an edge inside one component stays inside it
-        us, ws, ru, rw = us[split], ws[split], ru[split], rw[split]
+    ru, rw = us, ws  # every vertex is its own root, so every edge joins two
+    while len(us):
         root[np.maximum(ru, rw)] = np.minimum(ru, rw)  # any smaller partner will do
         # jump only the labels that still move; a root never moves
         moving = np.flatnonzero(root[root] != root)
@@ -326,6 +367,10 @@ def largest_component(g: ExplicitGraph, subset=None) -> ComponentSummary:
             up = root[root[moving]]
             root[moving] = up
             moving = moving[root[up] != up]
+        ru, rw = root[us], root[ws]
+        # an edge inside one component stays inside it
+        split = ru != rw
+        us, ws, ru, rw = us[split], ws[split], ru[split], rw[split]
     sizes = np.bincount(root)
     best = int(np.argmax(sizes))  # the first maximum: smallest label
     return ComponentSummary(

@@ -27,6 +27,7 @@ from bootperc.thresholds import (
     log_binom_lower,
     stage_predictions,
 )
+from test_graph import upper_edges
 
 
 def run_direct_per_edge(g, seed_set, r):
@@ -111,9 +112,8 @@ def seeds_first(g, seeds):
     old = np.concatenate([[0], np.flatnonzero(is_seed), np.flatnonzero(~is_seed[1:]) + 1])
     new = np.empty_like(old)
     new[old] = np.arange(g.n + 1)
-    us = np.repeat(np.arange(g.n + 1), np.diff(g.indptr))
-    upper = us < g.indices
-    return from_edges(g.n, np.stack([new[us[upper]], new[g.indices[upper]]], axis=1)), old
+    us, vs = upper_edges(g)
+    return from_edges(g.n, np.stack([new[us], new[vs]], axis=1)), old
 
 
 def sampled_cases(seed, count):
@@ -245,7 +245,7 @@ class TestPushPullClosure:
         for case in range(30):
             n = int(rng.integers(100, 400))
             g = sample_gnp(n, 1.5 / n, seed=int(rng.integers(0, 2**60)))
-            assert (np.diff(g.indptr)[1:] == 0).any()
+            assert any(len(g.neighbors(v)) == 0 for v in range(1, n + 1))
             seeds = rng.choice(np.arange(1, n + 1), size=n // 3, replace=False).tolist()
             _, pulls = self.closure_and_pulls(monkeypatch, g, seeds, case % 2 + 1)
             pulled += len(pulls)
@@ -779,6 +779,38 @@ class TestWalkAgainstReference:
             classes.add(trace.classification)
         assert runs >= 700
         assert classes == {CLASS_STOPPED, CLASS_ALMOST, CLASS_CENSORED}
+
+    def test_block_cut_at_the_horizon(self, monkeypatch):
+        # a block that starts before the horizon and ends past it has its
+        # survival evaluated up to the horizon and at its end only, and
+        # the runs stay the reference's.  From a = 38096 = a_c + 2 sqrt(a_c)
+        # at (10^6, 10^-5, 3) the blocks cut at t_c = 59160 are short; the
+        # one cut at 250000 runs on to about 4.6e5
+        params = ProcessParams(n=10**6, p=1e-5, r=3)
+        a, tc = 38096, critical_pair(params).tc
+        evaluated = []
+
+        def recording(steps, p, r):
+            evaluated.append(np.array(steps))
+            return log_binom_lower(steps, p, r)
+
+        cuts = 0
+        for horizon, seeds in ((tc, 10), (250_000, 3)):
+            opts = TraceOptions(size_horizon=horizon)
+            for seed in range(seeds):
+                src, ref = ImplicitSource(params, seed=seed), ImplicitSource(params, seed=seed)
+                evaluated.clear()
+                monkeypatch.setattr(engine, "log_binom_lower", recording)
+                trace = run_process(src, SeedSpec.prefix(a), 3, opts)
+                monkeypatch.undo()
+                steps, sizes, final_size = walk_per_block(ref, a, 3, opts)
+                assert (trace.T, trace.final_size) == (steps, final_size), (horizon, seed)
+                assert np.array_equal(trace.infected_sizes, sizes), (horizon, seed)
+                assert src.rng.random() == ref.rng.random(), (horizon, seed)
+                # no step strictly inside a block is evaluated past the horizon
+                assert all((s[1:-1] <= horizon).all() for s in evaluated), (horizon, seed)
+                cuts += sum(s[0] < horizon < s[-1] for s in evaluated)
+        assert cuts >= 10
 
 
 # bounds of the r = 1 comparison below: |z| <= Z_WALK for each of the two

@@ -47,10 +47,18 @@ def bfs_components(g: ExplicitGraph, subset=None):
     return comps
 
 
+def upper_edges(g: ExplicitGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge once, as (u, v) with u < v, read from the upper half
+    rows in row order."""
+    us = np.repeat(np.arange(g.n + 1), np.diff(g.indptr[: g.n + 2]))
+    return us, g.indices[: len(us)]
+
+
 def scipy_components(g: ExplicitGraph, verts: np.ndarray) -> tuple[int, int]:
     """scipy oracle: (component count, largest size) of the subgraph
     induced on the sorted vertices ``verts``."""
-    adj = csr_matrix((np.ones(len(g.indices)), g.indices, g.indptr), shape=(g.n + 1, g.n + 1))
+    us, vs = upper_edges(g)
+    adj = csr_matrix((np.ones(len(us)), (us, vs)), shape=(g.n + 1, g.n + 1))
     count, labels = connected_components(adj[verts][:, verts], directed=False)
     return count, int(np.bincount(labels).max())
 
@@ -109,6 +117,19 @@ def reference_csr(n: int, p: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return indptr, dst
 
 
+def split_rows(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whole ascending CSR rows (``indptr`` of length n + 2) split into the
+    half rows of ``ExplicitGraph``: each row's entries above it, row by
+    row, then its entries below it, with the 2n + 3 half-row starts."""
+    n = len(indptr) - 2
+    src = np.repeat(np.arange(n + 1), np.diff(indptr))
+    above = indices > src
+    half = np.zeros(2 * n + 3, dtype=np.int64)
+    half[1 : n + 2] = np.bincount(src[above], minlength=n + 1)
+    half[n + 2 :] = np.bincount(src[~above], minlength=n + 1)
+    return np.cumsum(half), np.concatenate([indices[above], indices[~above]])
+
+
 def pair_rank(u: int, v: int, n: int) -> int:
     """0-based lexicographic index of the pair (u, v), in Python ints."""
     return (u - 1) * (2 * n - u) // 2 + (v - u - 1)
@@ -126,10 +147,8 @@ def graph_of_pair_indices(monkeypatch, n: int, idxs) -> list[tuple[int, int]]:
         return keys[: len(idxs)].view(np.int64)
 
     monkeypatch.setattr(graph, "_sample_edge_indices", draws)
-    g = sample_gnp_with(n, 0.5, make_generator(0))
-    us = np.repeat(np.arange(n + 1), np.diff(g.indptr))
-    upper = us < g.indices
-    return list(zip(us[upper].tolist(), g.indices[upper].tolist()))
+    us, vs = upper_edges(sample_gnp_with(n, 0.5, make_generator(0)))
+    return list(zip(us.tolist(), vs.tolist()))
 
 
 # p on both sides of 1/3, where numpy's geometric switches from the
@@ -187,10 +206,11 @@ class TestGapDraws:
         g = sample_gnp_with(*case, rng)
         return g.indptr.tolist(), g.indices.tolist(), rng.random()
 
-    def test_short_first_chunk_grows_the_buffer(self):
+    def test_short_first_chunk_grows_the_buffer(self, traced_peak):
         # a first chunk of all-ones gaps ends short of the last pair, so
-        # the later chunks are drawn apart and the buffer grows once, to
-        # twice the edges; the reference sees the same ones
+        # the later chunks are drawn apart and the buffer grows once, in
+        # place, to twice the edges: no second buffer sits beside the
+        # first.  The reference sees the same ones
         class OnesFirst:
             def __init__(self, seed):
                 self.rng, self.first = make_generator(seed), True
@@ -217,11 +237,19 @@ class TestGapDraws:
             assert got_rng.rng.random() == ref_rng.rng.random()
             g = sample_gnp_with(n, p, OnesFirst(seed))
             assert g.neighbors(1).tolist()[:5] == [2, 3, 4, 5, 6] and g.edge_count == len(want)
+        # at n = 6000 the growth against its bound: the buffer, 16 B per
+        # edge, beside the later chunks, drawn apart at 8 B per entry
+        n = 6000
+        mean = n * (n - 1) // 2 * p
+        first = int(mean + 4.0 * math.sqrt(mean + 1.0))
+        grown, peak = traced_peak(lambda: _sample_edge_indices(n, p, OnesFirst(0)))
+        assert grown[:first].tolist() == list(range(first)) and len(grown.base) == 2 * len(grown)
+        assert peak <= 16 * len(grown) + 8 * (len(grown) - first) + 16 * graph._BLOCK, peak
 
     def test_tiny_p_graph(self):
         for seed in range(5):
             g = sample_gnp_with(10**6, 1e-18, make_generator(seed))
-            assert g.edge_count == 0 and len(g.indptr) == 10**6 + 2
+            assert g.edge_count == 0 and len(g.indptr) == 2 * 10**6 + 3
 
 
 class TestUnrank:
@@ -308,7 +336,8 @@ class TestSampling:
     def test_structural_invariants(self):
         for seed in range(5):
             g = sample_gnp(400, 0.02, seed=seed)
-            assert len(g.indptr) == g.n + 2 and g.indptr[0] == g.indptr[1] == 0
+            assert len(g.indptr) == 2 * g.n + 3 and g.indptr[0] == g.indptr[1] == 0
+            assert g.indptr[g.n + 1] == g.indptr[g.n + 2] == g.edge_count  # n's upper half and 0's lower
             assert g.indptr[-1] == len(g.indices) == 2 * g.edge_count
             for u in range(1, g.n + 1):
                 lst = g.neighbors(u).tolist()
@@ -339,7 +368,8 @@ class TestSampling:
         cases += [(50_000, 4e-4, 3), (1_000_000, 1.2e-6, 4)]  # a dense and a sparse point
         for n, p, seed in cases:
             g = sample_gnp(n, p, seed=seed)
-            indptr, indices = reference_csr(n, p, seed)
+            # every row of the reference, split at its vertex
+            indptr, indices = split_rows(*reference_csr(n, p, seed))
             assert g.indptr.dtype == g.indices.dtype == np.int64
             assert np.array_equal(g.indptr, indptr), (n, p, seed)
             assert np.array_equal(g.indices, indices), (n, p, seed)
@@ -348,15 +378,42 @@ class TestSampling:
         # the pair indices are drawn into the front of the key buffer over
         # both copies of every edge (16 B/edge, and 4 sd of spare draws)
         # and become the keys in place; beside it the dense branch takes
-        # the row tables and indptr (at most 48 B/vertex) and blocks of
-        # scratch.  tracemalloc does not see the merge buffer of the
-        # stable sort, at most one half of the keys (8 B/edge), taken
-        # once they are built.
+        # indptr (16 B/vertex), its row starts (at most 48 B/vertex in
+        # all) and blocks of scratch.  The lower keys are sorted in place
+        # and nothing merges them, so no sort buffer hides from tracemalloc.
         n, p = 50_000, 4e-4
         sample_gnp_with(n, p, make_generator(0))
         g, peak = traced_peak(lambda: sample_gnp_with(n, p, make_generator(1)))
         assert g.edge_count > n  # the dense branch: row constants by repeat
         assert peak <= 16 * g.edge_count + 48 * n + 16 * graph._BLOCK, peak
+
+    def test_half_row_invariants(self):
+        # 2n + 3 half-row starts; each half ascends, the lower half below
+        # u and the upper above it, and each edge sits once in each, on
+        # sampled graphs of both branches and on from_edges graphs
+        rng = np.random.default_rng(11)
+        cases = [(1, 0.5, 0), (2, 1.0, 1), (40, 1.0, 2), (400, 0.02, 3), (3000, 2e-4, 4)]
+        graphs = [(sample_gnp(n, p, seed=seed), None) for n, p, seed in cases]
+        for case in range(20):
+            n = int(rng.integers(2, 60))
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            chosen = [pairs[k] for k in rng.permutation(len(pairs))[: int(rng.integers(0, len(pairs) + 1))]]
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in chosen]
+            graphs.append((from_edges(n, edges), sorted(chosen)))
+        for g, edges in graphs:
+            n, ptr = g.n, g.indptr
+            assert len(ptr) == 2 * n + 3 and ptr[0] == 0 and ptr[-1] == len(g.indices) == 2 * g.edge_count
+            assert (np.diff(ptr) >= 0).all() and ptr[n + 1] == g.edge_count
+            for u in range(n + 1):
+                upper = g.indices[ptr[u] : ptr[u + 1]].tolist()
+                lower = g.indices[ptr[n + 1 + u] : ptr[n + 2 + u]].tolist()
+                assert upper == sorted(set(upper)) and all(u < v <= n for v in upper), u
+                assert lower == sorted(set(lower)) and all(1 <= v < u for v in lower), u
+            us, vs = upper_edges(g)
+            upper = list(zip(us.tolist(), vs.tolist()))
+            lower_rows = np.repeat(np.arange(n + 1), np.diff(ptr[n + 1 :]))
+            assert sorted(zip(g.indices[g.edge_count :].tolist(), lower_rows.tolist())) == upper
+            assert edges is None or upper == edges
 
     def test_n_bound_checked_before_drawing(self):
         assert MAX_N == 3_037_000_498 and (MAX_N + 1) ** 2 < 2**63 <= (MAX_N + 2) ** 2
@@ -514,8 +571,9 @@ class TestRowEntries:
         vs = np.arange(1, 20_001)
         (entries, lens), peak = traced_peak(lambda: graph._row_entries(g, vs))
         assert peak <= 2 * 8 * len(entries) + 64 * len(vs), peak
-        assert np.array_equal(lens, np.diff(g.indptr)[vs])
-        assert np.array_equal(entries, g.indices[g.indptr[1] : g.indptr[20_001]])
+        rows = [g.neighbors(v) for v in vs.tolist()]
+        assert lens.tolist() == [len(row) for row in rows]
+        assert np.array_equal(entries, np.concatenate(rows))
         sub = np.array([5, 17, 17_000, 3])
         entries, lens = graph._row_entries(g, sub)
         assert entries.tolist() == sum((g.neighbors(v).tolist() for v in sub.tolist()), [])
