@@ -41,7 +41,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import _BLOCK, ExplicitGraph, _add_neighbor_counts, _row_blocks, _row_entries, _vertex_mask
+from .graph import _BLOCK, ExplicitGraph, _add_neighbor_counts, _row_entries, _spans, _vertex_mask
 from .rng import make_generator
 from .thresholds import DegenerateRegime, ProcessParams, log_binom_lower
 
@@ -160,11 +160,12 @@ def _close(g: ExplicitGraph, infected: np.ndarray, r: int) -> int:
     by one ``reduceat`` over the infected flags of the rows' entries.  Both
     read the rows one block of about 2^16 entries at a time, so beside the
     graph the closure takes O(n) plus that block, whatever the rows weigh."""
-    counts = np.zeros(g.n + 1, dtype=np.int64)
-    _add_neighbor_counts(g, np.flatnonzero(infected), counts)
-    joins = np.flatnonzero((counts >= r) & ~infected)
     degrees = np.diff(g.indptr[: g.n + 2])  # the upper halves' lengths, then the lower ones' added
     degrees += np.diff(g.indptr[g.n + 1 :])
+    counts = np.zeros(g.n + 1, dtype=np.int64)
+    joins = np.flatnonzero(infected)  # the seeds push first
+    _add_neighbor_counts(g, joins, np.cumsum(degrees[joins]), counts)
+    joins = np.flatnonzero((counts >= r) & ~infected)
     # degree sum of the uninfected vertices: all rows less the counted ones
     pending = int(g.indptr[-1]) - int(counts.sum())
     generations = 0
@@ -174,12 +175,13 @@ def _close(g: ExplicitGraph, infected: np.ndarray, r: int) -> int:
         pushed = int(degrees[joins].sum())
         pending -= pushed
         if pushed < pending:
-            _add_neighbor_counts(g, joins, counts)
+            _add_neighbor_counts(g, joins, np.cumsum(degrees[joins]), counts)
             joins = np.flatnonzero((counts >= r) & ~infected)
         else:
             # nonempty rows only: reduceat gives an empty row the next row's first entry
             rest = np.flatnonzero(~infected[1:] & (degrees[1:] > 0)) + 1
-            for block in _row_blocks(g, rest):
+            for lo, hi in _spans(np.cumsum(degrees[rest])):
+                block = rest[lo:hi]
                 entries, lens = _row_entries(g, block)
                 counts[block] = np.add.reduceat(infected[entries], np.cumsum(lens) - lens)
             joins = rest[counts[rest] >= r]

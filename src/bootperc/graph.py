@@ -55,7 +55,7 @@ class ComponentSummary:
 
 def from_edges(n: int, edges) -> ExplicitGraph:
     """Build a graph from (u, v) pairs, each edge once in either order."""
-    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    pairs = _integer_ids(edges, "edge vertex").reshape(-1, 2)
     us, vs = pairs[:, 0], pairs[:, 1]
     bad = (us == vs) | (us < 1) | (us > n) | (vs < 1) | (vs > n)
     if bad.any():
@@ -269,13 +269,18 @@ def sample_gnp(n: int, p: float, seed: int) -> ExplicitGraph:
     return sample_gnp_with(n, p, make_generator(seed))
 
 
+def _integer_ids(items, label: str) -> np.ndarray:
+    """Integer ids as int64; ValueError for floats, strings or bools, which a cast would misread."""
+    ids = np.asarray(items if isinstance(items, np.ndarray) else list(items))
+    if ids.size and ids.dtype.kind not in "iu":  # an empty list reads as float64
+        raise ValueError(f"{label} ids must be integers, got {ids.dtype}")
+    return ids.astype(np.int64, copy=False)
+
+
 def _vertex_mask(vertices, n: int, label: str) -> np.ndarray:
     """Boolean mask over ids 0..n of an iterable of vertices in 1..n; a
     mask rather than ``np.unique``, which takes about 0.9 s on 10^6 ids."""
-    if isinstance(vertices, np.ndarray):
-        ids = vertices.astype(np.int64, copy=False)
-    else:
-        ids = np.fromiter(vertices, dtype=np.int64)
+    ids = _integer_ids(vertices, label)
     bad = ids[(ids < 1) | (ids > n)]
     if len(bad):
         raise ValueError(f"{label} {bad[0]} outside 1..{n}")
@@ -309,20 +314,12 @@ def _degrees(g: ExplicitGraph, vs: np.ndarray) -> np.ndarray:
     return ptr[vs + 1] - ptr[vs] + ptr[low + 1] - ptr[low]
 
 
-def _row_blocks(g: ExplicitGraph, vs: np.ndarray):
-    """vs in consecutive slices whose rows, both halves, hold about
-    ``_BLOCK`` entries each; a single slice, all of vs, when its rows fit
-    in one block."""
-    for lo, hi in _spans(np.cumsum(_degrees(g, vs))):
-        yield vs[lo:hi]
-
-
-def _add_neighbor_counts(g: ExplicitGraph, vs: np.ndarray, counts: np.ndarray) -> None:
+def _add_neighbor_counts(g: ExplicitGraph, vs: np.ndarray, ends: np.ndarray, counts: np.ndarray) -> None:
     """Add to ``counts``, indexed by vertex id, each vertex's number of
     neighbours among the distinct, in-range vertices vs, reading their
-    rows one block at a time."""
-    for block in _row_blocks(g, vs):
-        np.add.at(counts, _row_entries(g, block)[0], 1)
+    rows in the blocks of ``ends``, the running sums of their degrees."""
+    for lo, hi in _spans(ends):
+        np.add.at(counts, _row_entries(g, vs[lo:hi])[0], 1)
 
 
 def largest_component(g: ExplicitGraph, subset=None) -> ComponentSummary:
@@ -386,5 +383,6 @@ def count_neighbors_in(g: ExplicitGraph, target_set) -> np.ndarray:
     Returns an array indexed by vertex id (entry 0 unused).
     """
     counts = np.zeros(g.n + 1, dtype=np.int64)
-    _add_neighbor_counts(g, np.flatnonzero(_vertex_mask(target_set, g.n, "target vertex")), counts)
+    vs = np.flatnonzero(_vertex_mask(target_set, g.n, "target vertex"))
+    _add_neighbor_counts(g, vs, np.cumsum(_degrees(g, vs)), counts)
     return counts

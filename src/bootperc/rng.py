@@ -9,6 +9,8 @@ first, last, or on another process.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -32,10 +34,15 @@ def _splitmix64(x: int) -> int:
 
 def derive_key(*parts: int) -> tuple[int, int]:
     """Fold integer parts in [0, 2^64) into a 128-bit key.
-    Order-sensitive; ValueError for a part outside that range, since a
-    wider part would alias a run of later ones."""
+    Order-sensitive; ValueError for any other part, since a wider part
+    would alias a run of later ones and a float or string the integer it
+    reads as."""
     h = 0
-    for part in map(int, parts):
+    for part in parts:
+        try:
+            part = operator.index(part)
+        except TypeError:
+            raise ValueError(f"stream key parts must be integers, got {part!r}") from None
         if part < 0:
             raise ValueError(f"stream key parts must be non-negative, got {part}")
         if part > _MASK64:

@@ -146,12 +146,12 @@ def bridge_and_expand(
 
     ``outside`` masks the vertex ids outside {0}, Z(t1) and the witness
     set; it is not modified.  C is drawn outside B-hat and counted against
-    the ceil(b1_target) smallest ids of B (all of B when it is smaller); D
-    is drawn outside B and C and counted against the first ceil(pred_c)
-    ids of C.
+    the first ceil(b1_target) ids of B, sorted as :func:`giant_in_qualified`
+    returns it (all of B when it is smaller); D is drawn outside B and C
+    and counted against the first ceil(pred_c) ids of C.
     """
     bridge = bool(count_neighbors_in(graph, witness)[b_component].any())
-    b1 = np.sort(b_component)[: math.ceil(pred.b1_target)]
+    b1 = b_component[: math.ceil(pred.b1_target)]
     pool = outside.copy()
     pool[bhat] = False
     c_set = np.flatnonzero(pool & (count_neighbors_in(graph, b1) >= r))
@@ -165,12 +165,12 @@ def bridge_and_expand(
 
 def _explicit_stages(graph: ExplicitGraph, trace: PercolationTrace, pred: StagePredictions) -> dict:
     """Stage sizes measured on the graph, from the state at t1; the witness
-    set W is the ceil(witness_target) smallest ids of A(t1) \\ Z(t1)."""
+    set W is the first ceil(witness_target) ids of A(t1) outside Z(t1)."""
     examined, counters, infected = state_at(graph, trace, pred.t1)
-    witness = np.setdiff1d(infected, examined)[: math.ceil(pred.witness_target)]
     outside = np.ones(graph.n + 1, dtype=bool)
     outside[0] = False
     outside[examined] = False
+    witness = infected[outside[infected]][: math.ceil(pred.witness_target)]
     outside[witness] = False
     bhat = np.flatnonzero(outside & (counters >= trace.r - 1))
     b = giant_in_qualified(graph, bhat)

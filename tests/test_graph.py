@@ -7,6 +7,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from bootperc import graph
+from bootperc.engine import run_direct
 from bootperc.graph import (
     MAX_N,
     ExplicitGraph,
@@ -447,6 +448,38 @@ class TestSampling:
             from_edges(3, [(1, 4)])
         with pytest.raises(ValueError, match="duplicate edge"):
             from_edges(3, [(1, 2), (2, 1)])
+        # a cast once read (1.5, 2.9) as the edge 1-2
+        for edges in ([(1.5, 2.9), (3, 4)], [("1", "2")], np.array([[1.0, 2.0]]), np.array([[True, True]])):
+            with pytest.raises(ValueError, match="edge vertex ids must be integers"):
+                from_edges(4, edges)
+        # integer arrays of any width, lists and generators are read as they are
+        want = from_edges(4, [(1, 2), (3, 4)])
+        pairs = [[1, 2], [3, 4]]
+        for edges in (np.array(pairs, dtype=np.uint8), np.array(pairs, dtype=np.int32), (tuple(e) for e in pairs)):
+            g = from_edges(4, edges)
+            assert np.array_equal(g.indptr, want.indptr) and np.array_equal(g.indices, want.indices)
+        assert from_edges(4, []).edge_count == 0
+
+    def test_vertex_sets_must_hold_integers(self):
+        # on the path 1-2-3-4 a cast once read {1.9, 3.2} as {1, 3}, {2.5, 3.7}
+        # as {2, 3} and the seed 1.5 as 1
+        g = from_edges(4, [(1, 2), (2, 3), (3, 4)])
+        calls = {
+            "target vertex": lambda vs: count_neighbors_in(g, vs).tolist(),
+            "subset vertex": lambda vs: largest_component(g, vs).largest_members.tolist(),
+            "seed": lambda vs: run_direct(g, vs, 1),
+        }
+        floats = (np.array([1.9, 3.2]), np.array([2.5, 3.7]), [1.5], [2, 3.0])
+        for label, call in calls.items():
+            for vs in floats + ("12", ["2"], np.array([True, False, True]), [True]):
+                with pytest.raises(ValueError, match=f"{label} ids must be integers"):
+                    call(vs)
+            # integer arrays of any width, lists, ranges, sets and generators
+            want = call(np.array([2, 3]))
+            for vs in (np.array([2, 3], dtype=np.uint16), np.array([2, 3], dtype=np.int8), [2, 3], range(2, 4), {2, 3}):
+                assert call(vs) == want
+            assert call(v for v in (2, 3)) == want
+            call([])
 
     def test_from_edges_sorts_rows(self):
         g = from_edges(5, [(5, 1), (3, 1), (2, 5)])

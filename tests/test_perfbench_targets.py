@@ -89,11 +89,13 @@ def test_explicit_stages_summary_attributes():
 
 def test_explicit_stage_report_calls_each_traced_stage_once(monkeypatch):
     # the tracer times stages.* by wrapping these module attributes, so a
-    # stage inlined into its caller would read 0 there instead of failing
+    # stage inlined into its caller would read 0 there instead of failing;
+    # graph.count_neighbors_in.s reads only the stage layer's calls, through
+    # the name stages imported: 1 from state_at and 3 from bridge_and_expand
     from bootperc import stages
 
     calls = {}
-    for name in ("giant_in_qualified", "bridge_and_expand"):
+    for name in ("giant_in_qualified", "bridge_and_expand", "count_neighbors_in"):
         real = getattr(stages, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
@@ -106,4 +108,4 @@ def test_explicit_stage_report_calls_each_traced_stage_once(monkeypatch):
     a = plan.t1 + 40  # alive past t1
     [(_, report)] = montecarlo.run_trial(params, "explicit", 1, 0, [a], 0, 0.9, plan)
     assert report.early_ok
-    assert calls == {"giant_in_qualified": 1, "bridge_and_expand": 1}
+    assert calls == {"giant_in_qualified": 1, "bridge_and_expand": 1, "count_neighbors_in": 4}

@@ -4,7 +4,9 @@ import sys
 import numpy as np
 import pytest
 
+from bootperc.engine import ImplicitSource
 from bootperc.rng import derive_key, make_generator
+from bootperc.thresholds import ProcessParams
 
 
 def test_key_is_deterministic():
@@ -46,6 +48,19 @@ def test_parts_below_2_64_keep_their_keys():
     # the keys of parts below 2^64 are those of the wide-part fold before it
     assert derive_key(2**64 - 1) == (16490336266968443936, 6755974106381971767)
     assert derive_key(5, 0, 2) == (10199714216523646185, 18212269899809022295)
+
+
+def test_parts_that_are_not_integers_rejected():
+    # int() once read 1.5 as 1 and '7' as 7, so a float seed ran the
+    # stream of the integer below it
+    for parts in [(1.5,), ("7",), (3, 2.0), (np.float64(1.0),), (None,)]:
+        with pytest.raises(ValueError, match="stream key parts must be integers"):
+            make_generator(*parts)
+    with pytest.raises(ValueError, match="stream key parts must be integers, got 1.9"):
+        ImplicitSource(ProcessParams(n=2000, p=3e-3, r=2), seed=1.9)
+    # numpy integer scalars keep the keys of the integers they hold
+    assert derive_key(np.int64(5), np.uint8(0), np.uint64(2)) == derive_key(5, 0, 2)
+    assert derive_key(np.uint64(2**64 - 1)) == derive_key(2**64 - 1)
 
 
 def test_negative_part_rejected():
