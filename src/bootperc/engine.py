@@ -41,7 +41,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import _BLOCK, ExplicitGraph, _add_neighbor_counts, _row_entries, _spans, _vertex_mask
+from .graph import ExplicitGraph, _add_neighbor_counts, _row_entries, _spans, _vertex_mask
 from .rng import make_generator
 from .thresholds import DegenerateRegime, ProcessParams, log_binom_lower
 
@@ -339,6 +339,20 @@ def _walk_infection_times(rng: np.random.Generator, n: int, p: float, a: int, r:
     return h, sizes, size
 
 
+def _series(trace: PercolationTrace, p: float, lo: int, hi: int) -> np.ndarray:
+    """M(t) at the recorded steps t = lo..hi-1; see :func:`martingale_series`."""
+    a, n = trace.a, trace.n
+    t = np.arange(lo, min(hi, len(trace.infected_sizes)))
+    if trace.T is not None:
+        t = np.minimum(t, trace.T)
+    log_s = log_binom_lower(t, p, trace.r)
+    pi = np.clip(-np.expm1(log_s), 0.0, 1.0)
+    if np.any(pi >= 1.0):
+        bad = int(t[np.argmax(pi >= 1.0)])
+        raise DegenerateRegime(f"pi_hat({bad}) = 1; martingale values diverge")
+    return (trace.infected_sizes[lo:hi] - a - (n - a) * pi) / np.exp(log_s)
+
+
 def martingale_series(trace: PercolationTrace, p: float) -> np.ndarray:
     """Normalised zero-drift series M(t) for each recorded t of a trace
     run at edge probability p; a, n and r are the trace's own.
@@ -348,23 +362,26 @@ def martingale_series(trace: PercolationTrace, p: float) -> np.ndarray:
     with pi evaluated at min(t, T); within the run (t <= T) this is the
     plain binomial tail pi_hat(t).
     """
-    a, n = trace.a, trace.n
-    t = np.arange(len(trace.infected_sizes))
-    if trace.T is not None:
-        t = np.minimum(t, trace.T)
-    log_s = log_binom_lower(t, p, trace.r)
-    pi = np.clip(-np.expm1(log_s), 0.0, 1.0)
-    if np.any(pi >= 1.0):
-        bad = int(t[np.argmax(pi >= 1.0)])
-        raise DegenerateRegime(f"pi_hat({bad}) = 1; martingale values diverge")
-    return (trace.infected_sizes - a - (n - a) * pi) / np.exp(log_s)
+    return _series(trace, p, 0, len(trace.infected_sizes))
+
+
+# rows of the trace export per write: the export's memory does not grow with the trace
+_BLOCK = 1 << 12
 
 
 def write_trace_csv(trace: PercolationTrace, p: float, path) -> None:
-    """Trace export: columns t, infected_size, martingale_value."""
-    series, sizes = martingale_series(trace, p).tolist(), trace.infected_sizes.tolist()
+    """Trace export: columns t, infected_size, martingale_value.
+
+    Written one block of rows at a time, each evaluated as it is written,
+    after a first pass over the blocks: a degenerate trace raises
+    DegenerateRegime there, as :func:`martingale_series` does, and leaves
+    no file."""
+    steps = len(trace.infected_sizes)
+    for lo in range(0, steps, _BLOCK):
+        _series(trace, p, lo, lo + _BLOCK)
     with open(path, "w") as fh:
         fh.write("t,infected_size,martingale_value\n")
-        for lo in range(0, len(sizes), _BLOCK):  # one % format per block of rows
-            rows = zip(range(lo, len(sizes)), sizes[lo : lo + _BLOCK], series[lo : lo + _BLOCK])
-            fh.write("%d,%d,%.12g\n" * min(_BLOCK, len(sizes) - lo) % tuple(chain.from_iterable(rows)))
+        for lo in range(0, steps, _BLOCK):  # one % format per block of rows
+            sizes = trace.infected_sizes[lo : lo + _BLOCK].tolist()
+            rows = zip(range(lo, steps), sizes, _series(trace, p, lo, lo + _BLOCK).tolist())
+            fh.write("%d,%d,%.12g\n" * len(sizes) % tuple(chain.from_iterable(rows)))

@@ -1,9 +1,10 @@
 """Materialised G(n,p) sampling and component analysis.
 
-A graph is held in half rows: two int64 arrays, ``indptr`` and
-``indices``, with 1-based vertices, where each vertex's row is split at
-the vertex itself (see :class:`ExplicitGraph`).  Graphs are immutable
-after construction; all read operations are safe to call concurrently.
+A graph is held in half rows: an int64 array ``indptr`` of half-row
+starts and a uint32 array ``indices`` of 1-based vertex ids, where each
+vertex's row is split at the vertex itself (see :class:`ExplicitGraph`).
+Graphs are immutable after construction; all read operations are safe
+to call concurrently.
 
 G(n,p) is drawn by geometric skips over the C(n,2) pair indices, each
 unranked exactly to its pair (see :func:`sample_gnp_with`).
@@ -12,6 +13,7 @@ unranked exactly to its pair (see :func:`sample_gnp_with`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +33,16 @@ class ExplicitGraph:
 
     Each half ascends, so a row, the lower half then the upper, ascends;
     rows are symmetric, loop-free and duplicate-free.
+
+    ``indices`` is uint32, since n <= ``MAX_N`` < 2^32: 8 bytes per edge,
+    beside ``indptr``'s 16 per vertex.  Read its entries as indices, or
+    widen them before any arithmetic: uint32 wraps, and int32 would not
+    hold every id.
     """
 
     n: int
     indptr: np.ndarray  # int64, length 2n + 3
-    indices: np.ndarray  # int64, two entries per edge
+    indices: np.ndarray  # uint32, two entries per edge
 
     def neighbors(self, u: int) -> np.ndarray:
         ptr, low = self.indptr, self.n + 1 + u
@@ -55,6 +62,8 @@ class ComponentSummary:
 
 def from_edges(n: int, edges) -> ExplicitGraph:
     """Build a graph from (u, v) pairs, each edge once in either order."""
+    if not 0 <= n <= MAX_N:
+        raise ValueError(f"n must lie in 0..{MAX_N}, got {n}")
     pairs = _integer_ids(edges, "edge vertex").reshape(-1, 2)
     us, vs = pairs[:, 0], pairs[:, 1]
     bad = (us == vs) | (us < 1) | (us > n) | (vs < 1) | (vs > n)
@@ -63,6 +72,8 @@ def from_edges(n: int, edges) -> ExplicitGraph:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         raise ValueError(f"edge ({u},{v}) outside 1..{n}")
+    pairs = pairs.astype(np.int64, copy=False)
+    us, vs = pairs[:, 0], pairs[:, 1]
     lo, hi = np.minimum(us, vs), np.maximum(us, vs)
     order = np.lexsort((hi, lo))
     lo, hi = lo[order], hi[order]  # the upper halves
@@ -74,7 +85,8 @@ def from_edges(n: int, edges) -> ExplicitGraph:
     indptr[n + 2 :] = np.bincount(hi, minlength=n + 1)
     np.cumsum(indptr, out=indptr)
     # a stable sort by hi keeps each lower half ascending
-    return ExplicitGraph(n=n, indptr=indptr, indices=np.concatenate([hi, lo[np.argsort(hi, kind="stable")]]))
+    indices = np.concatenate([hi, lo[np.argsort(hi, kind="stable")]]).astype(np.uint32)
+    return ExplicitGraph(n=n, indptr=indptr, indices=indices)
 
 
 # entries of scratch per pass over edge-sized data: the sampler's casts, row
@@ -123,16 +135,19 @@ def _geometric_gaps(rng: np.random.Generator, p: float, size: int, out=None) -> 
 
 def _sample_edge_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Linearised indices of present pairs via geometric skips, ascending:
-    the int64 view of the first e entries of a uint64 buffer of at least
-    2e (its ``base``), in which :func:`sample_gnp_with` builds the keys.
+    e int64 entries in the back of a uint32 buffer (their ``base``) of at
+    least 3e entries, in which :func:`sample_gnp_with` builds the rows.
+    They start at an even entry f >= e, so their view stays aligned, and
+    the first f entries are free for the rows.
 
     Expected work is proportional to the edge count: the gap to the next
     present pair is geometric with success probability p.  The first
-    chunk, of mean + 4 sd gaps, is drawn straight into the front half of
-    the buffer; in the rare case that it ends short of the last pair, the
+    chunk, of mean + 4 sd gaps, is drawn straight into the back of the
+    buffer; in the rare case that it ends short of the last pair, the
     later chunks are drawn apart and the buffer grows once, at the end,
     by ``realloc``, which a large buffer's pages follow without a copy
-    beside them.
+    beside them.  The first chunk then moves up past the e free entries,
+    one block at a time from its end.
     """
     total = n * (n - 1) // 2
     chunks = []
@@ -141,8 +156,9 @@ def _sample_edge_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarr
     while True:
         size = max(64, int(mean_left + 4.0 * math.sqrt(mean_left + 1.0)))
         if not chunks:
-            keys = np.empty(2 * size, dtype=np.uint64)
-        idxs = _geometric_gaps(rng, p, size, out=None if chunks else keys[:size].view(np.int64))
+            front = size + size % 2
+            buf = np.empty(front + 2 * size, dtype=np.uint32)
+        idxs = _geometric_gaps(rng, p, size, out=None if chunks else buf[front:].view(np.int64))
         np.cumsum(idxs, out=idxs)
         idxs += pos
         # the sum may wrap once past total < 2^62: scan, do not bisect, for the end
@@ -155,12 +171,18 @@ def _sample_edge_indices(n: int, p: float, rng: np.random.Generator) -> np.ndarr
         pos = int(idxs[-1])
         mean_left = (total - pos) * p
     e = sum(map(len, chunks))
-    if len(chunks) > 1:
-        later = np.concatenate(chunks[1:])
-        del chunks, idxs  # no view of the buffer may outlive its realloc
-        keys.resize(2 * e, refcheck=False)
-        keys[e - len(later) : e] = later
-    return keys[:e].view(np.int64)
+    if len(chunks) == 1:
+        return buf[front : front + 2 * e].view(np.int64)
+    first, later = len(chunks[0]), np.concatenate(chunks[1:])
+    del chunks, idxs  # no view of the buffer may outlive its realloc
+    grown = e + e % 2
+    buf.resize(grown + 2 * e, refcheck=False)
+    old, keys = buf[front : front + 2 * first].view(np.int64), buf[grown:].view(np.int64)
+    # each block lands at or above where it was, so none lands on one not yet moved
+    for hi in range(first, 0, -_BLOCK):
+        keys[max(0, hi - _BLOCK) : hi] = old[max(0, hi - _BLOCK) : hi]
+    keys[first:] = later
+    return keys
 
 
 def _row_start(u, n: int):
@@ -199,24 +221,24 @@ def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> ExplicitGraph
     exact row starts off(u - 1) and off(u): with more pairs than rows, a
     ``searchsorted`` of the n + 1 row starts, one block of 2^16 rows at a
     time, gives every upper half's start, and ``repeat`` spreads each
-    row's :func:`_upper_key_offset` over its pairs, one block of rows of
+    row's :func:`_upper_key_offset` over its pairs, one span of rows of
     about 2^16 pairs at a time; with fewer, :func:`_pair_rows` finds the
     rows, and ``np.add.at`` counts the upper degrees, one block of 2^16
-    pairs at a time.  The pair indices are drawn into the front of one
-    uint64 buffer over both copies of every edge (see
-    :func:`_sample_edge_indices`), and adding the offset makes each, in
-    place, its upper key (u << s) | v, s = n.bit_length().  The lower
-    keys (v << s) | u fill the next e entries one block at a time, as
-    ``np.add.at`` counts their v's, the lower degrees.  The upper keys
-    already ascend, row by row, and sorting the lower ones in place puts
-    them row by row too: the buffer is then the graph's upper halves
-    followed by its lower halves (see :class:`ExplicitGraph`), with no
-    merge, and ``indices`` is the low s bits of its first 2e entries.
-    The graph holds 16 bytes per edge and 16 per vertex; beside the
-    buffer, building takes O(n) and one block of scratch, so it peaks at
-    16 bytes per edge.  n is at most ``MAX_N`` = 3037000498 (where indptr
-    alone takes 48 GB); a larger n raises ValueError before anything is
-    drawn.
+    pairs at a time.  The pair indices are drawn into the back of one
+    uint32 buffer of 12 bytes per edge (see :func:`_sample_edge_indices`),
+    and each span or block, in place, becomes the upper keys (u << s) | v,
+    s = n.bit_length(), writes its v's to the front of the buffer, where
+    ``indices`` begins, counts them into the lower degrees, and becomes the
+    lower keys (v << s) | u.  The v's already ascend, row by row, and
+    sorting the lower keys puts them row by row too, so the low s bits of
+    the sorted keys, written right after the v's, are the lower halves:
+    the graph's upper halves followed by its lower halves (see
+    :class:`ExplicitGraph`), with no merge.  The buffer then shrinks by
+    ``resize`` to those 2e entries.  The graph holds 8 bytes per edge and
+    16 per vertex; beside the buffer, building takes O(n) and one block of
+    scratch, so it peaks at 12 bytes per edge.  n is at most ``MAX_N`` =
+    3037000498 (where indptr alone takes 48 GB); a larger n raises
+    ValueError before anything is drawn.
     """
     if not (1 <= n <= MAX_N):
         raise ValueError(f"n must lie in 1..{MAX_N}, got {n}")
@@ -226,12 +248,24 @@ def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> ExplicitGraph
         return from_edges(n, [])
     idxs = _sample_edge_indices(n, p, rng)
     e = len(idxs)
-    keys = idxs.base  # uint64: the upper keys take the first e entries, the lower ones the next e
-    upper, lower = keys[:e], keys[e : 2 * e]
+    buf, keys = idxs.base, idxs.view(np.uint64)  # the pair indices, then the upper keys, then the lower ones
     shift = n.bit_length()  # v < 2^shift <= 2^32, so a key fits in 64 bits
+    low_bits = (1 << shift) - 1
     # half row k starts at indptr[k]: the dense branch writes the upper starts
     # there, the rest are lengths at indptr[k + 1] until a cumsum
     indptr = np.zeros(2 * n + 3, dtype=np.int64)
+
+    def upper_to_lower(lo: int, hi: int) -> None:
+        """Upper keys lo..hi-1 to lower keys, their v's to the front of the
+        buffer and into the lower degrees."""
+        block = keys[lo:hi]
+        vs = np.bitwise_and(block, low_bits, out=buf[lo:hi], casting="unsafe")
+        np.add.at(indptr[n + 2 :], vs, 1)
+        us = block >> shift
+        block[:] = vs
+        block <<= shift
+        block |= us
+
     if e > n:
         # upper half u starts at the first pair index at or past off(u - 1)
         for lo in range(1, n + 2, _BLOCK):
@@ -239,42 +273,55 @@ def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> ExplicitGraph
             indptr[rows] = np.searchsorted(idxs, _row_start(rows, n))
         for lo, hi in _spans(indptr[2 : n + 2]):  # rows lo + 1..hi
             offsets = _upper_key_offset(np.arange(lo + 1, hi + 1, dtype=np.int64), n, shift)
-            upper[indptr[lo + 1] : indptr[hi + 1]] += np.repeat(offsets, np.diff(indptr[lo + 1 : hi + 2]))
+            start, stop = int(indptr[lo + 1]), int(indptr[hi + 1])
+            keys[start:stop] += np.repeat(offsets, np.diff(indptr[lo + 1 : hi + 2]))
+            upper_to_lower(start, stop)
     else:
         for lo in range(0, e, _BLOCK):
             us = _pair_rows(idxs[lo : lo + _BLOCK], n)
             np.add.at(indptr[1:], us, 1)
-            upper[lo : lo + _BLOCK] += _upper_key_offset(us, n, shift)
+            keys[lo : lo + _BLOCK] += _upper_key_offset(us, n, shift)
+            upper_to_lower(lo, min(lo + _BLOCK, e))
         np.cumsum(indptr[: n + 2], out=indptr[: n + 2])
-    for lo in range(0, e, _BLOCK):
-        vs = np.bitwise_and(upper[lo : lo + _BLOCK], (1 << shift) - 1, out=lower[lo : lo + _BLOCK])
-        np.add.at(indptr[n + 2 :], vs.view(np.int64), 1)
-        vs <<= shift
-        vs |= upper[lo : lo + _BLOCK] >> shift  # u
     np.cumsum(indptr[n + 1 :], out=indptr[n + 1 :])  # from indptr[n + 1] = e
-    lower.sort()
-    both = keys[: 2 * e]
-    both &= (1 << shift) - 1
-    return ExplicitGraph(n=n, indptr=indptr, indices=both.view(np.int64))
+    keys.sort()
+    # the keys start at or past entry e, so no block of u's lands on a key not yet read
+    for lo in range(0, e, _BLOCK):
+        hi = min(lo + _BLOCK, e)
+        np.bitwise_and(keys[lo:hi], low_bits, out=buf[e + lo : e + hi], casting="unsafe")
+    del idxs, keys
+    buf.resize(2 * e, refcheck=False)
+    return ExplicitGraph(n=n, indptr=indptr, indices=buf)
 
 
 def sample_gnp(n: int, p: float, seed: int) -> ExplicitGraph:
     """G(n,p): every one of the C(n,2) pairs present independently with
     probability p.  Deterministic for fixed (n, p, seed).
 
-    The graph takes 16 bytes per edge, plus 16 per vertex, and building
-    it peaks at 16 bytes per edge, plus O(n) and one block of scratch; as
+    The graph takes 8 bytes per edge, plus 16 per vertex, and building
+    it peaks at 12 bytes per edge, plus O(n) and one block of scratch; as
     a rule of thumb keep n^2 p below 1e8.
     """
     return sample_gnp_with(n, p, make_generator(seed))
 
 
 def _integer_ids(items, label: str) -> np.ndarray:
-    """Integer ids as int64; ValueError for floats, strings or bools, which a cast would misread."""
-    ids = np.asarray(items if isinstance(items, np.ndarray) else list(items))
-    if ids.size and ids.dtype.kind not in "iu":  # an empty list reads as float64
-        raise ValueError(f"{label} ids must be integers, got {ids.dtype}")
-    return ids.astype(np.int64, copy=False)
+    """Integer ids in an array that compares them exactly: int64, or
+    uint64 or Python ints (object) when an id lies past int64, so a range
+    check names the id as given; ValueError for floats, strings or bools,
+    which a cast would misread."""
+    listed = items if isinstance(items, np.ndarray) else list(items)
+    ids = np.asarray(listed)
+    if ids.dtype.kind in "iu":
+        return ids if ids.dtype == np.uint64 else ids.astype(np.int64, copy=False)
+    if not ids.size:  # an empty list reads as float64
+        return ids.astype(np.int64)
+    if isinstance(listed, list):
+        # Python ints past uint64, or past int64 beside a negative one, read as objects or floats
+        objects = np.asarray(listed, dtype=object)
+        if all(isinstance(x, numbers.Integral) and not isinstance(x, (bool, np.bool_)) for x in objects.flat):
+            return objects
+    raise ValueError(f"{label} ids must be integers, got {ids.dtype}")
 
 
 def _vertex_mask(vertices, n: int, label: str) -> np.ndarray:
@@ -285,18 +332,20 @@ def _vertex_mask(vertices, n: int, label: str) -> np.ndarray:
     if len(bad):
         raise ValueError(f"{label} {bad[0]} outside 1..{n}")
     mask = np.zeros(n + 1, dtype=bool)
-    mask[ids] = True
+    mask[ids.astype(np.intp, copy=False)] = True
     return mask
 
 
 def _half_row_entries(g: ExplicitGraph, halves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The half rows ``halves``, concatenated, and their lengths."""
+    """The half rows ``halves``, concatenated as int64 ids, and their lengths."""
     starts = g.indptr[halves]
     lens = g.indptr[halves + 1] - starts
     # position of each entry: its half row's start plus its rank within it
     pos = np.repeat(starts - (np.cumsum(lens) - lens), lens)
     pos += np.arange(len(pos))
-    return g.indices[pos], lens
+    # widened in place: numpy would cast a uint32 index array at each gather
+    pos[:] = g.indices[pos]
+    return pos, lens
 
 
 def _row_entries(g: ExplicitGraph, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -116,6 +116,15 @@ class TestRunCommand:
         assert lines[0] == "t,infected_size,martingale_value"
         assert len(lines) == payload["T"] + 2
 
+    def test_degenerate_trace_out_writes_no_file(self, capsys, tmp_path):
+        # pi_hat rounds to 1 at step 411697, inside the recorded trace: the
+        # export names that first step and refuses before it opens the path
+        out = tmp_path / "trace.csv"
+        argv = ["run", "--n", "1000000", "--p", "1e-4", "--r", "2", "--a", "80", "--trace-out", str(out)]
+        assert cli.main(argv) == 3
+        assert "pi_hat(411697) = 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_implicit_walk_at_tiny_t_p(self, capsys):
         # an in-regime point where rounding once made a block's chance negative
         point = ["--n", "1000000000000", "--p", "1e-8", "--r", "3"]

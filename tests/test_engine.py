@@ -563,6 +563,20 @@ class TestMartingale:
             write_trace_csv_per_row(trace, params.p, tmp_path / "rows.csv")
             assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
+    def test_csv_memory_does_not_grow_with_the_trace(self, tmp_path, traced_peak):
+        # rows are evaluated and formatted one block at a time, so a trace
+        # 8 times longer takes no more memory to write; the whole series
+        # and its rows as Python objects took over 1 MiB at the longer
+        params = ProcessParams(n=10**7, p=1e-9, r=2)
+        peaks = []
+        for steps in (engine._BLOCK, 8 * engine._BLOCK):
+            opts = TraceOptions(max_steps=steps)
+            trace = run_process(ImplicitSource(params, seed=3), SeedSpec.prefix(10**5), 2, opts)
+            assert len(trace.infected_sizes) == steps + 1
+            _, peak = traced_peak(lambda: write_trace_csv(trace, params.p, tmp_path / "trace.csv"))
+            peaks.append(peak)
+        assert peaks[1] <= peaks[0] + 2**14 and peaks[1] < 2**20, peaks
+
     def test_csv_export(self, tmp_path):
         params = ProcessParams(n=100, p=0.02, r=2)
         trace = run_process(ImplicitSource(params, seed=8), SeedSpec.prefix(5), 2)

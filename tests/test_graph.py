@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,13 +140,15 @@ def pair_rank(u: int, v: int, n: int) -> int:
 def graph_of_pair_indices(monkeypatch, n: int, idxs) -> list[tuple[int, int]]:
     """The edges (u, v), u < v, of the graph that ``sample_gnp_with``
     builds when the draws give the pair indices ``idxs``, handed over as
-    the sampler hands them: at the front of a key buffer of twice their
-    length."""
+    the sampler hands them: as int64 at the back of a uint32 buffer,
+    after an even number, at least their count, of free entries."""
 
     def draws(*_):
-        keys = np.zeros(2 * len(idxs), dtype=np.uint64)
-        keys[: len(idxs)] = idxs
-        return keys[: len(idxs)].view(np.int64)
+        front = len(idxs) + len(idxs) % 2
+        buf = np.zeros(front + 2 * len(idxs), dtype=np.uint32)
+        keys = buf[front:].view(np.int64)
+        keys[:] = idxs
+        return keys
 
     monkeypatch.setattr(graph, "_sample_edge_indices", draws)
     us, vs = upper_edges(sample_gnp_with(n, 0.5, make_generator(0)))
@@ -207,11 +210,12 @@ class TestGapDraws:
         g = sample_gnp_with(*case, rng)
         return g.indptr.tolist(), g.indices.tolist(), rng.random()
 
-    def test_short_first_chunk_grows_the_buffer(self, traced_peak):
+    def test_short_first_chunk_grows_the_buffer(self, monkeypatch, traced_peak):
         # a first chunk of all-ones gaps ends short of the last pair, so
         # the later chunks are drawn apart and the buffer grows once, in
-        # place, to twice the edges: no second buffer sits beside the
-        # first.  The reference sees the same ones
+        # place, to three uint32 entries per edge (one more when the edges
+        # are odd), the keys in its back two thirds: no second buffer sits
+        # beside the first.  The reference sees the same ones
         class OnesFirst:
             def __init__(self, seed):
                 self.rng, self.first = make_generator(seed), True
@@ -228,24 +232,33 @@ class TestGapDraws:
                 self.first = False
                 return gaps
 
+        def in_back(keys):
+            e = len(keys)
+            return len(keys.base) == 3 * e + e % 2 and np.shares_memory(keys, keys.base[-2 * e :])
+
         n, p = 2000, 0.01
         for seed in range(3):
             got_rng, ref_rng = OnesFirst(seed), OnesFirst(seed)
             got = _sample_edge_indices(n, p, got_rng)
             want = reference_edge_indices(n, p, ref_rng)
             assert got[:100].tolist() == list(range(100)) and np.array_equal(got, want)
-            assert len(got.base) == 2 * len(got)
+            assert in_back(got)
             assert got_rng.rng.random() == ref_rng.rng.random()
             g = sample_gnp_with(n, p, OnesFirst(seed))
             assert g.neighbors(1).tolist()[:5] == [2, 3, 4, 5, 6] and g.edge_count == len(want)
-        # at n = 6000 the growth against its bound: the buffer, 16 B per
+        # the first chunk moves up in blocks: above, in one block that
+        # overlaps its own old place; here, in blocks of 7 clear of theirs
+        monkeypatch.setattr(graph, "_BLOCK", 7)
+        assert np.array_equal(_sample_edge_indices(n, p, OnesFirst(0)), reference_edge_indices(n, p, OnesFirst(0)))
+        monkeypatch.undo()
+        # at n = 6000 the growth against its bound: the buffer, 12 B per
         # edge, beside the later chunks, drawn apart at 8 B per entry
         n = 6000
         mean = n * (n - 1) // 2 * p
         first = int(mean + 4.0 * math.sqrt(mean + 1.0))
         grown, peak = traced_peak(lambda: _sample_edge_indices(n, p, OnesFirst(0)))
-        assert grown[:first].tolist() == list(range(first)) and len(grown.base) == 2 * len(grown)
-        assert peak <= 16 * len(grown) + 8 * (len(grown) - first) + 16 * graph._BLOCK, peak
+        assert grown[:first].tolist() == list(range(first)) and in_back(grown)
+        assert peak <= 12 * len(grown) + 8 * (len(grown) - first) + 16 * graph._BLOCK, peak
 
     def test_tiny_p_graph(self):
         for seed in range(5):
@@ -371,14 +384,15 @@ class TestSampling:
             g = sample_gnp(n, p, seed=seed)
             # every row of the reference, split at its vertex
             indptr, indices = split_rows(*reference_csr(n, p, seed))
-            assert g.indptr.dtype == g.indices.dtype == np.int64
+            assert g.indptr.dtype == np.int64 and g.indices.dtype == np.uint32
+            assert g.indices.nbytes == 8 * g.edge_count and g.indices.flags.owndata
             assert np.array_equal(g.indptr, indptr), (n, p, seed)
             assert np.array_equal(g.indices, indices), (n, p, seed)
 
     def test_peak_memory_while_building(self, traced_peak):
-        # the pair indices are drawn into the front of the key buffer over
-        # both copies of every edge (16 B/edge, and 4 sd of spare draws)
-        # and become the keys in place; beside it the dense branch takes
+        # the pair indices are drawn into the back of a uint32 buffer of
+        # 12 B/edge (and 4 sd of spare draws), become the keys in place and
+        # leave the rows in its front; beside it the dense branch takes
         # indptr (16 B/vertex), its row starts (at most 48 B/vertex in
         # all) and blocks of scratch.  The lower keys are sorted in place
         # and nothing merges them, so no sort buffer hides from tracemalloc.
@@ -386,7 +400,7 @@ class TestSampling:
         sample_gnp_with(n, p, make_generator(0))
         g, peak = traced_peak(lambda: sample_gnp_with(n, p, make_generator(1)))
         assert g.edge_count > n  # the dense branch: row constants by repeat
-        assert peak <= 16 * g.edge_count + 48 * n + 16 * graph._BLOCK, peak
+        assert peak <= 12 * g.edge_count + 48 * n + 16 * graph._BLOCK, peak
 
     def test_half_row_invariants(self):
         # 2n + 3 half-row starts; each half ascends, the lower half below
@@ -404,6 +418,7 @@ class TestSampling:
         for g, edges in graphs:
             n, ptr = g.n, g.indptr
             assert len(ptr) == 2 * n + 3 and ptr[0] == 0 and ptr[-1] == len(g.indices) == 2 * g.edge_count
+            assert ptr.dtype == np.int64 and g.indices.dtype == np.uint32 and g.indices.nbytes == 8 * g.edge_count
             assert (np.diff(ptr) >= 0).all() and ptr[n + 1] == g.edge_count
             for u in range(n + 1):
                 upper = g.indices[ptr[u] : ptr[u + 1]].tolist()
@@ -459,6 +474,17 @@ class TestSampling:
             g = from_edges(4, edges)
             assert np.array_equal(g.indptr, want.indptr) and np.array_equal(g.indices, want.indices)
         assert from_edges(4, []).edge_count == 0
+        # an id past int64 is named as given, not wrapped or read as an object
+        for edges, named in (
+            (np.array([[1, 2**63]], dtype=np.uint64), "(1,9223372036854775808)"),
+            ([(2**64, 3)], "(18446744073709551616,3)"),
+            ([(-1, 2**63)], "(-1,9223372036854775808)"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"edge {named} outside 1..4")):
+                from_edges(4, edges)
+        # ids are stored as uint32, so n stays below 2^32
+        with pytest.raises(ValueError, match="n must lie in 0..3037000498"):
+            from_edges(MAX_N + 1, [])
 
     def test_vertex_sets_must_hold_integers(self):
         # on the path 1-2-3-4 a cast once read {1.9, 3.2} as {1, 3}, {2.5, 3.7}
@@ -480,6 +506,17 @@ class TestSampling:
                 assert call(vs) == want
             assert call(v for v in (2, 3)) == want
             call([])
+            # an id past int64 is named as given: it once read as
+            # -9223372036854775808, or was refused as an object
+            for vs, named in (
+                (np.array([2**63], dtype=np.uint64), 2**63),
+                ([2**63], 2**63),
+                ([2**64], 2**64),
+                ([3, -1, 2**63], -1),
+            ):
+                with pytest.raises(ValueError, match=f"{label} {named} outside 1..4"):
+                    call(vs)
+            assert call(np.array([2, 3], dtype=np.uint64)) == want
 
     def test_from_edges_sorts_rows(self):
         g = from_edges(5, [(5, 1), (3, 1), (2, 5)])
