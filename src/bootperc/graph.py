@@ -228,17 +228,17 @@ def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> ExplicitGraph
     uint32 buffer of 12 bytes per edge (see :func:`_sample_edge_indices`),
     and each span or block, in place, becomes the upper keys (u << s) | v,
     s = n.bit_length(), writes its v's to the front of the buffer, where
-    ``indices`` begins, counts them into the lower degrees, and becomes the
-    lower keys (v << s) | u.  The v's already ascend, row by row, and
-    sorting the lower keys puts them row by row too, so the low s bits of
-    the sorted keys, written right after the v's, are the lower halves:
-    the graph's upper halves followed by its lower halves (see
-    :class:`ExplicitGraph`), with no merge.  The buffer then shrinks by
-    ``resize`` to those 2e entries.  The graph holds 8 bytes per edge and
-    16 per vertex; beside the buffer, building takes O(n) and one block of
-    scratch, so it peaks at 12 bytes per edge.  n is at most ``MAX_N`` =
-    3037000498 (where indptr alone takes 48 GB); a larger n raises
-    ValueError before anything is drawn.
+    ``indices`` begins, and becomes the lower keys (v << s) | u.  The v's
+    already ascend, row by row, and sorting the lower keys puts them row
+    by row too; one block at a time, ``np.add.at`` counts the sorted keys'
+    v's, the lower degrees, and their low s bits, written right after the
+    v's, are the lower halves: the graph's upper halves followed by its
+    lower halves (see :class:`ExplicitGraph`), with no merge.  The buffer
+    then shrinks by ``resize`` to those 2e entries.  The graph holds 8
+    bytes per edge and 16 per vertex; beside the buffer, building takes
+    O(n) and one block of scratch, so it peaks at 12 bytes per edge.  n is
+    at most ``MAX_N`` = 3037000498 (where indptr alone takes 48 GB); a
+    larger n raises ValueError before anything is drawn.
     """
     if not (1 <= n <= MAX_N):
         raise ValueError(f"n must lie in 1..{MAX_N}, got {n}")
@@ -257,10 +257,9 @@ def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> ExplicitGraph
 
     def upper_to_lower(lo: int, hi: int) -> None:
         """Upper keys lo..hi-1 to lower keys, their v's to the front of the
-        buffer and into the lower degrees."""
+        buffer."""
         block = keys[lo:hi]
         vs = np.bitwise_and(block, low_bits, out=buf[lo:hi], casting="unsafe")
-        np.add.at(indptr[n + 2 :], vs, 1)
         us = block >> shift
         block[:] = vs
         block <<= shift
@@ -283,12 +282,13 @@ def sample_gnp_with(n: int, p: float, rng: np.random.Generator) -> ExplicitGraph
             keys[lo : lo + _BLOCK] += _upper_key_offset(us, n, shift)
             upper_to_lower(lo, min(lo + _BLOCK, e))
         np.cumsum(indptr[: n + 2], out=indptr[: n + 2])
-    np.cumsum(indptr[n + 1 :], out=indptr[n + 1 :])  # from indptr[n + 1] = e
     keys.sort()
     # the keys start at or past entry e, so no block of u's lands on a key not yet read
     for lo in range(0, e, _BLOCK):
-        hi = min(lo + _BLOCK, e)
-        np.bitwise_and(keys[lo:hi], low_bits, out=buf[e + lo : e + hi], casting="unsafe")
+        block = keys[lo : lo + _BLOCK]
+        np.add.at(indptr[n + 2 :], (block >> shift).view(np.int64), 1)
+        np.bitwise_and(block, low_bits, out=buf[e + lo : e + lo + len(block)], casting="unsafe")
+    np.cumsum(indptr[n + 1 :], out=indptr[n + 1 :])  # from indptr[n + 1] = e
     del idxs, keys
     buf.resize(2 * e, refcheck=False)
     return ExplicitGraph(n=n, indptr=indptr, indices=buf)
